@@ -35,7 +35,7 @@ GAUSS_FLAGS    = -run='^$$' -bench='$(GAUSS_GUARD)' -count=5 -benchtime=1x .
 # latencies on a shared CI box, not isolated CPU benchmarks.
 LOAD_BASELINE = BENCH_PR8.json
 
-.PHONY: check fmt vet build test race bench-smoke diffcheck benchdiff benchrecord session-bench session-bench-record dispatch-bench dispatch-bench-record dispatch-check gauss-bench gauss-bench-record gauss-check metrics-smoke timeprintd service-smoke store-smoke load-smoke load-bench load-bench-record fuzz-smoke
+.PHONY: check fmt vet build test race bench-smoke diffcheck benchdiff benchrecord session-bench session-bench-record dispatch-bench dispatch-bench-record dispatch-check gauss-bench gauss-bench-record gauss-check metrics-smoke timeprintd service-smoke store-smoke load-smoke load-bench load-bench-record fuzz-smoke benchmark-test
 
 # check is the canonical verification gate: formatting, vet, build,
 # the full test suite under the race detector, and a single-pass run
@@ -167,6 +167,12 @@ load-bench:
 
 load-bench-record:
 	$(GO) run ./cmd/tprload -self -bench -count 5 | $(GO) run ./cmd/benchdiff -record -out $(LOAD_BASELINE) -note "tprload -self -bench -count 5, per-class mean latency"
+
+# benchmark-test vets and tests the benchmark (benchmark/), a Go module
+# of its own that the root `go test ./...` does not reach: a service
+# change that breaks its compile or its answer checks fails here.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz-smoke gives each fuzz target a short randomized burst on top of
 # its seeded corpus — cheap enough for CI, still long enough to shake

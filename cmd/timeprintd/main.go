@@ -65,14 +65,17 @@ func main() {
 	sessionMaxK := fs.Int("session-maxk", 16, "largest change count the per-session incremental solver encodes; larger k falls back to one-shot solves")
 	noIncremental := fs.Bool("no-incremental", false, "disable per-session solver reuse; every solve builds a fresh SAT instance (ablation)")
 	gauss := fs.Bool("gauss", false, "in-search Gaussian elimination: keep the reduced parity matrix live across decision levels in the incremental session solvers")
-	oracle := fs.String("oracle", "auto", "reconstruction backend: auto (cost-model routing), sat, sat-par, sat-inc, decode, brute or exhaustive")
+	oracle := fs.String("oracle", "auto", "reconstruction backend: auto (cost-model routing), sat, sat-inc, decode, brute or exhaustive")
 	storeDir := fs.String("store-dir", "", "durable log store directory: ingested wire logs are persisted here and served back via /v1/logs and /v1/query (empty disables)")
 	storeSegBytes := fs.Int64("store-segment-bytes", 0, "log store segment size before rotation (0 = default)")
 	storeMaxSegments := fs.Int("store-max-segments", 0, "retention: drop oldest sealed segments beyond this many (0 = keep everything)")
 	smoke := fs.Bool("smoke", false, "run an end-to-end smoke test against an in-process server and exit")
 	_ = fs.Parse(os.Args[1:])
-	if !reconstruct.KnownOracle(*oracle) {
-		fmt.Fprintf(os.Stderr, "timeprintd: unknown -oracle %q (want auto|sat|sat-par|sat-inc|decode|brute|exhaustive)\n", *oracle)
+	// The daemon runs every solve on one worker, so a pinned cube-split
+	// portfolio would silently be serial SAT: refuse it rather than
+	// report a route that never runs.
+	if !reconstruct.KnownOracle(*oracle) || *oracle == reconstruct.RouteParallel {
+		fmt.Fprintf(os.Stderr, "timeprintd: unsupported -oracle %q (want auto|sat|sat-inc|decode|brute|exhaustive)\n", *oracle)
 		os.Exit(2)
 	}
 

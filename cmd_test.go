@@ -1,11 +1,14 @@
 package timeprints_test
 
 import (
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildCmd compiles one of the repository's commands into a temp dir
@@ -117,6 +120,25 @@ func TestSocsimCLI(t *testing.T) {
 	out = run(t, tpBin, "decode", "-in", logOut)
 	if !strings.Contains(out, "m=256 b=20") {
 		t.Errorf("decode of socsim log: %s", out)
+	}
+}
+
+// TestTimeprintdRejectsSatPar: the daemon solves every request on one
+// worker, so a pinned cube-split portfolio would quietly run serial
+// SAT. It must refuse the flag at startup with a usage exit instead.
+func TestTimeprintdRejectsSatPar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles binaries")
+	}
+	bin := buildCmd(t, "timeprintd")
+	// A daemon that accepted the flag would serve forever; the deadline
+	// turns that into a failure instead of a hang.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-oracle", "sat-par", "-addr", "127.0.0.1:0").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "sat-par") {
+		t.Fatalf("timeprintd -oracle sat-par: %v\n%s", err, out)
 	}
 }
 

@@ -36,11 +36,17 @@ func ExampleNewReconstructor() {
 	entry := timeprints.Log(enc, timeprints.SignalFromChanges(16, 3, 4, 9, 10))
 
 	unconstrained, _ := timeprints.NewReconstructor(enc, entry, nil, timeprints.Options{})
-	all, _ := unconstrained.Enumerate(0)
+	all, _, err := unconstrained.EnumerateStrict(0)
+	if err != nil {
+		panic(err)
+	}
 
 	constrained, _ := timeprints.NewReconstructor(enc, entry,
 		[]timeprints.Constraint{timeprints.PairedChanges{}}, timeprints.Options{})
-	unique, _ := constrained.Enumerate(0)
+	unique, _, err := constrained.EnumerateStrict(0)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("%d candidates, %d with the property: changes at %v\n",
 		len(all), len(unique), unique[0].Changes())

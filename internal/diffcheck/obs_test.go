@@ -47,7 +47,10 @@ func TestPresolveReducesConflicts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("case %d [%s]: %v", n, g, err)
 			}
-			sigs, exhausted := rec.Enumerate(0)
+			sigs, exhausted, err := rec.EnumerateStrict(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !exhausted {
 				t.Fatalf("case %d [%s]: enumeration not exhausted", n, g)
 			}

@@ -140,13 +140,19 @@ func TestMonitorVerdictPrunesReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, _ := unpruned.Enumerate(0)
+	all, _, err := unpruned.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pruned, err := reconstruct.New(enc, entry, mon.Constraints(0), reconstruct.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	few, _ := pruned.Enumerate(0)
+	few, _, err := pruned.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(few) >= len(all) {
 		t.Fatalf("monitor verdict did not prune: %d vs %d", len(few), len(all))
 	}

@@ -243,7 +243,10 @@ func TestFigure4DidacticResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs, exhausted := rec.Enumerate(0)
+	sigs, exhausted, err := rec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !exhausted || len(sigs) != 8 {
 		t.Fatalf("unconstrained: %d candidates, want 8", len(sigs))
 	}
@@ -253,7 +256,10 @@ func TestFigure4DidacticResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs2, exhausted2 := rec2.Enumerate(0)
+	sigs2, exhausted2, err := rec2.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !exhausted2 || len(sigs2) != 1 {
 		t.Fatalf("paired: %d candidates, want 1", len(sigs2))
 	}
@@ -307,7 +313,10 @@ func TestPropertiesPruneReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		all, _ := recAll.Enumerate(0)
+		all, _, err := recAll.EnumerateStrict(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range props {
 			want := map[string]bool{}
 			for _, s := range all {
@@ -319,7 +328,10 @@ func TestPropertiesPruneReconstruction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, exhausted := rec.Enumerate(0)
+			got, exhausted, err := rec.EnumerateStrict(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !exhausted {
 				t.Fatalf("%s: not exhausted", p)
 			}

@@ -58,8 +58,8 @@ func TestPresolveInconsistentTP(t *testing.T) {
 	if dec := rec.Stats().Solver.Decisions; dec != 0 {
 		t.Errorf("presolve-refuted instance took %d decisions, want 0", dec)
 	}
-	if sigs, exhausted := rec.Enumerate(0); len(sigs) != 0 || !exhausted {
-		t.Errorf("Enumerate: %d signals, exhausted=%v", len(sigs), exhausted)
+	if sigs, exhausted, err := rec.EnumerateStrict(0); err != nil || len(sigs) != 0 || !exhausted {
+		t.Errorf("EnumerateStrict: %d signals, exhausted=%v, err=%v", len(sigs), exhausted, err)
 	}
 
 	// Sanity: the unmodified entry is consistent and finds the truth.
@@ -70,7 +70,10 @@ func TestPresolveInconsistentTP(t *testing.T) {
 	if ps := rec2.Stats().Presolve; ps.Inconsistent || ps.Freed != b-ps.Rank {
 		t.Fatalf("consistent entry presolve stats %+v", ps)
 	}
-	sigs, exhausted := rec2.Enumerate(0)
+	sigs, exhausted, err := rec2.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !exhausted || !sigKeySet(sigs)[truth.Vector().Key()] {
 		t.Fatalf("consistent entry lost the true signal (%d sigs, exhausted=%v)", len(sigs), exhausted)
 	}
@@ -118,7 +121,10 @@ func TestPresolveAllPositionsForced(t *testing.T) {
 	if ps.Rank != m || ps.Fixed != m || ps.Freed != 0 || ps.Inconsistent {
 		t.Fatalf("presolve stats %+v: want rank=fixed=%d", ps, m)
 	}
-	sigs, exhausted := rec.Enumerate(0)
+	sigs, exhausted, err := rec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !exhausted || len(sigs) != 1 || !sigs[0].Equal(truth) {
 		t.Fatalf("want unique solution %v, got %d signals (exhausted=%v)", truth, len(sigs), exhausted)
 	}
@@ -146,7 +152,10 @@ func TestPresolveEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sigs, exhausted := rec.Enumerate(0)
+			sigs, exhausted, err := rec.EnumerateStrict(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !exhausted {
 				t.Fatalf("trial %d opts %d: not exhausted", trial, i)
 			}
@@ -191,7 +200,10 @@ func TestEnumerateParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, exhausted := rec.Enumerate(0) // consumes rec
+		serial, exhausted, err := rec.EnumerateStrict(0) // consumes rec
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !exhausted {
 			t.Fatal("serial enumeration not exhausted")
 		}
@@ -202,7 +214,10 @@ func TestEnumerateParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, exhausted := rec.EnumerateParallel(0, workers)
+			par, exhausted, err := rec.EnumerateParallelStrict(0, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !exhausted {
 				t.Fatalf("workers %d: parallel enumeration not exhausted", workers)
 			}
@@ -216,9 +231,12 @@ func TestEnumerateParallelMatchesSerial(t *testing.T) {
 				}
 			}
 			// Non-consuming: a second call returns the same set.
-			again, _ := rec.EnumerateParallel(0, workers)
+			again, _, err := rec.EnumerateParallelStrict(0, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(again) != len(par) {
-				t.Fatalf("workers %d: EnumerateParallel consumed the instance", workers)
+				t.Fatalf("workers %d: EnumerateParallelStrict consumed the instance", workers)
 			}
 
 			// FirstParallel agrees with Check on satisfiability.

@@ -281,22 +281,11 @@ func (r *Reconstructor) model() core.Signal {
 	return core.SignalFromVector(v)
 }
 
-// Enumerate finds up to limit candidate signals (limit <= 0: all). It
-// returns the signals and whether the candidate space was exhausted.
-// Each signal is verified against the log entry before being returned;
-// a mismatch indicates a solver bug and panics.
-//
-// Deprecated: Enumerate drops the enumeration error, so a search
-// stopped by Options.MaxConflicts or an interrupt looks like an
-// ordinary truncated result (exhausted=false) with no way to tell it
-// from a limit stop. Use EnumerateStrict, which fails closed.
-func (r *Reconstructor) Enumerate(limit int) ([]core.Signal, bool) {
-	out, exhausted, _ := r.enumerate(limit)
-	return out, exhausted
-}
-
-// EnumerateStrict is Enumerate with the error contract: the error
-// wraps sat.ErrBudget when Options.MaxConflicts ran out and
+// EnumerateStrict finds up to limit candidate signals (limit <= 0:
+// all). It returns the signals and whether the candidate space was
+// exhausted. Each signal is verified against the log entry before
+// being returned; a mismatch indicates a solver bug and panics. The
+// error wraps sat.ErrBudget when Options.MaxConflicts ran out and
 // sat.ErrInterrupted when the solver was interrupted. The signals
 // found before the stop are valid either way, but only a nil error
 // permits any completeness claim.
@@ -304,7 +293,7 @@ func (r *Reconstructor) EnumerateStrict(limit int) ([]core.Signal, bool, error) 
 	return r.enumerate(limit)
 }
 
-// EnumerateWithin is Enumerate with cooperative cancellation: closing
+// EnumerateWithin is EnumerateStrict with cooperative cancellation: closing
 // done (typically a context.Done() channel) interrupts the underlying
 // solver at its next conflict or decision. The error distinguishes the
 // incomplete outcomes a server must tell apart — it wraps
@@ -408,29 +397,19 @@ func (r *Reconstructor) signalFromModel(model sat.Model) core.Signal {
 	return s
 }
 
-// EnumerateParallel finds up to limit candidate signals (limit <= 0:
-// all) with a cube-split portfolio of workers cloned solvers (workers
-// <= 0: GOMAXPROCS). Unlike Enumerate it does not consume the
-// instance. Results are canonically ordered: a full enumeration
-// returns the same signal set for every worker count, and matches
-// Enumerate up to ordering. With limit > 0 the result is a sorted
-// subset of the candidates, deterministic for a given worker count
-// but possibly a different subset than serial enumeration finds
-// first (each cube stops early at its own first limit models).
-//
-// Deprecated: EnumerateParallel folds budget and interrupt stops into
-// exhausted=false, indistinguishable from a limit stop. Use
-// EnumerateParallelStrict, which fails closed.
-func (r *Reconstructor) EnumerateParallel(limit, workers int) ([]core.Signal, bool) {
-	out, exhausted, _ := r.EnumerateParallelStrict(limit, workers)
-	return out, exhausted
-}
-
-// EnumerateParallelStrict is EnumerateParallel with the error
-// contract: an Unknown portfolio outcome — some cube ran out of
-// conflict budget or was interrupted — returns an error wrapping
-// sat.ErrBudget (or sat.ErrInterrupted when this instance's solver was
-// interrupted) instead of masquerading as a truncated result.
+// EnumerateParallelStrict finds up to limit candidate signals (limit
+// <= 0: all) with a cube-split portfolio of workers cloned solvers
+// (workers <= 0: GOMAXPROCS). Unlike EnumerateStrict it does not
+// consume the instance. Results are canonically ordered: a full
+// enumeration returns the same signal set for every worker count, and
+// matches EnumerateStrict up to ordering. With limit > 0 the result is
+// a sorted subset of the candidates, deterministic for a given worker
+// count but possibly a different subset than serial enumeration finds
+// first (each cube stops early at its own first limit models). An
+// Unknown portfolio outcome — some cube ran out of conflict budget or
+// was interrupted — returns an error wrapping sat.ErrBudget (or
+// sat.ErrInterrupted when this instance's solver was interrupted)
+// instead of masquerading as a truncated result.
 func (r *Reconstructor) EnumerateParallelStrict(limit, workers int) ([]core.Signal, bool, error) {
 	defer r.obs.StartSpan(SpanEnumerate).End()
 	models, st := sat.ParallelEnumerate(r.builder.S, r.vars, limit, sat.ParallelOptions{Workers: workers})

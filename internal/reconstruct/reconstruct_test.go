@@ -46,7 +46,10 @@ func TestSATMatchesBruteForceAndExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		satSigs, exhausted := rec.Enumerate(0)
+		satSigs, exhausted, err := rec.EnumerateStrict(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !exhausted {
 			t.Fatal("SAT enumeration not exhausted")
 		}
@@ -97,7 +100,10 @@ func TestAblationModesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sigs, exhausted := rec.Enumerate(0)
+			sigs, exhausted, err := rec.EnumerateStrict(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !exhausted {
 				t.Fatalf("%s not exhausted", name)
 			}
@@ -186,7 +192,10 @@ func TestEnumerateLimit(t *testing.T) {
 		t.Skip("instance not ambiguous; nothing to limit")
 	}
 	rec, _ := New(enc, entry, nil, Options{})
-	sigs, exhausted := rec.Enumerate(1)
+	sigs, exhausted, err := rec.EnumerateStrict(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sigs) != 1 || exhausted {
 		t.Fatalf("limit: %d exhausted=%v", len(sigs), exhausted)
 	}
@@ -220,7 +229,10 @@ func TestOneHotIsUnambiguous(t *testing.T) {
 		truth := core.SignalFromVector(v)
 		entry := core.Log(enc, truth)
 		rec, _ := New(enc, entry, nil, Options{})
-		sigs, exhausted := rec.Enumerate(0)
+		sigs, exhausted, err := rec.EnumerateStrict(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !exhausted || len(sigs) != 1 || !sigs[0].Equal(truth) {
 			t.Fatalf("one-hot ambiguity: %d signals", len(sigs))
 		}

@@ -49,7 +49,10 @@ func TestSessionMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantEx := rec.Enumerate(0)
+			want, wantEx, err := rec.EnumerateStrict(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !wantEx {
 				t.Fatal("one-shot not exhausted")
 			}
@@ -92,7 +95,10 @@ func TestSessionProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantEx := rec.Enumerate(0)
+		want, wantEx, err := rec.EnumerateStrict(0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !wantEx {
 			t.Fatal("one-shot not exhausted")
 		}

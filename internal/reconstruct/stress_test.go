@@ -39,7 +39,10 @@ func TestSATMatchesAlgebraicDecoderAtScale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			satSigs, exhausted := rec.Enumerate(0)
+			satSigs, exhausted, err := rec.EnumerateStrict(0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !exhausted {
 				t.Fatalf("k=%d: SAT not exhausted", k)
 			}
@@ -78,7 +81,10 @@ func TestUNSATBudgetReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs, exhausted := rec.Enumerate(0)
+	sigs, exhausted, err := rec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !exhausted {
 		t.Fatal("enumeration not exhausted")
 	}

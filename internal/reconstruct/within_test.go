@@ -49,7 +49,10 @@ func TestEnumerateWithinCompletes(t *testing.T) {
 	if !exhausted {
 		t.Fatal("not exhausted")
 	}
-	ref, refExhausted := mustNew(t, enc, entry).Enumerate(0)
+	ref, refExhausted, err := mustNew(t, enc, entry).EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !refExhausted || len(ref) != len(sigs) {
 		t.Fatalf("EnumerateWithin found %d, Enumerate found %d", len(sigs), len(ref))
 	}

@@ -7,10 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-
-	"repro/internal/bitvec"
-	"repro/internal/core"
-	"repro/internal/reconstruct"
 )
 
 // batchRequest is the JSON body of POST /v1/batch: many jobs against
@@ -20,23 +16,9 @@ import (
 // instead of paying the session lookup and HTTP round-trip per query.
 type batchRequest struct {
 	Encoding EncodingSpec `json:"encoding"`
-	Jobs     []batchJob   `json:"jobs"`
+	Jobs     []jobSpec    `json:"jobs"`
 	// TimeoutMS bounds the whole batch (capped by Config.MaxTimeout).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// batchJob is one query of a batch: an inline TP/k entry or a wire log
-// (optionally windowed by Cycles), with per-job properties, limit and
-// count-only mode. The encoding is shared batch-wide and deliberately
-// absent here.
-type batchJob struct {
-	TP         string `json:"tp,omitempty"`
-	K          int    `json:"k,omitempty"`
-	Log        []byte `json:"log,omitempty"`
-	Cycles     []int  `json:"cycles,omitempty"`
-	Properties string `json:"properties,omitempty"`
-	Limit      int    `json:"limit,omitempty"`
-	CountOnly  bool   `json:"count_only,omitempty"`
 }
 
 // batchJobResult is the per-job slot of the response. Jobs fail
@@ -78,95 +60,37 @@ func parseBatchRequest(data []byte, maxJobs int) (batchRequest, error) {
 	return req, nil
 }
 
-// batchPlan is one job resolved against the shared spec: its work
-// items plus the canonicalized solve parameters — or the per-job error
-// that takes its response slot instead.
-type batchPlan struct {
-	items       []workItem
-	constraints []reconstruct.Constraint
-	propKey     string
-	limit       int
-	countOnly   bool
-	err         *httpError
-}
-
-// planBatchJob resolves one job against the already-normalized shared
-// spec. Errors are per-job: they fail this plan, not the batch.
-func planBatchJob(spec EncodingSpec, job batchJob) batchPlan {
-	p := batchPlan{countOnly: job.CountOnly}
-	fail := func(he *httpError) batchPlan { return batchPlan{err: he} }
-	switch {
-	case job.Log != nil && job.TP != "":
-		return fail(badRequest("give either tp/k or log, not both"))
-	case job.Log != nil:
-		m, b, entries, err := core.ReadLog(bytes.NewReader(job.Log))
-		if err != nil {
-			return fail(badRequest("wire log: %v", err))
+// planBatch runs the job planner over a parsed batch. Each wire log is
+// decoded once, and the first that decodes lends the shared spec an
+// unset m or b. Only an unusable shared spec fails the whole batch;
+// every other error is its job's own (errs[i]), so one malformed job
+// never poisons its siblings. It is pure, so the fuzz target drives it
+// directly.
+func planBatch(req batchRequest) (EncodingSpec, []jobPlan, []error, error) {
+	wires := make([]*wireLog, len(req.Jobs))
+	errs := make([]error, len(req.Jobs))
+	var first *wireLog
+	for i, job := range req.Jobs {
+		if job.Log == nil {
+			continue
 		}
-		if m != spec.M || b != spec.B {
-			return fail(badRequest("wire header (m=%d, b=%d) does not match batch encoding (m=%d, b=%d)", m, b, spec.M, spec.B))
+		if wires[i], errs[i] = decodeWire(job.Log); errs[i] != nil {
+			errs[i] = badRequest("wire log: %v", errs[i])
+		} else if first == nil {
+			first = wires[i]
 		}
-		if len(job.Cycles) == 0 {
-			for tc, e := range entries {
-				p.items = append(p.items, workItem{tc, e})
-			}
-		} else {
-			for _, tc := range job.Cycles {
-				if tc < 0 || tc >= len(entries) {
-					return fail(badRequest("trace-cycle %d outside [0,%d)", tc, len(entries)))
-				}
-				p.items = append(p.items, workItem{tc, entries[tc]})
-			}
-		}
-	case job.TP != "":
-		tp, err := bitvec.Parse(job.TP)
-		if err != nil {
-			return fail(badRequest("tp: %v", err))
-		}
-		if tp.Width() != spec.B {
-			return fail(badRequest("tp width %d, want b=%d", tp.Width(), spec.B))
-		}
-		p.items = append(p.items, workItem{0, core.LogEntry{TP: tp, K: job.K}})
-	default:
-		return fail(badRequest("need tp/k or a wire log"))
 	}
-	constraints, propKey, err := canonProps(job.Properties)
+	spec, err := resolveSpec(req.Encoding, first)
 	if err != nil {
-		code, msg := errorStatus(err)
-		return fail(&httpError{code: code, msg: msg})
+		return spec, nil, nil, err
 	}
-	p.constraints, p.propKey = constraints, propKey
-	p.limit = effectiveLimit(job.Limit, job.CountOnly)
-	return p
-}
-
-// resolveBatchSpec normalizes the shared spec, borrowing m and b from
-// the first decodable wire log when the request leaves them unset
-// (mirroring the unary wire-log convenience).
-func resolveBatchSpec(req batchRequest) (EncodingSpec, error) {
-	if req.Encoding.M == 0 || req.Encoding.B == 0 {
-		for _, job := range req.Jobs {
-			if job.Log == nil {
-				continue
-			}
-			m, b, _, err := core.ReadLog(bytes.NewReader(job.Log))
-			if err != nil {
-				continue // the job's own plan reports this
-			}
-			if req.Encoding.M == 0 {
-				req.Encoding.M = m
-			}
-			if req.Encoding.B == 0 {
-				req.Encoding.B = b
-			}
-			break
+	plans := make([]jobPlan, len(req.Jobs))
+	for i, job := range req.Jobs {
+		if errs[i] == nil {
+			plans[i], errs[i] = planJob(spec, job, wires[i])
 		}
 	}
-	spec, err := req.Encoding.normalize()
-	if err != nil {
-		return spec, badRequest("encoding: %v", err)
-	}
-	return spec, nil
+	return spec, plans, errs, nil
 }
 
 // handleBatch runs many jobs against one shared session. Admission is
@@ -192,21 +116,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	spec, err := resolveBatchSpec(req)
+	spec, plans, jobErrs, err := planBatch(req)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
 
-	// Plan every job before admitting anything, so the reservation is
-	// sized by real solve entries and malformed jobs cost nothing.
-	plans := make([]batchPlan, len(req.Jobs))
+	// Every job is planned before anything is admitted, so the
+	// reservation is sized by real solve entries and malformed jobs cost
+	// nothing.
 	total := 0
-	for i, job := range req.Jobs {
-		plans[i] = planBatchJob(spec, job)
-		total += len(plans[i].items)
+	for _, p := range plans {
+		total += len(p.items)
 	}
-
 	grant, err := s.admit.reserveBatch(total)
 	if err != nil {
 		s.obs.Counter(MetricBatchShed).Inc()
@@ -226,16 +148,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// one worker, so assembly below needs no locking.
 	type task struct{ job, item int }
 	var tasks []task
-	for j, p := range plans {
-		for i := range p.items {
-			tasks = append(tasks, task{j, i})
-		}
-	}
 	results := make([][]entryResponse, len(plans))
 	errs := make([][]error, len(plans))
 	for j, p := range plans {
 		results[j] = make([]entryResponse, len(p.items))
 		errs[j] = make([]error, len(p.items))
+		for i := range p.items {
+			tasks = append(tasks, task{j, i})
+		}
 	}
 	workers := min(s.cfg.BatchParallelism, len(tasks))
 	next := make(chan task)
@@ -246,13 +166,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			for t := range next {
 				p := &plans[t.job]
-				er, err := s.solveEntry(ctx, sess, p.items[t.item].entry, p.constraints, p.propKey, p.limit, p.countOnly, grant.acquire)
-				if err != nil {
-					errs[t.job][t.item] = err
-					continue
-				}
-				er.TraceCycle = p.items[t.item].tc
-				results[t.job][t.item] = er
+				results[t.job][t.item], errs[t.job][t.item] = s.solveEntry(ctx, sess, p.items[t.item], p.opts, grant.acquire)
 			}
 		}()
 	}
@@ -263,23 +177,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	resp := batchResponse{M: spec.M, B: spec.B, Jobs: make([]batchJobResult, len(plans))}
-	for j, p := range plans {
-		jr := batchJobResult{Index: j, Status: http.StatusOK}
-		if p.err != nil {
-			jr.Status, jr.Error = p.err.code, p.err.msg
-			resp.Jobs[j] = jr
-			continue
+	for j := range plans {
+		jr := batchJobResult{Index: j, Status: http.StatusOK, Results: results[j]}
+		// The plan error, else the first failing entry (in item order),
+		// speaks for the job; partial results are dropped rather than
+		// returned mislabeled as complete.
+		err := jobErrs[j]
+		for i := 0; err == nil && i < len(errs[j]); i++ {
+			err = errs[j][i]
 		}
-		for i := range p.items {
-			if err := errs[j][i]; err != nil {
-				// The first failing entry (in item order) speaks for the
-				// job; partial results are dropped rather than returned
-				// mislabeled as complete.
-				jr.Status, jr.Error = errorStatus(err)
-				jr.Results = nil
-				break
-			}
-			jr.Results = append(jr.Results, results[j][i])
+		if err != nil {
+			jr.Status, jr.Error = errorStatus(err)
+			jr.Results = nil
 		}
 		resp.Jobs[j] = jr
 	}

@@ -63,8 +63,10 @@ func TestBatchMixedJobsAndPerJobErrors(t *testing.T) {
 		{"tp":%q,"k":%d},
 		{"tp":%q,"k":%d,"count_only":true},
 		{"tp":"10","k":1},
-		{"properties":"mingap(2)"}
-	]}`, jsonB64(wire), tp, k, tp, k)
+		{"properties":"mingap(2)"},
+		{"tp":%q,"k":%d,"cycles":[0]},
+		{"log":%q,"cycles":[0,0]}
+	]}`, jsonB64(wire), tp, k, tp, k, tp, k, jsonB64(wire))
 	code, out := postBatch(t, base, body)
 	if code != http.StatusOK {
 		t.Fatalf("batch status %d", code)
@@ -72,10 +74,10 @@ func TestBatchMixedJobsAndPerJobErrors(t *testing.T) {
 	if out.M != 16 || out.B != 9 {
 		t.Fatalf("spec not borrowed from wire header: m=%d b=%d", out.M, out.B)
 	}
-	if len(out.Jobs) != 5 {
+	if len(out.Jobs) != 7 {
 		t.Fatalf("got %d job results", len(out.Jobs))
 	}
-	for i, want := range []int{200, 200, 200, 400, 400} {
+	for i, want := range []int{200, 200, 200, 400, 400, 400, 400} {
 		if out.Jobs[i].Status != want {
 			t.Fatalf("job %d status %d (%s), want %d", i, out.Jobs[i].Status, out.Jobs[i].Error, want)
 		}
@@ -226,6 +228,19 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 			t.Errorf("props %q keyed differently from the canonical spelling", props)
 		}
 	}
+	// Every negative limit asks for the same exhaustive enumeration, so
+	// the planner must hand them all one key.
+	planned := func(limit int) string {
+		t.Helper()
+		p, err := planJob(spec, jobSpec{TP: entry.TP.String(), K: entry.K, Properties: "mingap(3); dk(32,3)", Limit: limit}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cacheKey(spec.key(), p.items[0].entry, p.opts.propKey, p.opts.limit, p.opts.countOnly)
+	}
+	if planned(-7) != planned(-1) {
+		t.Error("limits -7 and -1 keyed differently: both are exhaustive")
+	}
 
 	specRandom, err := EncodingSpec{Scheme: "random", M: 16, B: 9, Seed: 7}.normalize()
 	if err != nil {
@@ -238,6 +253,7 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		"count mode":      key("mingap(3); dk(32,3)", entry, 16, true, spec),
 		"different k":     key("mingap(3); dk(32,3)", core.LogEntry{TP: entry.TP, K: 3}, 16, false, spec),
 		"different spec":  key("mingap(3); dk(32,3)", entry, 16, false, specRandom),
+		"exhaustive":      planned(-1),
 	}
 	seen := map[string]string{base: "base"}
 	for name, k := range distinct {

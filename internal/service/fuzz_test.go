@@ -10,11 +10,11 @@ import (
 	"repro/internal/core"
 )
 
-// FuzzBatchRequest throws arbitrary bytes at the whole batch parsing
-// pipeline — JSON decode, spec resolution, per-job planning (which
-// embeds the wire-format reader and the property/bitvec parsers) — and
-// asserts it never panics and never accepts a structurally invalid
-// batch.
+// FuzzBatchRequest throws arbitrary bytes at the batch body parser and
+// the job planner every ingest path shares — wire decode, spec
+// resolution, per-job planning (the property and bitvec parsers, the
+// cycles bounds) — and asserts it never panics and never plans work a
+// request did not ask for.
 func FuzzBatchRequest(f *testing.F) {
 	// A well-formed wire log for log-carrying seeds.
 	var wire bytes.Buffer
@@ -41,6 +41,10 @@ func FuzzBatchRequest(f *testing.F) {
 		`{"encoding":{"m":16,"b":8},"jobs":[{"tp":"101","k":1}]}garbage`,
 		`{"encoding":{"scheme":"nope","m":4,"b":2},"jobs":[{"tp":"10","k":1}]}`,
 		`not json at all`,
+		// Cycles on an inline job, and more cycles than the log has
+		// entries: both rejected per job.
+		`{"encoding":{"m":16,"b":8},"jobs":[{"tp":"10100101","k":2,"cycles":[0]}]}`,
+		fmt.Sprintf(`{"jobs":[{"log":%q,"cycles":[0,0,1]}]}`, logB64),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -55,7 +59,7 @@ func FuzzBatchRequest(f *testing.F) {
 		if len(req.Jobs) == 0 || len(req.Jobs) > maxJobs {
 			t.Fatalf("parse accepted %d jobs outside (0, %d]", len(req.Jobs), maxJobs)
 		}
-		spec, err := resolveBatchSpec(req)
+		spec, plans, errs, err := planBatch(req)
 		if err != nil {
 			return
 		}
@@ -63,12 +67,18 @@ func FuzzBatchRequest(f *testing.F) {
 			t.Fatalf("resolved spec has non-positive geometry: m=%d b=%d", spec.M, spec.B)
 		}
 		for i, job := range req.Jobs {
-			p := planBatchJob(spec, job)
-			if p.err != nil {
+			if errs[i] != nil {
 				continue
 			}
-			if len(p.items) == 0 {
-				t.Fatalf("job %d planned with no work items and no error", i)
+			p := plans[i]
+			if job.Log == nil && len(p.items) != 1 {
+				t.Fatalf("inline job %d planned %d work items", i, len(p.items))
+			}
+			if len(job.Cycles) > 0 && len(p.items) != len(job.Cycles) {
+				t.Fatalf("job %d planned %d work items for %d cycles", i, len(p.items), len(job.Cycles))
+			}
+			if p.opts.limit < -1 || p.opts.limit == 0 {
+				t.Fatalf("job %d planned limit %d, want -1 or positive", i, p.opts.limit)
 			}
 			for _, it := range p.items {
 				if it.entry.TP.Width() != spec.B {

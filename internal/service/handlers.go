@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,20 +13,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/properties"
 	"repro/internal/reconstruct"
 	"repro/internal/sat"
 	"repro/internal/trace"
-)
-
-// Default enumeration bounds when a request leaves limit at 0. A
-// request asks for an exhaustive enumeration with limit = -1 (the
-// deadline still bounds it).
-const (
-	defaultReconstructLimit = 16
-	defaultCountLimit       = 4096
 )
 
 // jobRequest is the JSON job spec of /v1/reconstruct and /v1/count.
@@ -43,13 +32,14 @@ type jobRequest struct {
 	K  int    `json:"k,omitempty"`
 	// Log is a wire-format timeprint log (base64-encoded in JSON).
 	Log []byte `json:"log,omitempty"`
-	// Cycles selects trace-cycle indices of Log (default: all).
+	// Cycles selects trace-cycle indices of Log (default: all); at
+	// most as many as Log has entries, and only with a Log.
 	Cycles []int `json:"cycles,omitempty"`
 	// Properties is a temporal-property expression in the
 	// internal/properties grammar, e.g. "mingap(3); dk(32,3)".
 	Properties string `json:"properties,omitempty"`
 	// Limit caps candidates per entry: 0 = endpoint default,
-	// -1 = exhaustive.
+	// negative = exhaustive.
 	Limit int `json:"limit,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline
 	// (capped by Config.MaxTimeout).
@@ -62,40 +52,6 @@ type jobRequest struct {
 	Device  string `json:"device,omitempty"`
 	Signal  string `json:"signal,omitempty"`
 	EpochUS int64  `json:"epoch_us,omitempty"`
-}
-
-// workItem is one (trace-cycle, entry) unit of solve work assembled
-// from a job — inline TP/k, or one selected entry of a wire log.
-type workItem struct {
-	tc    int
-	entry core.LogEntry
-}
-
-// canonProps parses and canonicalizes a properties expression. The
-// parsed form's String() is the cache-key representation, so
-// equivalent spellings ("mingap(3); dk(32,3)" vs "mingap(3);dk(32,3)")
-// share cache entries.
-func canonProps(expr string) ([]reconstruct.Constraint, string, error) {
-	if expr == "" {
-		return nil, "", nil
-	}
-	prop, err := properties.Parse(expr)
-	if err != nil {
-		return nil, "", badRequest("properties: %v", err)
-	}
-	return []reconstruct.Constraint{prop}, prop.String(), nil
-}
-
-// effectiveLimit resolves a job's limit against the endpoint defaults
-// (0 = default, -1 = exhaustive).
-func effectiveLimit(limit int, countOnly bool) int {
-	if limit != 0 {
-		return limit
-	}
-	if countOnly {
-		return defaultCountLimit
-	}
-	return defaultReconstructLimit
 }
 
 // entryResponse is the per-trace-cycle result of a job.
@@ -141,125 +97,72 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 
 // handleJob is the shared reconstruct/count path; countOnly drops the
 // candidate materialization from the response (the cache keys differ,
-// so the two endpoints never alias).
+// so the two endpoints never alias). Every failure is the request's
+// status.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request, countOnly bool) {
 	defer s.obs.StartSpan(SpanRequest).End()
+	resp, err := s.runJob(r, countOnly)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *Server) runJob(r *http.Request, countOnly bool) (jobResponse, error) {
 	job, err := s.parseJob(r)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return jobResponse{}, err
 	}
-	spec, nerr := job.Encoding.normalize()
-	if nerr != nil && job.Log == nil {
-		// A wire log can still fill in m and b below; an inline TP/K
-		// query cannot recover.
-		s.writeError(w, badRequest("encoding: %v", nerr))
-		return
-	}
-
-	// Assemble the (trace-cycle, entry) work list.
-	var items []workItem
+	var wire *wireLog
 	if job.Log != nil {
-		if job.TP != "" {
-			s.writeError(w, badRequest("give either tp/k or log, not both"))
-			return
+		if wire, err = decodeWire(job.Log); err != nil {
+			return jobResponse{}, badRequest("wire log: %v", err)
 		}
-		m, b, entries, err := core.ReadLog(bytes.NewReader(job.Log))
-		if err != nil {
-			s.writeError(w, badRequest("wire log: %v", err))
-			return
-		}
-		if job.Encoding.M == 0 {
-			job.Encoding.M = m
-		}
-		if job.Encoding.B == 0 {
-			job.Encoding.B = b
-		}
-		if spec, nerr = job.Encoding.normalize(); nerr != nil {
-			s.writeError(w, badRequest("encoding: %v", nerr))
-			return
-		}
-		if spec.M != m || spec.B != b {
-			s.writeError(w, badRequest("encoding (m=%d, b=%d) does not match wire header (m=%d, b=%d)", spec.M, spec.B, m, b))
-			return
-		}
-		if len(job.Cycles) == 0 {
-			for tc, e := range entries {
-				items = append(items, workItem{tc, e})
-			}
-		} else {
-			for _, tc := range job.Cycles {
-				if tc < 0 || tc >= len(entries) {
-					s.writeError(w, badRequest("trace-cycle %d outside [0,%d)", tc, len(entries)))
-					return
-				}
-				items = append(items, workItem{tc, entries[tc]})
-			}
-		}
-	} else {
-		if job.TP == "" {
-			s.writeError(w, badRequest("need tp/k or a wire log"))
-			return
-		}
-		tp, err := bitvec.Parse(job.TP)
-		if err != nil {
-			s.writeError(w, badRequest("tp: %v", err))
-			return
-		}
-		if tp.Width() != spec.B {
-			s.writeError(w, badRequest("tp width %d, want b=%d", tp.Width(), spec.B))
-			return
-		}
-		items = append(items, workItem{0, core.LogEntry{TP: tp, K: job.K}})
 	}
-
-	// Canonicalize properties once (see canonProps: the parsed form's
-	// String() is the cache-key representation).
-	constraints, propKey, err := canonProps(job.Properties)
+	spec, err := resolveSpec(job.Encoding, wire)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return jobResponse{}, err
 	}
-	limit := effectiveLimit(job.Limit, countOnly)
+	plan, err := planJob(spec, jobSpec{
+		TP: job.TP, K: job.K, Cycles: job.Cycles,
+		Properties: job.Properties, Limit: job.Limit, CountOnly: countOnly,
+	}, wire)
+	if err != nil {
+		return jobResponse{}, err
+	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(job.TimeoutMS))
 	defer cancel()
-	sess := s.sessions.get(spec)
-
-	resp := jobResponse{M: spec.M, B: spec.B}
-	for _, it := range items {
-		er, err := s.solveEntry(ctx, sess, it.entry, constraints, propKey, limit, countOnly, s.admit.acquire)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		er.TraceCycle = it.tc
-		resp.Results = append(resp.Results, er)
+	results, err := s.runItems(ctx, s.sessions.get(spec), plan.items, plan.opts, 0)
+	if err != nil {
+		return jobResponse{}, err
 	}
-	if job.Log != nil {
+	if wire != nil {
 		// Tee the wire body into the durable store only after the whole
 		// job succeeded: shed/failed requests are re-sent by clients, so
 		// teeing earlier would store duplicates the counters can't
 		// explain.
 		s.storeTee(job.Device, job.Signal, job.EpochUS, 0, job.Log)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return jobResponse{M: spec.M, B: spec.B, Results: results}, nil
 }
 
-// solveEntry answers one (entry, properties, limit) query through the
-// cache → singleflight → admission → solver pipeline. admit supplies
-// the admission discipline: unary requests queue per solve, batch
-// entries draw on the batch's atomic reservation.
-func (s *Server) solveEntry(ctx context.Context, sess *session, entry core.LogEntry, constraints []reconstruct.Constraint, propKey string, limit int, countOnly bool, admit admitFunc) (entryResponse, error) {
-	er := entryResponse{TP: entry.TP.String(), K: entry.K}
-	key := cacheKey(sess.spec.key(), entry, propKey, limit, countOnly)
+// solveEntry answers one work item through the cache → singleflight →
+// admission → solver pipeline; it is the per-item step of every ingest
+// path. admit supplies the admission discipline: unary requests queue
+// per solve, batch entries draw on the batch's atomic reservation.
+func (s *Server) solveEntry(ctx context.Context, sess *session, it workItem, opts solveOpts, admit admitFunc) (entryResponse, error) {
+	entry := it.entry
+	er := entryResponse{TraceCycle: it.tc, TP: entry.TP.String(), K: entry.K}
+	key := cacheKey(sess.spec.key(), entry, opts.propKey, opts.limit, opts.countOnly)
 
 	if res, ok := s.cache.get(key); ok {
 		er.solveResult, er.Cached = res, true
 		return er, nil
 	}
 	res, shared, err := s.flight.do(ctx, key, func() (solveResult, error) {
-		res, err := s.solve(ctx, sess, entry, constraints, limit, countOnly, admit)
+		res, err := s.solve(ctx, sess, entry, opts, admit)
 		if err == nil {
 			s.cache.add(key, res)
 		}
@@ -278,7 +181,7 @@ func (s *Server) solveEntry(ctx context.Context, sess *session, entry core.LogEn
 // solve answers one query under admission control and the request
 // deadline, routed by the session's dispatcher to the cheapest sound
 // backend (or the one pinned by Config.Oracle).
-func (s *Server) solve(ctx context.Context, sess *session, entry core.LogEntry, constraints []reconstruct.Constraint, limit int, countOnly bool, admit admitFunc) (solveResult, error) {
+func (s *Server) solve(ctx context.Context, sess *session, entry core.LogEntry, opts solveOpts, admit admitFunc) (solveResult, error) {
 	release, err := admit(ctx)
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
@@ -298,15 +201,14 @@ func (s *Server) solve(ctx context.Context, sess *session, entry core.LogEntry, 
 		}
 	}
 
-	if limit < 0 {
-		limit = 0 // reconstruct's "exhaustive"
-	}
+	// The planner's exhaustive limit -1 is reconstruct's 0.
+	limit := max(opts.limit, 0)
 
 	disp, err := sess.dispatcher(s.dispatchOptions())
 	if err != nil {
 		return solveResult{}, badRequest("encoding: %v", err)
 	}
-	sigs, exhausted, dec, err := disp.EnumerateRouted(ctx, entry, constraints, limit)
+	sigs, exhausted, dec, err := disp.EnumerateRouted(ctx, entry, opts.constraints, limit)
 	if dec.Chosen == reconstruct.RouteSession && dec.FellBack {
 		// A solve routed to the incremental session that it could not
 		// express (constraint the session cannot guard) and re-ran on
@@ -319,7 +221,7 @@ func (s *Server) solve(ctx context.Context, sess *session, entry core.LogEntry, 
 		}
 		return solveResult{}, s.solveError(ctx, err)
 	}
-	return s.solveResultFrom(sigs, exhausted, countOnly), nil
+	return s.solveResultFrom(sigs, exhausted, opts.countOnly), nil
 }
 
 // dispatchOptions renders the server config as the per-session
@@ -422,13 +324,6 @@ func (s *Server) parseJob(r *http.Request) (jobRequest, error) {
 	job.Properties = q.Get("properties")
 	job.Device = q.Get("device")
 	job.Signal = q.Get("signal")
-	if v := q.Get("epoch_us"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return jobRequest{}, badRequest("query epoch_us=%q: %v", v, err)
-		}
-		job.EpochUS = n
-	}
 	for name, dst := range map[string]*int{
 		"m": &job.Encoding.M, "b": &job.Encoding.B, "depth": &job.Encoding.Depth,
 		"limit": &job.Limit, "timeout_ms": &job.TimeoutMS,
@@ -441,12 +336,14 @@ func (s *Server) parseJob(r *http.Request) (jobRequest, error) {
 			*dst = n
 		}
 	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return jobRequest{}, badRequest("query seed=%q: %v", v, err)
+	for name, dst := range map[string]*int64{"epoch_us": &job.EpochUS, "seed": &job.Encoding.Seed} {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return jobRequest{}, badRequest("query %s=%q: %v", name, v, err)
+			}
+			*dst = n
 		}
-		job.Encoding.Seed = n
 	}
 	if v := q.Get("cycles"); v != "" {
 		for _, part := range strings.Split(v, ",") {
@@ -505,48 +402,41 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("need both ref and obs wire logs"))
 		return
 	}
-	mr, br, refEntries, err := core.ReadLog(bytes.NewReader(req.Ref))
+	refLog, err := decodeWire(req.Ref)
 	if err != nil {
 		s.writeError(w, badRequest("ref log: %v", err))
 		return
 	}
-	mo, bo, obsEntries, err := core.ReadLog(bytes.NewReader(req.Obs))
+	obsLog, err := decodeWire(req.Obs)
 	if err != nil {
 		s.writeError(w, badRequest("obs log: %v", err))
 		return
 	}
-	if mr != mo || br != bo {
-		s.writeError(w, badRequest("logs disagree on geometry: ref (m=%d, b=%d) vs obs (m=%d, b=%d)", mr, br, mo, bo))
+	if refLog.m != obsLog.m || refLog.b != obsLog.b {
+		s.writeError(w, badRequest("logs disagree on geometry: ref (m=%d, b=%d) vs obs (m=%d, b=%d)", refLog.m, refLog.b, obsLog.m, obsLog.b))
 		return
 	}
-	if req.Encoding.M == 0 {
-		req.Encoding.M = mr
+	spec, err := resolveSpec(req.Encoding, refLog)
+	if err == nil {
+		err = refLog.fits(spec)
 	}
-	if req.Encoding.B == 0 {
-		req.Encoding.B = br
-	}
-	spec, nerr := req.Encoding.normalize()
-	if nerr != nil {
-		s.writeError(w, badRequest("encoding: %v", nerr))
-		return
-	}
-	if spec.M != mr || spec.B != br {
-		s.writeError(w, badRequest("encoding (m=%d, b=%d) does not match logs (m=%d, b=%d)", spec.M, spec.B, mr, br))
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	// Register the session (shared with reconstruct/count requests for
 	// the same signal, and counted by the sessions gauge), then build
 	// the two aligned stores.
 	s.sessions.get(spec)
-	ref := trace.NewStore("ref", spec.ClockHz, mr, br)
-	obsStore := trace.NewStore("obs", spec.ClockHz, mr, br)
+	ref := trace.NewStore("ref", spec.ClockHz, spec.M, spec.B)
+	obsStore := trace.NewStore("obs", spec.ClockHz, spec.M, spec.B)
 	ref.Epoch, obsStore.Epoch = spec.Epoch, spec.Epoch
 	ref.Obs = s.obs
-	if err := ref.Append(refEntries...); err != nil {
+	if err := ref.Append(refLog.entries...); err != nil {
 		s.writeError(w, badRequest("ref log: %v", err))
 		return
 	}
-	if err := obsStore.Append(obsEntries...); err != nil {
+	if err := obsStore.Append(obsLog.entries...); err != nil {
 		s.writeError(w, badRequest("obs log: %v", err))
 		return
 	}
@@ -555,9 +445,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("compare: %v", err))
 		return
 	}
-	n := min(len(refEntries), len(obsEntries))
+	n := min(len(refLog.entries), len(obsLog.entries))
 	resp := compareResponse{
-		M: mr, B: br, Cycles: n,
+		M: spec.M, B: spec.B, Cycles: n,
 		Mismatches: make([]compareMismatch, 0, len(mms)),
 		First:      trace.FirstMismatch(mms),
 	}
@@ -589,9 +479,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// errorStatus maps a solve-path error to its HTTP status and message —
-// the per-job form of writeError the batch endpoint embeds in job
-// results instead of failing the whole request.
+// errorStatus maps an error to its HTTP status and message (500 unless
+// it is an *httpError): writeError's response, a batch job's status, a
+// stream frame's error line.
 func errorStatus(err error) (int, string) {
 	he := &httpError{code: http.StatusInternalServerError, msg: err.Error()}
 	errors.As(err, &he)
@@ -599,14 +489,13 @@ func errorStatus(err error) (int, string) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	he := &httpError{code: http.StatusInternalServerError, msg: err.Error()}
-	errors.As(err, &he)
-	if he.code == http.StatusTooManyRequests {
+	code, msg := errorStatus(err)
+	if code == http.StatusTooManyRequests {
 		// The client should back off for about one solve's worth of
 		// queue drain; 1s is the conventional coarse hint.
 		w.Header().Set("Retry-After", "1")
 	} else {
 		s.obs.Counter(MetricErrors).Inc()
 	}
-	s.writeJSON(w, he.code, map[string]string{"error": he.msg})
+	s.writeJSON(w, code, map[string]string{"error": msg})
 }

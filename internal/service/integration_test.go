@@ -314,6 +314,9 @@ func TestServiceRejectsMalformedRequests(t *testing.T) {
 		},
 		"unknown json field": {"/v1/reconstruct", "application/json",
 			`{"encoding":{"m":16,"b":9},"tp":"101010101","k":1,"frobnicate":true}`},
+		"cycles on inline tp/k": {"/v1/reconstruct", "application/json",
+			`{"encoding":{"m":16,"b":9},"tp":"101010101","k":1,"cycles":[0]}`},
+		"more cycles than entries": {"/v1/reconstruct?cycles=0,0", "application/octet-stream", string(wire)},
 		"geometry mismatch": {"/v1/compare", "application/json",
 			`{"encoding":{"m":16,"b":9},"ref":"` + jsonB64(wire) + `","obs":"` + jsonB64(mustWire(t, 8, 9)) + `"}`},
 	} {

@@ -184,9 +184,9 @@ type Config struct {
 	// (default 4096).
 	MaxStreams int
 	// Oracle pins every solve to one reconstruction backend ("sat",
-	// "sat-par", "sat-inc", "decode", "brute", "exhaustive"). "" or
-	// "auto" (the default) lets the dispatcher's cost model route each
-	// request to the cheapest sound backend.
+	// "sat-inc", "decode", "brute", "exhaustive"). "" or "auto" (the
+	// default) lets the dispatcher's cost model route each request to
+	// the cheapest sound backend.
 	Oracle string
 	// Store, when non-nil, is the durable log store (internal/logstore)
 	// the server tees ingested wire logs into and serves GET /v1/logs

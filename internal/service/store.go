@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -235,21 +234,29 @@ type queryResponse struct {
 }
 
 // handleStoreQuery serves POST /v1/query: historical reconstruction
-// over stored frames, replayed through the warm session pipeline.
+// over stored frames, replayed through the job planner and the warm
+// session pipeline like a request body carrying each frame.
 func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.obs.StartSpan(SpanRequest).End()
 	s.obs.Counter(MetricReqQuery).Inc()
+	resp, err := s.runQuery(r)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *Server) runQuery(r *http.Request) (queryResponse, error) {
 	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
 	var req queryRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("json body: %v", err))
-		return
+		return queryResponse{}, badRequest("json body: %v", err)
 	}
 	if req.Device == "" || req.Signal == "" {
-		s.writeError(w, badRequest("need device and signal"))
-		return
+		return queryResponse{}, badRequest("need device and signal")
 	}
 	if req.MaxRecords <= 0 {
 		req.MaxRecords = 256
@@ -262,80 +269,52 @@ func (s *Server) handleStoreQuery(w http.ResponseWriter, r *http.Request) {
 		Device: req.Device, Signal: req.Signal, From: from, To: to, Limit: req.MaxRecords + 1,
 	})
 	if err != nil {
-		s.writeError(w, s.storeError(err))
-		return
+		return queryResponse{}, s.storeError(err)
 	}
-	resp := queryResponse{Device: req.Device, Signal: req.Signal}
-	truncated := false
+	resp := queryResponse{Device: req.Device, Signal: req.Signal, Records: []queryRecordResult{}}
 	if len(recs) > req.MaxRecords {
-		recs, truncated = recs[:req.MaxRecords], true
+		recs, resp.Truncated = recs[:req.MaxRecords], true
 	}
 	if len(recs) == 0 {
-		resp.Records = []queryRecordResult{}
-		s.writeJSON(w, http.StatusOK, resp)
-		return
+		return resp, nil
 	}
 
-	// Resolve the encoding exactly like the request-body path: the
-	// first stored frame's header fills in missing m and b, and every
-	// frame must match the resolved spec.
-	m0, b0, _, err := core.PeekLogHeader(recs[0].Body)
+	// A stored body that fails full decode is corruption the append-time
+	// validation could not see (it checks the header only): fail closed
+	// rather than skip silently.
+	wires := make([]*wireLog, len(recs))
+	for i, rec := range recs {
+		if wires[i], err = decodeWire(rec.Body); err != nil {
+			return queryResponse{}, s.storeError(err)
+		}
+	}
+	// The first stored frame lends an unset m or b, exactly like a
+	// request body; every frame must then fit the resolved spec.
+	spec, err := resolveSpec(req.Encoding, wires[0])
 	if err != nil {
-		s.writeError(w, s.storeError(err))
-		return
+		return queryResponse{}, err
 	}
-	if req.Encoding.M == 0 {
-		req.Encoding.M = m0
-	}
-	if req.Encoding.B == 0 {
-		req.Encoding.B = b0
-	}
-	spec, nerr := req.Encoding.normalize()
-	if nerr != nil {
-		s.writeError(w, badRequest("encoding: %v", nerr))
-		return
-	}
-	constraints, propKey, err := canonProps(req.Properties)
+	opts, err := planOpts(req.Properties, req.Limit, req.CountOnly)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return queryResponse{}, err
 	}
-	limit := effectiveLimit(req.Limit, req.CountOnly)
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 	sess := s.sessions.get(spec)
 	resp.M, resp.B = spec.M, spec.B
-
-	for _, rec := range recs {
-		m, b, entries, err := core.ReadLog(bytes.NewReader(rec.Body))
+	for i, rec := range recs {
+		items, err := planItems(spec, jobSpec{}, wires[i])
 		if err != nil {
-			// A stored body that fails full decode is corruption the
-			// append-time validation could not see (it checks the header
-			// only) — fail closed rather than skip silently.
-			s.writeError(w, s.storeError(err))
-			return
+			return queryResponse{}, badRequest("stored frame at epoch %d: %v", rec.Epoch, err)
 		}
-		if m != spec.M || b != spec.B {
-			s.writeError(w, badRequest(
-				"stored frame at epoch %d has geometry (m=%d, b=%d), query resolved (m=%d, b=%d)",
-				rec.Epoch, m, b, spec.M, spec.B))
-			return
+		results, err := s.runItems(ctx, sess, items, opts, int(rec.TraceCycleBase))
+		if err != nil {
+			return queryResponse{}, err
 		}
-		rr := queryRecordResult{EpochUS: rec.Epoch, TraceCycleBase: rec.TraceCycleBase}
-		for i, e := range entries {
-			er, err := s.solveEntry(ctx, sess, e, constraints, propKey, limit, req.CountOnly, s.admit.acquire)
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			er.TraceCycle = int(rec.TraceCycleBase) + i
-			rr.Results = append(rr.Results, er)
-		}
-		resp.Records = append(resp.Records, rr)
+		resp.Records = append(resp.Records, queryRecordResult{EpochUS: rec.Epoch, TraceCycleBase: rec.TraceCycleBase, Results: results})
 	}
-	resp.Truncated = truncated
-	s.writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // storeError maps store failures to HTTP semantics: corruption is 502

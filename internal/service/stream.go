@@ -14,9 +14,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/reconstruct"
 )
 
 // Streaming ingest: the persistent-connection counterpart of /v1/batch
@@ -254,18 +251,16 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 		fail(http.StatusBadRequest, "hello needs device and signal")
 		return
 	}
-	spec, err := hello.Encoding.normalize()
-	if err != nil {
-		fail(http.StatusBadRequest, "encoding: %v", err)
-		return
+	spec, err := resolveSpec(hello.Encoding, nil)
+	var opts solveOpts
+	if err == nil {
+		opts, err = planOpts(hello.Properties, hello.Limit, hello.CountOnly)
 	}
-	constraints, propKey, err := canonProps(hello.Properties)
 	if err != nil {
 		code, msg := errorStatus(err)
 		fail(code, "%s", msg)
 		return
 	}
-	limit := effectiveLimit(hello.Limit, hello.CountOnly)
 
 	st, err := s.streams.claim(hello.Device, hello.Signal, spec.key())
 	if err != nil {
@@ -302,7 +297,7 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 			})
 			return
 		}
-		reply, n, fatal := s.solveStreamFrame(hello, spec, sess, st, frames, payload, constraints, propKey, limit)
+		reply, n, fatal := s.solveStreamFrame(hello, spec, sess, st, frames, payload, opts)
 		entries += n
 		if err := writeStreamLine(conn, reply); err != nil {
 			return
@@ -314,52 +309,49 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	}
 }
 
-// solveStreamFrame ingests one WriteLog frame into the stream: decode,
-// validate against the pinned spec, solve every entry in order through
-// the shared session. The stream position advances only when the whole
-// frame succeeds, so a client can blindly re-send after a transient
-// error (the cache makes replayed entries nearly free) — and only then
-// is the frame teed into the durable store, under the hello's (device,
-// signal) and its stream position, so re-sends never store twice.
-// fatal marks protocol-level failures that close the connection.
-func (s *Server) solveStreamFrame(hello StreamHello, spec EncodingSpec, sess *session, st *streamState, frame int, payload []byte, constraints []reconstruct.Constraint, propKey string, limit int) (reply streamFrameReply, entries int, fatal bool) {
-	countOnly, timeoutMS := hello.CountOnly, hello.TimeoutMS
+// solveStreamFrame ingests one WriteLog frame into the stream through
+// the job planner: decode, validate against the pinned spec, solve
+// every entry in order from the stream position. A frame that fails
+// to decode or does not fit the spec is fatal: the stream's
+// trace-cycle accounting cannot be trusted past it. A solve error is
+// transient, and the stream position advances only when the whole
+// frame succeeds, so a client can blindly re-send (the cache makes
+// replayed entries nearly free) — and only then is the frame teed into
+// the durable store, under the hello's (device, signal) and its stream
+// position, so re-sends never store twice.
+func (s *Server) solveStreamFrame(hello StreamHello, spec EncodingSpec, sess *session, st *streamState, frame int, payload []byte, opts solveOpts) (reply streamFrameReply, entries int, fatal bool) {
 	defer s.obs.StartSpan(SpanStreamFrame).End()
 	reply = streamFrameReply{Frame: frame}
-	m, b, logEntries, err := core.ReadLog(bytes.NewReader(payload))
+	wire, err := decodeWire(payload)
+	var items []workItem
+	if err != nil {
+		err = badRequest("wire log: %v", err)
+	} else {
+		items, err = planItems(spec, jobSpec{}, wire)
+	}
 	if err != nil {
 		s.obs.Counter(MetricStreamFrameErrors).Inc()
-		reply.Status, reply.Error = http.StatusBadRequest, fmt.Sprintf("wire log: %v", err)
-		return reply, 0, true
-	}
-	if m != spec.M || b != spec.B {
-		s.obs.Counter(MetricStreamFrameErrors).Inc()
-		reply.Status, reply.Error = http.StatusBadRequest, fmt.Sprintf("frame geometry (m=%d, b=%d) does not match stream (m=%d, b=%d)", m, b, spec.M, spec.B)
+		reply.Status, reply.Error = errorStatus(err)
 		return reply, 0, true
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), s.timeout(timeoutMS))
+	ctx, cancel := context.WithTimeout(context.Background(), s.timeout(hello.TimeoutMS))
 	defer cancel()
 	base := st.nextTC
-	reply.TraceCycleBase = base
-	for i, e := range logEntries {
-		er, err := s.solveEntry(ctx, sess, e, constraints, propKey, limit, countOnly, s.admit.acquire)
-		if err != nil {
-			// Transient: report, drop the frame's partial results, and
-			// leave nextTC where it was so a re-send is exact.
-			s.obs.Counter(MetricStreamFrameErrors).Inc()
-			reply.Status, reply.Error = errorStatus(err)
-			reply.Results, reply.TraceCycleBase = nil, 0
-			return reply, 0, false
-		}
-		er.TraceCycle = base + i
-		reply.Results = append(reply.Results, er)
+	results, err := s.runItems(ctx, sess, items, opts, base)
+	if err != nil {
+		// Transient: report, and leave nextTC where it was so a re-send
+		// is exact.
+		s.obs.Counter(MetricStreamFrameErrors).Inc()
+		reply.Status, reply.Error = errorStatus(err)
+		return reply, 0, false
 	}
-	st.nextTC = base + len(logEntries)
+	reply.TraceCycleBase, reply.Results = base, results
+	st.nextTC = base + len(items)
 	s.storeTee(hello.Device, hello.Signal, 0, int64(base), payload)
 	s.obs.Counter(MetricStreamFrames).Inc()
-	s.obs.Counter(MetricStreamEntries).Add(int64(len(logEntries)))
-	return reply, len(logEntries), false
+	s.obs.Counter(MetricStreamEntries).Add(int64(len(items)))
+	return reply, len(items), false
 }
 
 // readStreamLine reads one '\n'-terminated line with a hard size cap.

@@ -49,7 +49,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs, complete := rec.Enumerate(0)
+	sigs, complete, err := rec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !complete || len(sigs) == 0 {
 		t.Fatal("reconstruction failed")
 	}
@@ -79,7 +82,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallSigs, _ := smallRec.Enumerate(0)
+	smallSigs, _, err := smallRec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(bf) != len(smallSigs) {
 		t.Fatalf("SAT %d vs brute force %d", len(smallSigs), len(bf))
 	}
@@ -136,7 +142,10 @@ func TestFacadeConstrainedReconstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigs, complete := rec.Enumerate(0)
+	sigs, complete, err := rec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !complete {
 		t.Fatal("not exhausted")
 	}
