@@ -39,7 +39,8 @@ LOAD_BASELINE = BENCH_PR8.json
 
 # check is the canonical verification gate: formatting, vet, build,
 # the full test suite under the race detector, and a single-pass run
-# of the Figure 4 benchmark as an end-to-end smoke test.
+# of the Figure 4 benchmark as an end-to-end smoke test plus the
+# feature-extraction and decode-route microbenchmarks.
 check: fmt vet build race bench-smoke
 
 fmt:
@@ -62,6 +63,8 @@ race:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkFigure4 -benchtime=1x .
+	$(GO) test -run=NONE -bench='^BenchmarkFeatures$$' -benchtime=1x ./internal/reconstruct/
+	$(GO) test -run=NONE -bench='^BenchmarkDecodeRoute$$' -benchtime=1x ./internal/decode/
 
 # diffcheck runs the differential-oracle and fault-injection trust
 # harness: a seeded 200-case corpus through every reconstruction

@@ -6,8 +6,10 @@
 package bitvec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"strconv"
 	"strings"
 )
 
@@ -70,6 +72,24 @@ func FromOnes(width int, ones ...int) Vector {
 	return out
 }
 
+// CloneAll returns independent copies of vs that share one backing
+// array: two allocations, however many vectors there are.
+func CloneAll(vs []Vector) []Vector {
+	n := 0
+	for _, v := range vs {
+		n += len(v.words)
+	}
+	backing := make([]uint64, n)
+	out := make([]Vector, len(vs))
+	for i, v := range vs {
+		k := len(v.words)
+		out[i] = Vector{width: v.width, words: backing[:k:k]}
+		copy(out[i].words, v.words)
+		backing = backing[k:]
+	}
+	return out
+}
+
 // Width reports the vector's width in bits.
 func (v Vector) Width() int { return v.width }
 
@@ -78,6 +98,11 @@ func (v Vector) Get(i int) bool {
 	v.check(i)
 	return v.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
+
+// Word returns bits [64i, 64i+64) of v as an integer: bit j of the
+// result is bit 64i+j of v, and bits past the width read as 0. It lets
+// word-level kernels test a bit without Get's per-bit range check.
+func (v Vector) Word(i int) uint64 { return v.words[i] }
 
 // Set sets bit i to the given value. It panics if i is out of range.
 func (v Vector) Set(i int, val bool) {
@@ -316,20 +341,42 @@ func (v Vector) Concat(u Vector) Vector {
 }
 
 // Key returns a comparable representation of v suitable for use as a map
-// key. Two vectors have the same key iff Equal reports true.
+// key. Two vectors have the same key iff Equal reports true. The key is
+// the decimal width and a colon, followed by AppendBytes' output.
 func (v Vector) Key() string {
-	var sb strings.Builder
-	sb.Grow(len(v.words)*8 + 4)
-	fmt.Fprintf(&sb, "%d:", v.width)
+	// The stack buffer holds the key of any vector up to 320 bits wide,
+	// so the returned string is the only allocation; wider keys grow it.
+	var stack [48]byte
+	key := append(strconv.AppendInt(stack[:0], int64(v.width), 10), ':')
+	return string(v.AppendBytes(key))
+}
+
+// AppendBytes appends v's words to dst as little-endian bytes, eight per
+// word: Key without its width prefix. Among vectors of one width these
+// bytes identify the vector, so they can key a map on their own.
+func (v Vector) AppendBytes(dst []byte) []byte {
 	for _, w := range v.words {
-		sb.WriteByte(byte(w))
-		sb.WriteByte(byte(w >> 8))
-		sb.WriteByte(byte(w >> 16))
-		sb.WriteByte(byte(w >> 24))
-		sb.WriteByte(byte(w >> 32))
-		sb.WriteByte(byte(w >> 40))
-		sb.WriteByte(byte(w >> 48))
-		sb.WriteByte(byte(w >> 56))
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return sb.String()
+	return dst
+}
+
+// Compare returns -1, 0 or +1 as a.Key() sorts before, equal to or after
+// b.Key(), without building either key. Widths must match.
+func Compare(a, b Vector) int {
+	if a.width != b.width {
+		panic(fmt.Sprintf("bitvec: width mismatch %d vs %d", a.width, b.width))
+	}
+	for i, w := range a.words {
+		// Reversing the bytes turns little-endian byte order into
+		// integer order.
+		x, y := bits.ReverseBytes64(w), bits.ReverseBytes64(b.words[i])
+		switch {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -195,6 +196,47 @@ func TestKeyEquality(t *testing.T) {
 	}
 }
 
+// TestKeyPinned pins Key's bytes, which the service cache key and the
+// decoder's candidate order are built on, and that the returned string
+// is Key's only allocation.
+func TestKeyPinned(t *testing.T) {
+	for _, tc := range []struct {
+		v    Vector
+		want string
+	}{
+		{New(0), "0:"},
+		{FromOnes(16, 0, 9, 15), "16:\x01\x82\x00\x00\x00\x00\x00\x00"},
+		{FromOnes(64, 0, 63), "64:\x01\x00\x00\x00\x00\x00\x00\x80"},
+		{FromOnes(96, 1, 64, 95), "96:\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x80\x00\x00\x00\x00"},
+	} {
+		if got := tc.v.Key(); got != tc.want {
+			t.Errorf("width %d: Key = %q, want %q", tc.v.Width(), got, tc.want)
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = tc.v.Key() }); n > 1 {
+			t.Errorf("width %d: Key makes %.0f allocations, want 1", tc.v.Width(), n)
+		}
+	}
+}
+
+// TestCompareMatchesKeyOrder checks Compare against the order of the
+// Key strings it stands in for.
+func TestCompareMatchesKeyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, w := range []int{0, 1, 9, 16, 64, 65, 96, 100} {
+		vs := []Vector{New(w), New(w)}
+		for i := 0; i < 8; i++ {
+			vs = append(vs, randomVec(r, w))
+		}
+		for _, a := range vs {
+			for _, b := range vs {
+				if got, want := Compare(a, b), strings.Compare(a.Key(), b.Key()); got != want {
+					t.Fatalf("width %d: Compare(%q, %q) = %d, want %d", w, a.Key(), b.Key(), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestUint64PanicsOnWide(t *testing.T) {
 	v := FromOnes(100, 80)
 	defer func() {
@@ -211,6 +253,11 @@ func TestCloneIndependence(t *testing.T) {
 	b.Set(20, true)
 	if a.Get(20) {
 		t.Error("clone shares storage")
+	}
+	c := CloneAll([]Vector{a, a})
+	c[0].Set(20, true)
+	if a.Get(20) || c[1].Get(20) || !c[1].Equal(a) {
+		t.Error("CloneAll copies share storage")
 	}
 }
 

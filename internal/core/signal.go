@@ -58,6 +58,11 @@ func (s Signal) Vector() bitvec.Vector { return s.bits.Clone() }
 // Equal reports whether two signals have identical change-maps.
 func (s Signal) Equal(o Signal) bool { return s.bits.Equal(o.bits) }
 
+// Compare orders signals of one length as their Vector().Key() strings
+// sort (see bitvec.Compare) without building the keys: the decoder's
+// candidate order.
+func (s Signal) Compare(o Signal) int { return bitvec.Compare(s.bits, o.bits) }
+
 // String renders the change-map LSB-first (clock-cycle 0 leftmost), the
 // reading order of the paper's Figure 4.
 func (s Signal) String() string { return s.bits.LSBString() }

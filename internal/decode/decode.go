@@ -22,10 +22,11 @@
 package decode
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/encoding"
 )
@@ -33,18 +34,26 @@ import (
 // MaxK is the largest change count the algebraic decoder handles.
 const MaxK = 4
 
-// Decoder holds the precomputed index structures for one encoding.
+// Decoder holds the precomputed index structures for one encoding. It
+// is safe for concurrent use and takes no lock: the indexes are
+// read-only once built, and the pair index is built exactly once.
 type Decoder struct {
 	enc *encoding.Encoding
-	ts  []bitvec.Vector
 
-	// single maps a timestamp's key to its clock-cycle.
+	// stamps holds every timestamp's word bytes (AppendBytes), n bytes
+	// each. Probes XOR them into stack buffers and look the result up
+	// with m[string(buf)], which does not allocate.
+	stamps []byte
+	n      int
+
+	// single maps a timestamp's word bytes to its clock-cycle.
 	single map[string]int
-	// pairs maps the key of TS(i)^TS(j) to the (i, j) pairs producing
-	// it. LI-4 guarantees at most one pair per key; weaker encodings
-	// may have several, all of which are tracked.
-	pairs      map[string][][2]int
-	pairsBuilt bool
+	// pairs maps the word bytes of TS(i)^TS(j) to the (i, j) pairs
+	// producing it. LI-4 guarantees at most one pair per key; weaker
+	// encodings may have several, all of which are tracked. It is built
+	// by the first k >= 3 query, under pairsOnce.
+	pairsOnce sync.Once
+	pairs     map[string][][2]int
 }
 
 // check validates an entry's shape against the decoder's encoding,
@@ -63,58 +72,56 @@ func (d *Decoder) check(entry core.LogEntry) error {
 // built eagerly (O(m)); the pairwise index lazily on the first k >= 3
 // query (O(m²) time and space).
 func New(enc *encoding.Encoding) *Decoder {
-	d := &Decoder{
-		enc:    enc,
-		ts:     enc.Timestamps(),
-		single: make(map[string]int, enc.M()),
-		pairs:  map[string][][2]int{},
+	m := enc.M()
+	d := &Decoder{enc: enc, single: make(map[string]int, m)}
+	for i := 0; i < m; i++ {
+		d.stamps = enc.Timestamp(i).AppendBytes(d.stamps)
 	}
-	for i, t := range d.ts {
-		d.single[t.Key()] = i
+	d.n = len(d.stamps) / max(m, 1)
+	for i := 0; i < m; i++ {
+		d.single[string(d.stamp(i))] = i
 	}
 	return d
 }
 
+// stamp returns the word bytes of TS(i).
+func (d *Decoder) stamp(i int) []byte { return d.stamps[i*d.n : (i+1)*d.n] }
+
 func (d *Decoder) buildPairs() {
-	if d.pairsBuilt {
-		return
-	}
-	for i := 0; i < len(d.ts); i++ {
-		for j := i + 1; j < len(d.ts); j++ {
-			key := d.ts[i].Xor(d.ts[j]).Key()
-			d.pairs[key] = append(d.pairs[key], [2]int{i, j})
+	d.pairsOnce.Do(func() {
+		m := d.enc.M()
+		d.pairs = make(map[string][][2]int, m*(m-1)/2)
+		key := make([]byte, d.n)
+		for i := 0; i < m; i++ {
+			for j := i + 1; j < m; j++ {
+				xorWords(key, d.stamp(i), d.stamp(j))
+				d.pairs[string(key)] = append(d.pairs[string(key)], [2]int{i, j})
+			}
 		}
+	})
+}
+
+// xorWords sets dst to a ^ b, eight bytes at a time; all three hold
+// the same whole number of words.
+func xorWords(dst, a, b []byte) {
+	for i := 0; i < len(dst); i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
 	}
-	d.pairsBuilt = true
 }
 
 // Decode returns every signal with exactly entry.K changes whose
-// timestamps XOR to entry.TP, in deterministic order. It returns an
-// error for k > MaxK.
+// timestamps XOR to entry.TP, sorted by their Vector().Key(). It
+// returns an error for k > MaxK.
 func (d *Decoder) Decode(entry core.LogEntry) ([]core.Signal, error) {
 	if err := d.check(entry); err != nil {
 		return nil, err
 	}
 	m := d.enc.M()
-	// Deduplicate (weak encodings only; canonical enumeration order
-	// makes duplicates impossible in theory, kept as a safety net) and
-	// materialize the signals.
-	seen := map[string]bool{}
 	var out []core.Signal
 	d.forEachSet(entry, func(cs []int) {
-		s := core.SignalFromChanges(m, cs...)
-		if k := s.K(); k != entry.K {
-			return // repeated indices collapsed: not a valid k-set
-		}
-		key := s.Vector().Key()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, s)
-		}
+		out = append(out, core.SignalFromChanges(m, cs...))
 	})
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Vector().Key() < out[j].Vector().Key()
-	})
+	slices.SortFunc(out, core.Signal.Compare)
 	return out, nil
 }
 
@@ -124,33 +131,39 @@ func (d *Decoder) Decode(entry core.LogEntry) ([]core.Signal, error) {
 // exactly entry.K strictly increasing indices, so each candidate signal
 // appears exactly once (the canonical-order guards make decompositions
 // unique even under weak encodings where pairs has multi-pair
-// collisions).
+// collisions) and callers need no deduplication.
 func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
-	tp := entry.TP
 	var buf [MaxK]int
+	// Probe keys live in stack buffers, which fit any timestamp up to
+	// 512 bits wide; wider ones grow onto the heap once per call.
+	var tpBuf, restBuf, rest2Buf [64]byte
+	tp := entry.TP.AppendBytes(tpBuf[:0])
+	rest := append(restBuf[:0], tp...)
+	rest2 := append(rest2Buf[:0], tp...)
+	m := d.enc.M()
 	switch entry.K {
 	case 0:
-		if tp.IsZero() {
+		if entry.TP.IsZero() {
 			fn(buf[:0])
 		}
 	case 1:
-		if i, ok := d.single[tp.Key()]; ok {
+		if i, ok := d.single[string(tp)]; ok {
 			buf[0] = i
 			fn(buf[:1])
 		}
 	case 2:
-		for i, t := range d.ts {
-			rest := tp.Xor(t)
-			if j, ok := d.single[rest.Key()]; ok && j > i {
+		for i := 0; i < m; i++ {
+			xorWords(rest, tp, d.stamp(i))
+			if j, ok := d.single[string(rest)]; ok && j > i {
 				buf[0], buf[1] = i, j
 				fn(buf[:2])
 			}
 		}
 	case 3:
 		d.buildPairs()
-		for i, t := range d.ts {
-			rest := tp.Xor(t)
-			for _, p := range d.pairs[rest.Key()] {
+		for i := 0; i < m; i++ {
+			xorWords(rest, tp, d.stamp(i))
+			for _, p := range d.pairs[string(rest)] {
 				if p[0] > i { // canonical order i < p0 < p1
 					buf[0], buf[1], buf[2] = i, p[0], p[1]
 					fn(buf[:3])
@@ -159,10 +172,11 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 		}
 	case 4:
 		d.buildPairs()
-		for i := 0; i < len(d.ts); i++ {
-			for j := i + 1; j < len(d.ts); j++ {
-				rest := tp.Xor(d.ts[i]).Xor(d.ts[j])
-				for _, p := range d.pairs[rest.Key()] {
+		for i := 0; i < m; i++ {
+			xorWords(rest, tp, d.stamp(i))
+			for j := i + 1; j < m; j++ {
+				xorWords(rest2, rest, d.stamp(j))
+				for _, p := range d.pairs[string(rest2)] {
 					// Canonical: i < j < p0 < p1 avoids duplicates.
 					if p[0] > j {
 						buf[0], buf[1], buf[2], buf[3] = i, j, p[0], p[1]
@@ -175,25 +189,14 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 }
 
 // Count returns the number of weight-k solutions without materializing
-// the signals: candidate sets are counted as they are enumerated,
-// deduplicated by their index-set key alone — no per-candidate bit
-// vector, string key, or final sort as in Decode. The canonical
-// enumeration order makes duplicates impossible, so the dedup set only
-// guards against regressions; it stays cheap ([MaxK]int keys).
+// the signals: candidate sets are counted as forEachSet emits them —
+// no per-candidate bit vector or final sort as in Decode.
 func (d *Decoder) Count(entry core.LogEntry) (int, error) {
 	if err := d.check(entry); err != nil {
 		return 0, err
 	}
-	seen := map[[MaxK]int]struct{}{}
 	n := 0
-	d.forEachSet(entry, func(cs []int) {
-		key := [MaxK]int{-1, -1, -1, -1}
-		copy(key[:], cs)
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
-			n++
-		}
-	})
+	d.forEachSet(entry, func([]int) { n++ })
 	return n, nil
 }
 

@@ -5,6 +5,7 @@
 package decode_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -328,6 +329,83 @@ func BenchmarkDecodeForCount(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = len(sigs)
+	}
+}
+
+// BenchmarkDecodeRoute measures one routed decode request, feature
+// extraction plus the decode backend, on the benchmark's stream-ingest
+// geometry and change-count mix: m=128, b=16 incremental LI-4, and
+// k = 0/1/2/3 with weights .1/.4/.3/.2.
+func BenchmarkDecodeRoute(b *testing.B) {
+	enc := mustEnc(b, 128, 16, 4)
+	r := rand.New(rand.NewSource(1))
+	entries := make([]core.LogEntry, 64)
+	for i := range entries {
+		k := 3
+		switch u := r.Float64(); {
+		case u < 0.1:
+			k = 0
+		case u < 0.5:
+			k = 1
+		case u < 0.8:
+			k = 2
+		}
+		entries[i] = core.Log(enc, core.SignalFromChanges(enc.M(), r.Perm(enc.M())[:k]...))
+	}
+	disp, err := reconstruct.NewDispatcher(enc, reconstruct.DispatchOptions{Workers: 1, SessionMaxK: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, e := range entries { // builds the decoder and its pair index
+		if _, _, dec, err := disp.EnumerateRouted(ctx, e, nil, 0); err != nil || dec.Route != reconstruct.RouteDecode {
+			b.Fatalf("k=%d: route %q, err %v; want %s", e.K, dec.Route, err, reconstruct.RouteDecode)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := disp.EnumerateRouted(ctx, entries[i%len(entries)], nil, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeOutputContract pins the decoder's output contract on weak
+// encodings, whose pair index has multi-pair collisions: Decode returns
+// no duplicate and sorts by Vector().Key(), and Count equals
+// len(Decode). timeprintd's candidate lists, and so its replies and
+// cache contents, follow this order.
+func TestDecodeOutputContract(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for m := 12; m <= 24; m++ {
+		enc := encoding.Binary(m)
+		dec := decode.New(enc)
+		for k := 2; k <= decode.MaxK; k++ {
+			for trial := 0; trial < 2; trial++ {
+				entry := core.Log(enc, core.SignalFromChanges(m, r.Perm(m)[:k]...))
+				sigs, err := dec.Decode(entry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 1; i < len(sigs); i++ {
+					prev, cur := sigs[i-1].Vector().Key(), sigs[i].Vector().Key()
+					if prev == cur {
+						t.Fatalf("binary-%d k=%d: duplicate candidate %s", m, k, sigs[i])
+					}
+					if prev > cur {
+						t.Fatalf("binary-%d k=%d: candidates %d and %d out of Key order", m, k, i-1, i)
+					}
+				}
+				n, err := dec.Count(entry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n != len(sigs) {
+					t.Fatalf("binary-%d k=%d: Count %d != len(Decode) %d", m, k, n, len(sigs))
+				}
+			}
+		}
 	}
 }
 

@@ -37,6 +37,13 @@ type Encoding struct {
 	ts     []bitvec.Vector // ts[i] is TS(i), width b
 	b      int
 	depth  int // LI depth the generator guaranteed, 0 if none
+	a      *gf2.Matrix
+}
+
+// newEncoding assembles an encoding with its parity matrix, built once
+// here and then shared read-only by every reconstruction request.
+func newEncoding(scheme string, ts []bitvec.Vector, b, depth int) *Encoding {
+	return &Encoding{scheme: scheme, ts: ts, b: b, depth: depth, a: gf2.FromColumns(ts)}
 }
 
 // Scheme names the generator that produced the encoding.
@@ -64,8 +71,11 @@ func (e *Encoding) Timestamps() []bitvec.Vector {
 	return out
 }
 
-// Matrix returns A = [TS(0) | … | TS(m−1)] ∈ F2^{b×m}.
-func (e *Encoding) Matrix() *gf2.Matrix { return gf2.FromColumns(e.ts) }
+// Matrix returns A = [TS(0) | … | TS(m−1)] ∈ F2^{b×m}. The matrix is
+// built with the encoding, and every call, from any goroutine, returns
+// the same one: callers must treat it as read-only. Eliminate, Solve,
+// Rank and MulVec never modify it; Clone it before any Set.
+func (e *Encoding) Matrix() *gf2.Matrix { return e.a }
 
 // FromTimestamps wraps explicit timestamps (all one width) as an
 // encoding, validating injectivity and nonzero-ness. Use this for
@@ -90,7 +100,7 @@ func FromTimestamps(ts []bitvec.Vector, scheme string) (*Encoding, error) {
 		seen[t.Key()] = i
 		cp[i] = t.Clone()
 	}
-	return &Encoding{scheme: scheme, ts: cp, b: b}, nil
+	return newEncoding(scheme, cp, b, 0), nil
 }
 
 // OneHot returns the one-hot encoding with b = m: TS(i) = e_i. All m
@@ -101,7 +111,7 @@ func OneHot(m int) *Encoding {
 	for i := range ts {
 		ts[i] = bitvec.FromOnes(m, i)
 	}
-	return &Encoding{scheme: "one-hot", ts: ts, b: m, depth: m}
+	return newEncoding("one-hot", ts, m, m)
 }
 
 // Binary returns the plain binary encoding TS(i) = i+1 with
@@ -113,7 +123,7 @@ func Binary(m int) *Encoding {
 	for i := range ts {
 		ts[i] = bitvec.FromUint(uint64(i+1), b)
 	}
-	return &Encoding{scheme: "binary", ts: ts, b: b, depth: 2}
+	return newEncoding("binary", ts, b, 2)
 }
 
 // liState incrementally maintains the data needed to test whether a
@@ -234,7 +244,7 @@ func Incremental(m, b, d int) (*Encoding, error) {
 	if len(ts) < m {
 		return nil, fmt.Errorf("encoding: incremental LI-%d exhausted 2^%d values after %d of %d timestamps", d, b, len(ts), m)
 	}
-	return &Encoding{scheme: "incremental", ts: ts, b: b, depth: d}, nil
+	return newEncoding("incremental", ts, b, d), nil
 }
 
 // RandomConstrained generates m timestamps of width b by drawing
@@ -267,7 +277,7 @@ func RandomConstrained(m, b, d int, seed int64, maxDraws int) (*Encoding, error)
 		st.accept(c)
 		ts = append(ts, bitvec.FromUint(c, b))
 	}
-	return &Encoding{scheme: "random-constrained", ts: ts, b: b, depth: d}, nil
+	return newEncoding("random-constrained", ts, b, d), nil
 }
 
 func checkParams(m, b, d int) error {

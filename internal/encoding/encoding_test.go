@@ -20,6 +20,38 @@ func TestOneHot(t *testing.T) {
 	}
 }
 
+// TestMatrixShared pins that every constructor builds the parity matrix
+// once: Matrix returns the same matrix on every call, with TS(i) as
+// column i.
+func TestMatrixShared(t *testing.T) {
+	inc, err := Incremental(32, 11, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, err := RandomConstrained(32, 14, 4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := FromTimestamps(inc.Timestamps(), "explicit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Encoding{inc, rnd, explicit, OneHot(96), Binary(20)} {
+		a := e.Matrix()
+		if e.Matrix() != a {
+			t.Errorf("%s: Matrix builds a new matrix per call", e.Scheme())
+		}
+		if a.Rows() != e.B() || a.Cols() != e.M() {
+			t.Fatalf("%s: matrix %dx%d, want %dx%d", e.Scheme(), a.Rows(), a.Cols(), e.B(), e.M())
+		}
+		for i := 0; i < e.M(); i++ {
+			if !a.Column(i).Equal(e.Timestamp(i)) {
+				t.Fatalf("%s: column %d is not TS(%d)", e.Scheme(), i, i)
+			}
+		}
+	}
+}
+
 func TestBinaryEncoding(t *testing.T) {
 	e := Binary(16)
 	if e.B() != 5 { // values 1..16 need 5 bits

@@ -17,6 +17,11 @@ import (
 
 // Matrix is a dense matrix over F2 with rows stored as bit vectors.
 // Row vectors all have width Cols.
+//
+// Set is the only method that modifies a matrix: Eliminate, Solve and
+// Rank row-reduce a private copy, and MulVec only reads. So a matrix
+// that is no longer Set may be shared read-only across requests and
+// goroutines, as encoding.Encoding.Matrix shares its parity matrix.
 type Matrix struct {
 	rows []bitvec.Vector
 	cols int
@@ -99,11 +104,7 @@ func (m *Matrix) Column(j int) bitvec.Vector {
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{rows: make([]bitvec.Vector, len(m.rows)), cols: m.cols}
-	for i, r := range m.rows {
-		out.rows[i] = r.Clone()
-	}
-	return out
+	return &Matrix{rows: bitvec.CloneAll(m.rows), cols: m.cols}
 }
 
 // MulVec returns A·x over F2; x must have width Cols(). The result has
@@ -123,48 +124,51 @@ func (m *Matrix) MulVec(x bitvec.Vector) bitvec.Vector {
 
 // Rank computes the rank of m by Gaussian elimination on a copy.
 func (m *Matrix) Rank() int {
-	cp := m.Clone()
-	rank, _ := cp.rowReduce(bitvec.Vector{})
+	rank, _ := rowReduce(bitvec.CloneAll(m.rows), bitvec.Vector{})
 	return rank
 }
 
-// rowReduce transforms m in place to reduced row-echelon form, applying
-// the same row operations to rhs when rhs is non-nil (one bit per row).
-// It returns the rank and the pivot column of each of the first rank
-// rows.
-func (m *Matrix) rowReduce(rhs bitvec.Vector) (rank int, pivots []int) {
-	r := 0
-	for c := 0; c < m.cols && r < len(m.rows); c++ {
-		// Find a pivot at or below row r in column c.
-		p := -1
-		for i := r; i < len(m.rows); i++ {
-			if m.rows[i].Get(c) {
-				p = i
-				break
+// rowReduce transforms rows in place to reduced row-echelon form,
+// applying the same row operations to rhs when rhs is non-empty (one
+// bit per row). It returns the rank and the pivot column of each of the
+// first rank rows. It works a word at a time: pivots come from
+// FirstOne, and eliminations test the pivot's word of each row.
+func rowReduce(rows []bitvec.Vector, rhs bitvec.Vector) (rank int, pivots []int) {
+	aug := rhs.Width() > 0
+	pivots = make([]int, 0, len(rows))
+	for r := range rows {
+		// Rows r and below are zero up to the previous pivot column, so
+		// the next pivot column is their lowest leading one, and the
+		// first row holding it is the one a column scan would pick.
+		p, c := -1, -1
+		for i := r; i < len(rows); i++ {
+			if f := rows[i].FirstOne(); f >= 0 && (p < 0 || f < c) {
+				p, c = i, f
 			}
 		}
-		if p == -1 {
-			continue
+		if p < 0 {
+			break
 		}
-		m.rows[r], m.rows[p] = m.rows[p], m.rows[r]
-		if rhs.Width() > 0 && p != r {
+		rows[r], rows[p] = rows[p], rows[r]
+		if aug && p != r {
 			pr, rr := rhs.Get(p), rhs.Get(r)
 			rhs.Set(p, rr)
 			rhs.Set(r, pr)
 		}
 		// Eliminate column c from every other row.
-		for i := 0; i < len(m.rows); i++ {
-			if i != r && m.rows[i].Get(c) {
-				m.rows[i].XorInPlace(m.rows[r])
-				if rhs.Width() > 0 && rhs.Get(r) {
+		w, bit := c/64, uint64(1)<<(c%64)
+		flip := aug && rhs.Get(r)
+		for i := range rows {
+			if i != r && rows[i].Word(w)&bit != 0 {
+				rows[i].XorInPlace(rows[r])
+				if flip {
 					rhs.Flip(i)
 				}
 			}
 		}
 		pivots = append(pivots, c)
-		r++
 	}
-	return r, pivots
+	return len(pivots), pivots
 }
 
 // RankOf returns the rank of the set of vectors, treated as rows.
@@ -193,18 +197,18 @@ type System struct {
 	Rank int
 }
 
-// Solve solves A·x = y over F2. It returns the solution structure and
-// ok=false when the system is inconsistent.
+// Solve solves A·x = y over F2 on a copy of m. It returns the solution
+// structure and ok=false when the system is inconsistent.
 func (m *Matrix) Solve(y bitvec.Vector) (System, bool) {
 	if y.Width() != len(m.rows) {
 		panic(fmt.Sprintf("gf2: Solve rhs width %d, want %d", y.Width(), len(m.rows)))
 	}
-	cp := m.Clone()
+	rows := bitvec.CloneAll(m.rows)
 	rhs := y.Clone()
-	rank, pivots := cp.rowReduce(rhs)
+	rank, pivots := rowReduce(rows, rhs)
 
 	// Inconsistent if a zero row has rhs 1.
-	for i := rank; i < len(cp.rows); i++ {
+	for i := rank; i < len(rows); i++ {
 		if rhs.Get(i) {
 			return System{}, false
 		}
@@ -235,7 +239,7 @@ func (m *Matrix) Solve(y bitvec.Vector) (System, bool) {
 		v := bitvec.New(m.cols)
 		v.Set(f, true)
 		for _, c := range pivots {
-			if cp.rows[pivotRow[c]].Get(f) {
+			if rows[pivotRow[c]].Get(f) {
 				v.Set(c, true)
 			}
 		}
@@ -263,23 +267,24 @@ type Echelon struct {
 	Consistent bool
 }
 
-// Eliminate row-reduces the augmented system [A | y] on a copy of m
-// and returns its echelon form. y must have one bit per row of m.
+// Eliminate row-reduces the augmented system [A | y] on a copy of m,
+// whose rows share one backing array, and returns its echelon form; m
+// is left unchanged. y must have one bit per row of m.
 func (m *Matrix) Eliminate(y bitvec.Vector) Echelon {
 	if y.Width() != len(m.rows) {
 		panic(fmt.Sprintf("gf2: Eliminate rhs width %d, want %d", y.Width(), len(m.rows)))
 	}
-	cp := m.Clone()
+	rows := bitvec.CloneAll(m.rows)
 	rhs := y.Clone()
-	rank, pivots := cp.rowReduce(rhs)
+	rank, pivots := rowReduce(rows, rhs)
 	e := Echelon{Rank: rank, Pivots: pivots, Consistent: true}
-	for i := rank; i < len(cp.rows); i++ {
+	for i := rank; i < len(rows); i++ {
 		if rhs.Get(i) {
 			e.Consistent = false
 			return e
 		}
 	}
-	e.Rows = cp.rows[:rank]
+	e.Rows = rows[:rank]
 	e.RHS = make([]bool, rank)
 	for i := 0; i < rank; i++ {
 		e.RHS[i] = rhs.Get(i)

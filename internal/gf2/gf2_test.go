@@ -54,6 +54,38 @@ func TestMulVecSelectsColumns(t *testing.T) {
 	}
 }
 
+// TestQueriesLeaveReceiverUnchanged pins the read-only contract that
+// lets an encoding share one parity matrix across requests and
+// goroutines: Eliminate, Solve, Rank and MulVec never modify the
+// receiver. Rows wider than one word exercise the word-level kernel.
+func TestQueriesLeaveReceiverUnchanged(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for _, dims := range [][2]int{{13, 20}, {70, 90}, {6, 130}} {
+		rows, cols := dims[0], dims[1]
+		vecs := make([]bitvec.Vector, cols)
+		for i := range vecs {
+			vecs[i] = randVec(r, rows)
+		}
+		m := FromColumns(vecs)
+		before := m.String()
+		y := m.MulVec(randVec(r, cols))
+		if !m.Eliminate(y).Consistent {
+			t.Fatalf("%dx%d: A·x reported inconsistent", rows, cols)
+		}
+		m.Eliminate(randVec(r, rows))
+		sys, ok := m.Solve(y)
+		if !ok || !m.MulVec(sys.Particular).Equal(y) {
+			t.Fatalf("%dx%d: Solve missed a solution of A·x = y", rows, cols)
+		}
+		if got := m.Rank(); got != sys.Rank {
+			t.Fatalf("%dx%d: Rank %d, Solve rank %d", rows, cols, got, sys.Rank)
+		}
+		if after := m.String(); after != before {
+			t.Fatalf("%dx%d: receiver modified:\n%s\nwant\n%s", rows, cols, after, before)
+		}
+	}
+}
+
 func TestRankBasics(t *testing.T) {
 	// Identity has full rank.
 	id := NewMatrix(5, 5)

@@ -269,7 +269,7 @@ func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features,
 	f.Rank, f.Nullity, f.Consistent = ech.Rank, m-ech.Rank, ech.Consistent
 	if f.Consistent {
 		for i, row := range ech.Rows {
-			if ones := row.Ones(); len(ones) == 1 {
+			if row.PopCount() == 1 {
 				f.Fixed++
 				if ech.RHS[i] {
 					f.ForcedTrue++

@@ -214,11 +214,10 @@ func (o *satOracle) Check(ctx context.Context, entry core.LogEntry, cons []Const
 // decodeOracle wraps internal/decode: meet-in-the-middle syndrome
 // decoding for k <= decode.MaxK. Constraints are applied by concrete
 // filtering (Holds), never encoded, so a constraint without Holds is
-// ErrUnsupported. The decoder's lazily built pair index is shared
-// across requests under a mutex.
+// ErrUnsupported. Requests share the decoder without a lock: it is
+// safe for concurrent use, its pair index built once on first need.
 type decodeOracle struct {
 	enc *encoding.Encoding
-	mu  sync.Mutex
 	dec *decode.Decoder
 }
 
@@ -239,13 +238,12 @@ func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons 
 	if !evaluableAll(cons) {
 		return nil, false, errUnsupportedConstraints("decode")
 	}
-	o.mu.Lock()
 	sigs, err := o.dec.Decode(entry)
-	o.mu.Unlock()
 	if err != nil {
 		return nil, false, err
 	}
-	out := make([]core.Signal, 0, len(sigs))
+	// Decode returns a fresh slice, so filter it in place.
+	out := sigs[:0]
 	for _, s := range sigs {
 		if !holdsAll(cons, s) {
 			continue
@@ -271,9 +269,7 @@ func (o *decodeOracle) Count(ctx context.Context, entry core.LogEntry, cons []Co
 		if entry.K > decode.MaxK {
 			return 0, false, fmt.Errorf("decode handles k <= %d, got %d: %w", decode.MaxK, entry.K, ErrUnsupported)
 		}
-		o.mu.Lock()
 		n, err := o.dec.Count(entry)
-		o.mu.Unlock()
 		return n, err == nil, err
 	}
 	return countVia(o, ctx, entry, cons, max)
