@@ -1,41 +1,21 @@
 GO ?= go
 
-# The guarded benchmarks and their recorded baseline (see
-# internal/benchdiff). -benchtime=1x -count=5 keeps the solver
-# workloads bounded while still giving the guard a median.
-BENCH_GUARD    ?= BenchmarkPresolveOnOff|BenchmarkParallelWorkers
-BENCH_BASELINE ?= BENCH_PR3.json
-BENCH_FLAGS     = -run='^$$' -bench='$(BENCH_GUARD)' -count=5 -benchtime=1x .
+# The one benchmark-regression guard (see internal/benchdiff). BENCH_RUN
+# runs every guarded suite into one `go test -bench`-format stream:
+#   1. the solver benchmarks — GF(2) presolve on/off, the cube-split
+#      portfolio, the incremental session against fresh solvers, in-search
+#      Gauss against level-0 reduction, cost-model dispatch against
+#      always-SAT — where -benchtime=1x -count=5 keeps the workloads
+#      bounded while still giving a median;
+#   2. the feature-extraction and decode-route microbenchmarks;
+#   3. the tprload per-class mean latencies.
+BENCH_RUN = { \
+	$(GO) test -run='^$$' -bench='^Benchmark(PresolveOnOff|ParallelWorkers|SessionQueries|SessionQueriesGauss|Dispatch)$$' -count=5 -benchtime=1x . && \
+	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ && \
+	$(GO) run ./cmd/tprload -self -bench -count 5; \
+}
 
-# The incremental-session benchmark and its own baseline (PR6): the
-# 16-query m=512/k=8 session, incremental vs fresh-solver.
-SESSION_GUARD    = BenchmarkSessionQueries
-SESSION_BASELINE = BENCH_PR6.json
-SESSION_FLAGS    = -run='^$$' -bench='$(SESSION_GUARD)' -count=5 -benchtime=1x .
-
-# The cost-model dispatcher benchmark and its baseline (PR7): a
-# rank-pinned/small-k request mix, auto-routing vs always-SAT.
-DISPATCH_GUARD    = BenchmarkDispatch
-DISPATCH_BASELINE = BENCH_PR7.json
-DISPATCH_FLAGS    = -run='^$$' -bench='$(DISPATCH_GUARD)' -count=5 -benchtime=1x .
-
-# The in-search Gauss benchmark and its baseline (PR9): the planted
-# unconstrained m=512 witness cells (k = 3, 4, 8), in-search Gaussian
-# elimination vs level-0-only reduction. The guarded column is the
-# summed CONFLICT count, not ns/op: the planted entries make it a
-# deterministic solver-effort metric, so the guard pins the propagation
-# win itself and survives noisy CI wall clocks.
-GAUSS_GUARD    = BenchmarkSessionQueriesGauss
-GAUSS_BASELINE = BENCH_PR9.json
-GAUSS_FLAGS    = -run='^$$' -bench='$(GAUSS_GUARD)' -count=5 -benchtime=1x .
-
-# The tprload latency baseline (PR8): client-side mean latency per
-# request class (hot/cold/batch/stream) from the load harness. The
-# guard threshold is loose (75%) because these are wall-clock HTTP
-# latencies on a shared CI box, not isolated CPU benchmarks.
-LOAD_BASELINE = BENCH_PR8.json
-
-.PHONY: check fmt vet build test race bench-smoke diffcheck benchdiff benchrecord session-bench session-bench-record dispatch-bench dispatch-bench-record dispatch-check gauss-bench gauss-bench-record gauss-check metrics-smoke timeprintd service-smoke store-smoke load-smoke load-bench load-bench-record fuzz-smoke benchmark-test
+.PHONY: check fmt vet build test race bench-smoke diffcheck bench-check bench-record dispatch-check gauss-check metrics-smoke timeprintd service-smoke store-smoke load-smoke fuzz-smoke benchmark-test
 
 # check is the canonical verification gate: formatting, vet, build,
 # the full test suite under the race detector, and a single-pass run
@@ -72,60 +52,33 @@ bench-smoke:
 diffcheck:
 	$(GO) run -race ./cmd/timeprint selfcheck -cases 200 -seed 1 -workers 2,4
 
-# benchdiff is the benchmark-regression guard: rerun the guarded
-# benchmarks and fail if any median slowed >30% against the recorded
-# baseline. benchrecord refreshes the baseline (do this deliberately,
-# on the same class of machine the guard will run on).
-benchdiff:
-	$(GO) test $(BENCH_FLAGS) | $(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -threshold 0.30
+# bench-check compares the medians of BENCH_RUN — ns/op plus the
+# deterministic effort counters (summed solver conflicts) — against
+# BENCH.json, after printing the machine the baseline was recorded on
+# and the current one. A row fails when it rose past its suite's
+# threshold (0.30, and 0.75 for the wall-clock HTTP Load* rows; both
+# stored in BENCH.json) or is missing from the run. bench-record
+# rewrites BENCH.json, keeping its thresholds; do it deliberately, on
+# the machine the guard runs on.
+bench-check:
+	$(BENCH_RUN) | $(GO) run ./cmd/benchdiff -baseline BENCH.json
 
-benchrecord:
-	$(GO) test $(BENCH_FLAGS) | $(GO) run ./cmd/benchdiff -record -out $(BENCH_BASELINE) -note "count=5 benchtime=1x $(BENCH_GUARD)"
+bench-record:
+	$(BENCH_RUN) | $(GO) run ./cmd/benchdiff -record -baseline BENCH.json \
+		-note "solver benchmarks -count=5 -benchtime=1x, microbenchmarks -count=5 -benchtime=2000x, tprload -self -bench -count 5"
 
-# session-bench guards the incremental-session speedup (PR6): rerun
-# BenchmarkSessionQueries and fail if either side's median slowed >30%
-# against BENCH_PR6.json. session-bench-record refreshes that baseline.
-session-bench:
-	$(GO) test $(SESSION_FLAGS) | $(GO) run ./cmd/benchdiff -baseline $(SESSION_BASELINE) -threshold 0.30
-
-session-bench-record:
-	$(GO) test $(SESSION_FLAGS) | $(GO) run ./cmd/benchdiff -record -out $(SESSION_BASELINE) -note "count=5 benchtime=1x $(SESSION_GUARD)"
-
-# dispatch-bench guards the cost-model routing win (PR7): rerun
-# BenchmarkDispatch and fail if either side's median slowed >30%
-# against BENCH_PR7.json. dispatch-bench-record refreshes that
-# baseline. dispatch-check is the CI job: vet, the dispatcher/oracle
-# test surface under the race detector, then the benchmark guard.
-dispatch-bench:
-	$(GO) test $(DISPATCH_FLAGS) | $(GO) run ./cmd/benchdiff -baseline $(DISPATCH_BASELINE) -threshold 0.30
-
-dispatch-bench-record:
-	$(GO) test $(DISPATCH_FLAGS) | $(GO) run ./cmd/benchdiff -record -out $(DISPATCH_BASELINE) -note "count=5 benchtime=1x $(DISPATCH_GUARD)"
-
+# dispatch-check is the dispatcher's CI job: vet and the
+# dispatcher/oracle test surface under the race detector.
 dispatch-check:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -run 'Dispatch|Route|Oracle|Classify|Strict|Session|Incremental' ./internal/reconstruct/ ./internal/service/
-	$(MAKE) dispatch-bench
 
-# gauss-bench guards the in-search Gauss propagation win (PR9): rerun
-# BenchmarkSessionQueriesGauss and fail if either side's median summed
-# conflict count rose >30% against BENCH_PR9.json — a rise on the
-# insearch side means the matrix propagator lost its advantage.
-# gauss-bench-record refreshes the baseline (conflicts are
-# deterministic for a fixed solver, so any material diff is a real
-# behavior change, not machine noise). gauss-check is the CI job: vet,
-# the XOR/Gauss test surface under the race detector (including the
-# 4-way differential parity hammer), then the benchmark guard.
-gauss-bench:
-	$(GO) test $(GAUSS_FLAGS) | $(GO) run ./cmd/benchdiff -metric conflicts -baseline $(GAUSS_BASELINE) -threshold 0.30
-
-gauss-bench-record:
-	$(GO) test $(GAUSS_FLAGS) | $(GO) run ./cmd/benchdiff -metric conflicts -record -out $(GAUSS_BASELINE) -note "count=5 benchtime=1x $(GAUSS_GUARD), median summed conflicts (planted m=512 k=3,4,8)"
-
+# gauss-check is the in-search Gauss CI job: vet and the XOR/Gauss test
+# surface under the race detector, including the 4-way differential
+# parity hammer.
 gauss-check:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -run 'Gauss|Xor|Parity' ./internal/sat/ ./internal/reconstruct/
-	$(MAKE) gauss-bench
 
 # metrics-smoke exercises the observability contract end to end: a
 # selfcheck run dumps a -metrics snapshot, metricscheck validates the
@@ -160,16 +113,9 @@ store-smoke:
 # request mixes (cache-hot, cold sessions, batch, stream, malformed,
 # overload) and asserts the operational contract: latency SLOs, the
 # shed budget, batch/stream encoding amortization and atomic batch
-# admission. load-bench guards the per-class mean latencies against
-# BENCH_PR8.json; load-bench-record refreshes that baseline.
+# admission. bench-check guards its per-class mean latencies.
 load-smoke:
 	$(GO) run ./cmd/tprload -self
-
-load-bench:
-	$(GO) run ./cmd/tprload -self -bench -count 5 | $(GO) run ./cmd/benchdiff -baseline $(LOAD_BASELINE) -threshold 0.75
-
-load-bench-record:
-	$(GO) run ./cmd/tprload -self -bench -count 5 | $(GO) run ./cmd/benchdiff -record -out $(LOAD_BASELINE) -note "tprload -self -bench -count 5, per-class mean latency"
 
 # benchmark-test vets and tests the benchmark (benchmark/), a Go module
 # of its own that the root `go test ./...` does not reach: a service

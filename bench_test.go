@@ -266,7 +266,9 @@ func BenchmarkAblationSATvsBruteForce(b *testing.B) {
 // BenchmarkPresolveOnOff quantifies the GF(2) Gaussian presolve: the
 // same reconstruction with and without row reduction ahead of the SAT
 // encoding. The presolve drops b − rank redundant parity rows and
-// fixes unit-row positions before the solver ever runs.
+// fixes unit-row positions before the solver ever runs. The summed
+// solver conflicts per op are deterministic, so BENCH.json guards them
+// next to the wall clock.
 func BenchmarkPresolveOnOff(b *testing.B) {
 	for _, c := range []struct{ m, k int }{{128, 4}, {512, 8}} {
 		enc, err := bench.CachedEncoding("incremental", c.m, bench.PaperB[c.m], 4, 0)
@@ -275,16 +277,15 @@ func BenchmarkPresolveOnOff(b *testing.B) {
 		}
 		entry := core.Log(enc, bench.PlantedSignal(c.m, c.k))
 		for _, mode := range []struct {
-			name string
-			opts reconstruct.Options
-		}{
-			{"presolve", reconstruct.Options{MaxConflicts: benchBudget}},
-			{"raw", reconstruct.Options{NoPresolve: true, MaxConflicts: benchBudget}},
-		} {
+			name       string
+			noPresolve bool
+		}{{"presolve", false}, {"raw", true}} {
 			b.Run(fmt.Sprintf("m=%d/k=%d/%s", c.m, c.k, mode.name), func(b *testing.B) {
+				reg := obs.NewRegistry()
+				opts := reconstruct.Options{NoPresolve: mode.noPresolve, MaxConflicts: benchBudget, Obs: reg}
 				var fixed, freed float64
 				for i := 0; i < b.N; i++ {
-					rec, err := reconstruct.New(enc, entry, nil, mode.opts)
+					rec, err := reconstruct.New(enc, entry, nil, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -294,6 +295,7 @@ func BenchmarkPresolveOnOff(b *testing.B) {
 					ps := rec.Stats().Presolve
 					fixed, freed = float64(ps.Fixed), float64(ps.Freed)
 				}
+				reportConflicts(b, reg)
 				b.ReportMetric(fixed, "fixed")
 				b.ReportMetric(freed, "freed")
 			})
@@ -376,9 +378,9 @@ func BenchmarkAblationLIDepth(b *testing.B) {
 // cardinality ladder and the window's guarded encoding are paid for
 // once; the fresh side rebuilds a one-shot CNF instance per entry,
 // the pre-PR6 behavior, and its per-query encode + presolve cost
-// dominates. The benchdiff guard records both sides in BENCH_PR6.json
-// (make session-bench); the incremental side must hold a >= 2x
-// advantage.
+// dominates. BENCH.json (make bench-check) guards both sides' wall
+// clock and summed solver conflicts; the incremental side must hold a
+// >= 2x advantage.
 func BenchmarkSessionQueries(b *testing.B) {
 	const (
 		m       = 512
@@ -410,8 +412,9 @@ func BenchmarkSessionQueries(b *testing.B) {
 	}
 
 	b.Run("incremental", func(b *testing.B) {
+		reg := obs.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k})
+			sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k, Obs: reg})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -425,11 +428,13 @@ func BenchmarkSessionQueries(b *testing.B) {
 				}
 			}
 		}
+		reportConflicts(b, reg)
 	})
 	b.Run("fresh", func(b *testing.B) {
+		reg := obs.NewRegistry()
 		for i := 0; i < b.N; i++ {
 			for _, e := range entries {
-				rec, err := reconstruct.New(enc, e, props, reconstruct.Options{})
+				rec, err := reconstruct.New(enc, e, props, reconstruct.Options{Obs: reg})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -442,6 +447,7 @@ func BenchmarkSessionQueries(b *testing.B) {
 				}
 			}
 		}
+		reportConflicts(b, reg)
 	})
 }
 
@@ -455,11 +461,11 @@ func BenchmarkSessionQueries(b *testing.B) {
 // rebuilt from the RREF basis at restarts); the level0 side is the PR6
 // behavior, reducing only before search. The planted entries are
 // deterministic, so the summed conflict count is a stable
-// machine-independent effort metric — the benchdiff guard in
-// BENCH_PR9.json (make gauss-bench) pins the propagation win, not just
-// the wall clock. (A burst-entry variant of this workload is
-// heavy-tail-dominated: per-query conflicts span 300-74k on identical
-// configurations, so its 16-query mean cannot separate the modes.)
+// machine-independent effort metric — BENCH.json (make bench-check)
+// pins the propagation win, not just the wall clock. (A burst-entry
+// variant of this workload is heavy-tail-dominated: per-query conflicts
+// span 300-74k on identical configurations, so its 16-query mean cannot
+// separate the modes.)
 func BenchmarkSessionQueriesGauss(b *testing.B) {
 	const m = 512
 	ks := []int{3, 4, 8}
@@ -512,8 +518,9 @@ func BenchmarkSessionQueriesGauss(b *testing.B) {
 // postmortem queries (algebraic decode territory) — pushed through the
 // dispatcher with auto-routing versus pinned to always-SAT. Auto must
 // hold a >= 2x advantage: pinned systems never touch the solver and
-// k <= 4 never builds a CNF. The benchdiff guard records both sides in
-// BENCH_PR7.json (make dispatch-bench).
+// k <= 4 never builds a CNF. BENCH.json (make bench-check) guards both
+// sides' wall clock and summed solver conflicts, which are zero on the
+// auto side.
 func BenchmarkDispatch(b *testing.B) {
 	onehot := encoding.OneHot(96)
 	inc, err := bench.CachedEncoding("incremental", 128, bench.PaperB[128], 4, 0)
@@ -536,15 +543,16 @@ func BenchmarkDispatch(b *testing.B) {
 		{"auto", "auto"},
 		{"always-sat", "sat"},
 	} {
-		dispatchers := map[*encoding.Encoding]*reconstruct.Dispatcher{}
-		for _, e := range []*encoding.Encoding{onehot, inc} {
-			d, err := reconstruct.NewDispatcher(e, reconstruct.DispatchOptions{Force: mode.force})
-			if err != nil {
-				b.Fatal(err)
-			}
-			dispatchers[e] = d
-		}
 		b.Run(mode.name, func(b *testing.B) {
+			reg := obs.NewRegistry()
+			dispatchers := map[*encoding.Encoding]*reconstruct.Dispatcher{}
+			for _, e := range []*encoding.Encoding{onehot, inc} {
+				d, err := reconstruct.NewDispatcher(e, reconstruct.DispatchOptions{Force: mode.force, Obs: reg})
+				if err != nil {
+					b.Fatal(err)
+				}
+				dispatchers[e] = d
+			}
 			for i := 0; i < b.N; i++ {
 				for _, req := range mix {
 					sigs, exhausted, err := dispatchers[req.enc].Enumerate(context.Background(), req.entry, nil, 0)
@@ -556,6 +564,13 @@ func BenchmarkDispatch(b *testing.B) {
 					}
 				}
 			}
+			reportConflicts(b, reg)
 		})
 	}
+}
+
+// reportConflicts reports the solver conflicts reg counted during the
+// benchmark as a per-op "conflicts" metric.
+func reportConflicts(b *testing.B, reg *obs.Registry) {
+	b.ReportMetric(float64(reg.Counter(sat.MetricConflicts).Value())/float64(b.N), "conflicts")
 }

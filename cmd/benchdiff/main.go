@@ -2,38 +2,36 @@
 // internal/benchdiff. It consumes `go test -bench` output on stdin (or
 // -in) in two modes:
 //
-//	go test -bench ... -count=5 | benchdiff -record -out BENCH_PR3.json
-//	go test -bench ... -count=5 | benchdiff -baseline BENCH_PR3.json
+//	go test -bench ... -count=5 | benchdiff -record -baseline BENCH.json
+//	go test -bench ... -count=5 | benchdiff -baseline BENCH.json
 //
-// Record mode reduces the repeated runs to per-benchmark median ns/op
-// and writes the baseline JSON. Compare mode (the default) prints a
-// per-benchmark delta table and exits 1 if any benchmark's median
-// slowed past -threshold (default 0.30 = 30%) or vanished from the
-// current run. `make benchrecord` / `make benchdiff` wrap the two.
-//
-// -metric selects a different result column than ns/op — any custom
-// b.ReportMetric unit. The Gauss guard (make gauss-bench) uses
-// `-metric conflicts` so the deterministic solver-effort count is what
-// is pinned, independent of the CI machine's wall clock.
+// Record mode reduces the repeated runs to a median per benchmark and
+// guarded unit (ns/op and the effort counters) and rewrites the
+// baseline with a note on the current machine, keeping the per-suite
+// thresholds of the file it replaces (0.30 for everything when there
+// is none). Compare mode (the default) prints the recorded and the
+// current machine, then a per-row delta table, and exits 1 if any
+// recorded row rose past its threshold or is missing from the run.
+// `make bench-record` / `make bench-check` wrap the two.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"runtime"
 
 	"repro/internal/benchdiff"
 )
 
 func main() {
-	record := flag.Bool("record", false, "record a baseline instead of comparing")
-	out := flag.String("out", "", "baseline file to write (record mode)")
-	baseline := flag.String("baseline", "", "baseline file to compare against")
+	record := flag.Bool("record", false, "rewrite the baseline from the input instead of comparing")
+	baseline := flag.String("baseline", "BENCH.json", "baseline file to compare against (or to rewrite with -record)")
 	in := flag.String("in", "", "bench output file (default: stdin)")
-	threshold := flag.Float64("threshold", 0.30, "relative slowdown that fails the guard")
 	note := flag.String("note", "", "note stored in a recorded baseline")
-	metric := flag.String("metric", "ns/op", "result column to guard (ns/op or a custom b.ReportMetric unit, e.g. conflicts)")
 	flag.Parse()
 
 	var src io.Reader = os.Stdin
@@ -45,62 +43,74 @@ func main() {
 		defer f.Close()
 		src = f
 	}
-	samples, err := benchdiff.ParseUnit(src, *metric)
+	run, err := benchdiff.Parse(src)
 	if err != nil {
 		fail(err)
 	}
-	medians := benchdiff.Summarize(samples)
+	run.Machine.NProc, run.Machine.Go = runtime.NumCPU(), runtime.Version()
+	medians := benchdiff.Summarize(run.Samples)
 
+	base, err := readBaseline(*baseline)
 	if *record {
-		if *out == "" {
-			fail(fmt.Errorf("-record needs -out"))
+		if errors.Is(err, fs.ErrNotExist) {
+			base, err = benchdiff.Baseline{Thresholds: map[string]float64{"": 0.30}}, nil
 		}
-		nSamples := 0
-		for _, xs := range samples {
-			if len(xs) > nSamples {
-				nSamples = len(xs)
-			}
-		}
-		b := benchdiff.Baseline{Note: *note, Samples: nSamples, Benchmarks: medians}
-		f, err := os.Create(*out)
 		if err != nil {
 			fail(err)
 		}
-		if err := b.WriteBaseline(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("benchdiff: recorded %d benchmarks (%d samples each) to %s\n",
-			len(medians), nSamples, *out)
+		recordBaseline(*baseline, base.Thresholds, *note, run, medians)
 		return
 	}
-
-	if *baseline == "" {
-		fail(fmt.Errorf("need -baseline (or -record -out)"))
-	}
-	f, err := os.Open(*baseline)
 	if err != nil {
 		fail(err)
 	}
-	base, err := benchdiff.ReadBaseline(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
-	deltas, failures := benchdiff.Compare(base.Benchmarks, medians, *threshold)
+	fmt.Printf("recorded on: %v\ncurrent run: %v\n", base.Machine, run.Machine)
+	deltas, failures := benchdiff.Compare(base, medians)
 	for _, d := range deltas {
-		d.Unit = *metric
 		fmt.Println(d)
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed past %.0f%%: %v\n",
-			len(failures), 100**threshold, failures)
+		fmt.Fprintf(os.Stderr, "benchdiff: %d row(s) regressed or missing: %v\n", len(failures), failures)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d benchmarks within %.0f%% of %s\n",
-		len(deltas), 100**threshold, *baseline)
+	fmt.Printf("benchdiff: %d rows within their thresholds of %s\n", len(deltas), *baseline)
+}
+
+func readBaseline(path string) (benchdiff.Baseline, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return benchdiff.Baseline{}, err
+	}
+	defer f.Close()
+	return benchdiff.ReadBaseline(f)
+}
+
+func recordBaseline(path string, thresholds map[string]float64, note string, run benchdiff.Run, medians map[string]map[string]float64) {
+	nSamples := 0
+	for _, units := range run.Samples {
+		for _, xs := range units {
+			nSamples = max(nSamples, len(xs))
+		}
+	}
+	b := benchdiff.Baseline{
+		Machine:    run.Machine,
+		Note:       note,
+		Samples:    nSamples,
+		Thresholds: thresholds,
+		Benchmarks: medians,
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := b.WriteBaseline(f); err != nil {
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+	fmt.Printf("benchdiff: recorded %d benchmarks (%d samples each) on %v to %s\n",
+		len(medians), nSamples, run.Machine, path)
 }
 
 func fail(err error) {

@@ -289,7 +289,7 @@ func cmdReconstruct(args []string) {
 	paired := fs.Bool("paired", false, "changes come in adjacent pairs")
 	propSpec := fs.String("prop", "", "property expression, e.g. \"mingap(3); dk(32,3)\"")
 	parallel := fs.Int("parallel", 1, "cube-split solver workers (1 = serial, 0 = GOMAXPROCS)")
-	oracle := fs.String("oracle", "auto", "backend: auto (cost-model routing), sat, sat-par, sat-inc, decode, brute or exhaustive")
+	oracle := fs.String("oracle", "auto", "backend: auto (cost-model routing), sat, sat-par, sat-inc, decode or brute")
 	gauss := fs.Bool("gauss", false, "in-search Gaussian elimination: keep the reduced parity matrix live across decision levels on the sat-inc route")
 	obsSetup := obsFlags(fs)
 	_ = fs.Parse(args)

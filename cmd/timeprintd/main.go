@@ -63,9 +63,8 @@ func main() {
 	maxConflicts := fs.Int64("max-conflicts", 0, "server-side solver conflict budget per solve (0 = unlimited)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM")
 	sessionMaxK := fs.Int("session-maxk", 16, "largest change count the per-session incremental solver encodes; larger k falls back to one-shot solves")
-	noIncremental := fs.Bool("no-incremental", false, "disable per-session solver reuse; every solve builds a fresh SAT instance (ablation)")
 	gauss := fs.Bool("gauss", false, "in-search Gaussian elimination: keep the reduced parity matrix live across decision levels in the incremental session solvers")
-	oracle := fs.String("oracle", "auto", "reconstruction backend: auto (cost-model routing), sat, sat-inc, decode, brute or exhaustive")
+	oracle := fs.String("oracle", "auto", "reconstruction backend: auto (cost-model routing), sat, sat-inc, decode or brute")
 	storeDir := fs.String("store-dir", "", "durable log store directory: ingested wire logs are persisted here and served back via /v1/logs and /v1/query (empty disables)")
 	storeSegBytes := fs.Int64("store-segment-bytes", 0, "log store segment size before rotation (0 = default)")
 	storeMaxSegments := fs.Int("store-max-segments", 0, "retention: drop oldest sealed segments beyond this many (0 = keep everything)")
@@ -75,7 +74,7 @@ func main() {
 	// portfolio would silently be serial SAT: refuse it rather than
 	// report a route that never runs.
 	if !reconstruct.KnownOracle(*oracle) || *oracle == reconstruct.RouteParallel {
-		fmt.Fprintf(os.Stderr, "timeprintd: unsupported -oracle %q (want auto|sat|sat-inc|decode|brute|exhaustive)\n", *oracle)
+		fmt.Fprintf(os.Stderr, "timeprintd: unsupported -oracle %q (want auto|sat|sat-inc|decode|brute)\n", *oracle)
 		os.Exit(2)
 	}
 
@@ -83,20 +82,19 @@ func main() {
 	core.SetObserver(reg)
 	defer core.SetObserver(nil)
 	cfg := service.Config{
-		Addr:               *addr,
-		StreamAddr:         *streamAddr,
-		QueueDepth:         *queue,
-		Workers:            *workers,
-		CacheSize:          *cacheSize,
-		DefaultTimeout:     *timeout,
-		MaxTimeout:         *maxTimeout,
-		MaxConflicts:       *maxConflicts,
-		DrainTimeout:       *drain,
-		SessionMaxK:        *sessionMaxK,
-		DisableIncremental: *noIncremental,
-		GaussInSearch:      *gauss,
-		Oracle:             *oracle,
-		Obs:                reg,
+		Addr:           *addr,
+		StreamAddr:     *streamAddr,
+		QueueDepth:     *queue,
+		Workers:        *workers,
+		CacheSize:      *cacheSize,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		MaxConflicts:   *maxConflicts,
+		DrainTimeout:   *drain,
+		SessionMaxK:    *sessionMaxK,
+		GaussInSearch:  *gauss,
+		Oracle:         *oracle,
+		Obs:            reg,
 	}
 
 	if *smoke {

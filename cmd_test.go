@@ -125,20 +125,25 @@ func TestSocsimCLI(t *testing.T) {
 
 // TestTimeprintdRejectsSatPar: the daemon solves every request on one
 // worker, so a pinned cube-split portfolio would quietly run serial
-// SAT. It must refuse the flag at startup with a usage exit instead.
+// SAT, and "exhaustive" names no dispatcher route. Both must be refused
+// at startup with a usage exit.
 func TestTimeprintdRejectsSatPar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles binaries")
 	}
 	bin := buildCmd(t, "timeprintd")
-	// A daemon that accepted the flag would serve forever; the deadline
-	// turns that into a failure instead of a hang.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, bin, "-oracle", "sat-par", "-addr", "127.0.0.1:0").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "sat-par") {
-		t.Fatalf("timeprintd -oracle sat-par: %v\n%s", err, out)
+	for _, oracle := range []string{"sat-par", "exhaustive"} {
+		t.Run(oracle, func(t *testing.T) {
+			// A daemon that accepted the flag would serve forever; the
+			// deadline turns that into a failure instead of a hang.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, "-oracle", oracle, "-addr", "127.0.0.1:0").CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), oracle) {
+				t.Fatalf("timeprintd -oracle %s: %v\n%s", oracle, err, out)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package benchdiff
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -14,27 +15,69 @@ const benchOutput = `goos: linux
 goarch: amd64
 pkg: repro
 cpu: Some CPU @ 2.40GHz
-BenchmarkPresolveOnOff/m=128/k=4/presolve-8         	       1	  11000000 ns/op	         2.000 fixed	         5.000 freed
-BenchmarkPresolveOnOff/m=128/k=4/presolve-8         	       1	  10000000 ns/op	         2.000 fixed	         5.000 freed
-BenchmarkPresolveOnOff/m=128/k=4/presolve-8         	       1	  12000000 ns/op	         2.000 fixed	         5.000 freed
-BenchmarkPresolveOnOff/m=128/k=4/raw-8              	       1	  20000000 ns/op	         0 fixed	         0 freed
-BenchmarkPresolveOnOff/m=128/k=4/raw-8              	       1	  22000000 ns/op	         0 fixed	         0 freed
+BenchmarkPresolveOnOff/m=128/k=4/presolve-8         	       1	  11000000 ns/op	       300.0 conflicts	         2.000 fixed	         5.000 freed
+BenchmarkPresolveOnOff/m=128/k=4/presolve-8         	       1	  10000000 ns/op	       300.0 conflicts	         2.000 fixed	         5.000 freed
+BenchmarkPresolveOnOff/m=128/k=4/presolve-8         	       1	  12000000 ns/op	       300.0 conflicts	         2.000 fixed	         5.000 freed
+BenchmarkPresolveOnOff/m=128/k=4/raw-8              	       1	  20000000 ns/op	       410.0 conflicts	         0 fixed	         0 freed
+BenchmarkPresolveOnOff/m=128/k=4/raw-8              	       1	  22000000 ns/op	       410.0 conflicts	         0 fixed	         0 freed
 BenchmarkParallelWorkers/workers=2-8                	       2	   5000000 ns/op	      1514 candidates
 BenchmarkParallelWorkers/workers=2-8                	       2	   5500000 ns/op	      1514 candidates
 PASS
 ok  	repro	12.345s
 `
 
+// parseString runs Parse over s, failing the test on error.
+func parseString(t *testing.T, s string) Run {
+	t.Helper()
+	run, err := Parse(strings.NewReader(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestParseLine(t *testing.T) {
-	s, ok := ParseLine("BenchmarkPresolveOnOff/m=128/k=4/presolve-8 \t 1\t  11000000 ns/op\t 2.000 fixed")
-	if !ok {
-		t.Fatal("result line not recognized")
-	}
-	if s.Name != "PresolveOnOff/m=128/k=4/presolve" {
-		t.Errorf("name %q: Benchmark prefix or cpu suffix not stripped", s.Name)
-	}
-	if s.N != 1 || s.NsPerOp != 11000000 {
-		t.Errorf("parsed %+v", s)
+	for _, tc := range []struct {
+		line string
+		name string
+		want map[string]float64
+	}{
+		{
+			line: "BenchmarkPresolveOnOff/m=128/k=4/presolve-8 \t 1\t  11000000 ns/op\t 2.000 fixed",
+			name: "PresolveOnOff/m=128/k=4/presolve",
+			want: map[string]float64{"ns/op": 11000000},
+		},
+		{
+			// One line carrying every guarded unit, in go test's order.
+			line: "BenchmarkDispatch/always-sat-2 \t 1\t 2450324268 ns/op\t 91234 conflicts\t 52428800 B/op\t 612345 allocs/op",
+			name: "Dispatch/always-sat",
+			want: map[string]float64{"ns/op": 2450324268, "conflicts": 91234, "B/op": 52428800, "allocs/op": 612345},
+		},
+		{
+			// The tprload harness prints no GOMAXPROCS suffix.
+			line: "BenchmarkLoadHot\t1\t1350342 ns/op",
+			name: "LoadHot",
+			want: map[string]float64{"ns/op": 1350342},
+		},
+	} {
+		run := parseString(t, tc.line)
+		if len(run.Samples) != 1 {
+			t.Fatalf("%q: parsed %v", tc.line, run.Samples)
+		}
+		units, ok := run.Samples[tc.name]
+		if !ok {
+			t.Fatalf("%q: name not %q (Benchmark prefix or cpu suffix not stripped): %v", tc.line, tc.name, run.Samples)
+		}
+		got := map[string]float64{}
+		for u, xs := range units {
+			if len(xs) != 1 {
+				t.Fatalf("%q: %s samples %v", tc.line, u, xs)
+			}
+			got[u] = xs[0]
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q: parsed %v, want %v", tc.line, got, tc.want)
+		}
 	}
 	for _, bad := range []string{
 		"goos: linux",
@@ -42,49 +85,55 @@ func TestParseLine(t *testing.T) {
 		"ok  \trepro\t12.345s",
 		"BenchmarkBroken-8 not-a-number 5 ns/op",
 		"BenchmarkNoNs-8 	 3 	 7.5 MB/s",
+		"BenchmarkGarbled-8 	 3 	 x ns/op",
 		"",
 	} {
-		if _, ok := ParseLine(bad); ok {
+		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("line %q accepted as a result", bad)
 		}
 	}
 }
 
 func TestParseGroupsByName(t *testing.T) {
-	got, err := Parse(strings.NewReader(benchOutput))
-	if err != nil {
-		t.Fatal(err)
+	run := parseString(t, benchOutput)
+	if len(run.Samples) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3: %v", len(run.Samples), run.Samples)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d benchmarks, want 3: %v", len(got), got)
-	}
-	if n := len(got["PresolveOnOff/m=128/k=4/presolve"]); n != 3 {
+	if n := len(run.Samples["PresolveOnOff/m=128/k=4/presolve"]["ns/op"]); n != 3 {
 		t.Errorf("presolve samples %d, want 3", n)
 	}
-	if n := len(got["ParallelWorkers/workers=2"]); n != 2 {
+	if n := len(run.Samples["ParallelWorkers/workers=2"]["ns/op"]); n != 2 {
 		t.Errorf("parallel samples %d, want 2", n)
+	}
+	want := Machine{CPU: "Some CPU @ 2.40GHz", GOMAXPROCS: 8}
+	if run.Machine != want {
+		t.Errorf("machine %+v, want %+v", run.Machine, want)
 	}
 	if _, err := Parse(strings.NewReader("PASS\nok repro 1s\n")); err == nil {
 		t.Error("benchmark-free input accepted")
 	}
+	// go test omits the suffix at GOMAXPROCS=1.
+	if run := parseString(t, "BenchmarkX \t 1 \t 5 ns/op"); run.Machine.GOMAXPROCS != 1 {
+		t.Errorf("unsuffixed run: GOMAXPROCS %d, want 1", run.Machine.GOMAXPROCS)
+	}
 }
 
 func TestParseUnitCustomMetric(t *testing.T) {
-	got, err := ParseUnit(strings.NewReader(benchOutput), "candidates")
-	if err != nil {
-		t.Fatal(err)
+	run := parseString(t, benchOutput)
+	xs := run.Samples["PresolveOnOff/m=128/k=4/raw"]["conflicts"]
+	if len(xs) != 2 || xs[0] != 410 || xs[1] != 410 {
+		t.Errorf("conflicts samples %v, want [410 410]", xs)
 	}
-	// Only the benchmark reporting the unit appears; the presolve lines
-	// (no "candidates" column) must not leak in as zeroes.
-	if len(got) != 1 {
-		t.Fatalf("parsed %d benchmarks for candidates, want 1: %v", len(got), got)
+	// Answer-shape columns are pinned by tests, not by the guard.
+	for name, units := range run.Samples {
+		for _, shape := range []string{"candidates", "fixed", "freed"} {
+			if _, ok := units[shape]; ok {
+				t.Errorf("%s: answer-shape unit %q recorded", name, shape)
+			}
+		}
 	}
-	xs := got["ParallelWorkers/workers=2"]
-	if len(xs) != 2 || xs[0] != 1514 || xs[1] != 1514 {
-		t.Errorf("candidates samples %v, want [1514 1514]", xs)
-	}
-	if _, err := ParseUnit(strings.NewReader(benchOutput), "conflicts"); err == nil {
-		t.Error("input without the requested unit accepted")
+	if _, ok := run.Samples["ParallelWorkers/workers=2"]["conflicts"]; ok {
+		t.Error("conflicts invented for a benchmark that does not report them")
 	}
 }
 
@@ -111,20 +160,25 @@ func TestMedian(t *testing.T) {
 }
 
 func TestSummarizeMedians(t *testing.T) {
-	sum := Summarize(map[string][]float64{
-		"a": {11e6, 10e6, 12e6},
-		"b": {20e6, 22e6},
+	sum := Summarize(map[string]map[string][]float64{
+		"a": {"ns/op": {11e6, 10e6, 12e6}, "conflicts": {5, 5, 5}},
+		"b": {"ns/op": {20e6, 22e6}},
 	})
-	if sum["a"] != 11e6 || sum["b"] != 21e6 {
+	if sum["a"]["ns/op"] != 11e6 || sum["a"]["conflicts"] != 5 || sum["b"]["ns/op"] != 21e6 {
 		t.Errorf("summary %v", sum)
 	}
 }
 
 func TestBaselineRoundTrip(t *testing.T) {
 	b := Baseline{
+		Machine:    Machine{CPU: "Some CPU @ 2.40GHz", GOMAXPROCS: 2, NProc: 2, Go: "go1.24.0"},
 		Note:       "count=5 benchtime=1x",
 		Samples:    5,
-		Benchmarks: map[string]float64{"a": 1.5e6, "b": 2e6},
+		Thresholds: map[string]float64{"": 0.30, "Load": 0.75},
+		Benchmarks: map[string]map[string]float64{
+			"a":       {"ns/op": 1.5e6, "conflicts": 300},
+			"LoadHot": {"ns/op": 2e6},
+		},
 	}
 	var buf bytes.Buffer
 	if err := b.WriteBaseline(&buf); err != nil {
@@ -134,36 +188,55 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Note != b.Note || got.Samples != b.Samples || len(got.Benchmarks) != 2 ||
-		got.Benchmarks["a"] != 1.5e6 {
-		t.Errorf("round trip %+v", got)
+	if !reflect.DeepEqual(got, b) {
+		t.Errorf("round trip\n got %+v\nwant %+v", got, b)
 	}
-	if _, err := ReadBaseline(strings.NewReader(`{"benchmarks":{}}`)); err == nil {
-		t.Error("empty baseline accepted")
+	if got.Threshold("a") != 0.30 || got.Threshold("LoadHot") != 0.75 {
+		t.Errorf("thresholds a=%v LoadHot=%v, want 0.30 and 0.75", got.Threshold("a"), got.Threshold("LoadHot"))
 	}
-	if _, err := ReadBaseline(strings.NewReader(`{"bogus":1}`)); err == nil {
-		t.Error("unknown field accepted")
+	for _, bad := range []string{
+		`{"thresholds":{"":0.3},"benchmarks":{}}`,
+		`{"benchmarks":{"a":{"ns/op":1}}}`,
+		`{"bogus":1}`,
+	} {
+		if _, err := ReadBaseline(strings.NewReader(bad)); err == nil {
+			t.Errorf("baseline %s accepted", bad)
+		}
 	}
 }
 
-func TestCompareThreshold(t *testing.T) {
-	base := map[string]float64{
-		"steady":   100,
-		"slower":   100,
-		"faster":   100,
-		"boundary": 100,
-		"gone":     100,
+// ns builds a single-unit median table.
+func ns(rows map[string]float64) map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for name, v := range rows {
+		out[name] = map[string]float64{"ns/op": v}
 	}
-	cur := map[string]float64{
+	return out
+}
+
+func TestCompareThreshold(t *testing.T) {
+	base := Baseline{
+		Thresholds: map[string]float64{"": 0.30, "Load": 0.75},
+		Benchmarks: ns(map[string]float64{
+			"steady":   100,
+			"slower":   100,
+			"faster":   100,
+			"boundary": 100,
+			"gone":     100,
+			"LoadCold": 100,
+		}),
+	}
+	cur := ns(map[string]float64{
 		"steady":   110,
 		"slower":   140, // +40% > 30%
 		"faster":   60,  // -40%
 		"boundary": 130, // exactly +30%: not a regression
 		"brandnew": 50,
-	}
-	deltas, failures := Compare(base, cur, 0.30)
-	if len(deltas) != 6 {
-		t.Fatalf("%d deltas, want 6", len(deltas))
+		"LoadCold": 170, // +70%, inside the Load suite's 75%
+	})
+	deltas, failures := Compare(base, cur)
+	if len(deltas) != 7 {
+		t.Fatalf("%d deltas, want 7", len(deltas))
 	}
 	status := map[string]string{}
 	for _, d := range deltas {
@@ -171,18 +244,15 @@ func TestCompareThreshold(t *testing.T) {
 	}
 	want := map[string]string{
 		"steady": "ok", "slower": "regressed", "faster": "improved",
-		"boundary": "ok", "gone": "missing", "brandnew": "new",
+		"boundary": "ok", "gone": "missing", "brandnew": "new", "LoadCold": "ok",
 	}
 	for n, w := range want {
 		if status[n] != w {
 			t.Errorf("%s: status %q, want %q", n, status[n], w)
 		}
 	}
-	if len(failures) != 2 {
-		t.Fatalf("failures %v, want [gone slower]", failures)
-	}
-	if failures[0] != "gone" || failures[1] != "slower" {
-		t.Errorf("failures %v not sorted by name", failures)
+	if !reflect.DeepEqual(failures, []string{"gone ns/op", "slower ns/op"}) {
+		t.Fatalf("failures %v, want [gone ns/op slower ns/op] sorted by name", failures)
 	}
 	for _, d := range deltas {
 		if d.Name == "slower" && math.Abs(d.Ratio-0.40) > 1e-9 {
@@ -194,29 +264,67 @@ func TestCompareThreshold(t *testing.T) {
 	}
 }
 
+// TestCompareRows covers the per-unit rules: a recorded unit or
+// benchmark missing from the run fails, the effort counters obey the
+// same threshold as wall clock, and a zero baseline may not grow.
+func TestCompareRows(t *testing.T) {
+	base := Baseline{
+		Thresholds: map[string]float64{"": 0.30},
+		Benchmarks: map[string]map[string]float64{
+			"Gauss/insearch": {"ns/op": 1e9, "conflicts": 1000},
+			"Dispatch/auto":  {"ns/op": 1e6, "conflicts": 0},
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		cur  map[string]map[string]float64
+		fail []string
+	}{
+		{"identical", base.Benchmarks, nil},
+		{"conflicts +29%", map[string]map[string]float64{
+			"Gauss/insearch": {"ns/op": 1e9, "conflicts": 1290},
+			"Dispatch/auto":  {"ns/op": 1e6, "conflicts": 0},
+		}, nil},
+		{"conflicts +31%", map[string]map[string]float64{
+			"Gauss/insearch": {"ns/op": 1e9, "conflicts": 1310},
+			"Dispatch/auto":  {"ns/op": 1e6, "conflicts": 0},
+		}, []string{"Gauss/insearch conflicts"}},
+		{"unit missing", map[string]map[string]float64{
+			"Gauss/insearch": {"ns/op": 1e9},
+			"Dispatch/auto":  {"ns/op": 1e6, "conflicts": 0},
+		}, []string{"Gauss/insearch conflicts"}},
+		{"benchmark missing", map[string]map[string]float64{
+			"Gauss/insearch": {"ns/op": 1e9, "conflicts": 1000},
+		}, []string{"Dispatch/auto conflicts", "Dispatch/auto ns/op"}},
+		{"zero baseline grew", map[string]map[string]float64{
+			"Gauss/insearch": {"ns/op": 1e9, "conflicts": 1000},
+			"Dispatch/auto":  {"ns/op": 1e6, "conflicts": 3},
+		}, []string{"Dispatch/auto conflicts"}},
+	} {
+		_, failures := Compare(base, tc.cur)
+		if !reflect.DeepEqual(failures, tc.fail) {
+			t.Errorf("%s: failures %v, want %v", tc.name, failures, tc.fail)
+		}
+	}
+}
+
 // TestEndToEndGuard is the whole guard in miniature: record a baseline
 // from one transcript, then fail a doctored rerun where the raw
 // (no-presolve) path got 2x slower.
 func TestEndToEndGuard(t *testing.T) {
-	rec, err := Parse(strings.NewReader(benchOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := Baseline{Benchmarks: Summarize(rec), Samples: 3}
+	rec := parseString(t, benchOutput)
+	base := Baseline{Thresholds: map[string]float64{"": 0.30}, Benchmarks: Summarize(rec.Samples), Samples: 3}
 
 	slowed := strings.ReplaceAll(benchOutput, "  20000000 ns/op", "  40000000 ns/op")
 	slowed = strings.ReplaceAll(slowed, "  22000000 ns/op", "  44000000 ns/op")
-	cur, err := Parse(strings.NewReader(slowed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, failures := Compare(base.Benchmarks, Summarize(cur), 0.30)
-	if len(failures) != 1 || failures[0] != "PresolveOnOff/m=128/k=4/raw" {
+	cur := parseString(t, slowed)
+	_, failures := Compare(base, Summarize(cur.Samples))
+	if !reflect.DeepEqual(failures, []string{"PresolveOnOff/m=128/k=4/raw ns/op"}) {
 		t.Fatalf("failures %v, want the doctored raw benchmark only", failures)
 	}
 
 	// An identical rerun passes.
-	if _, failures := Compare(base.Benchmarks, Summarize(rec), 0.30); len(failures) != 0 {
+	if _, failures := Compare(base, Summarize(rec.Samples)); len(failures) != 0 {
 		t.Fatalf("identical run failed the guard: %v", failures)
 	}
 }

@@ -36,16 +36,13 @@ const (
 	RouteParallel = "sat-par"
 	// RouteSAT: serial one-shot SAT — the always-sound residual.
 	RouteSAT = "sat"
-	// RouteExhaustive: 2^m concretization. Never chosen by the cost
-	// model (brute dominates it); selectable only via Force.
-	RouteExhaustive = "exhaustive"
 )
 
 // KnownOracle reports whether name is a valid DispatchOptions.Force
 // value ("auto" and "" mean cost-model routing).
 func KnownOracle(name string) bool {
 	switch name {
-	case "", "auto", RouteSAT, RouteParallel, RouteSession, RouteDecode, RouteBrute, RouteExhaustive:
+	case "", "auto", RouteSAT, RouteParallel, RouteSession, RouteDecode, RouteBrute:
 		return true
 	}
 	return false
@@ -54,7 +51,7 @@ func KnownOracle(name string) bool {
 // DispatchOptions tune the cost-model router.
 type DispatchOptions struct {
 	// Force pins every request to one backend: "sat", "sat-par",
-	// "sat-inc", "decode", "brute" or "exhaustive". "" or "auto" means
+	// "sat-inc", "decode" or "brute". "" or "auto" means
 	// cost-model routing. A forced backend that cannot express a
 	// request still falls back to serial SAT (and counts a fallback).
 	Force string
@@ -62,9 +59,8 @@ type DispatchOptions struct {
 	// that fall through to one-shot SAT.
 	Workers int
 	// SessionMaxK bounds the incremental session's cardinality ladder
-	// (default 16); DisableSession removes the session route entirely.
-	SessionMaxK    int
-	DisableSession bool
+	// (default 16).
+	SessionMaxK int
 	// GaussInSearch keeps the session solver's reduced parity matrix
 	// live across decision levels (in-search Gaussian elimination) so
 	// wide-row systems propagate mid-search instead of only when a row
@@ -121,7 +117,7 @@ type Features struct {
 	Props     int
 	Evaluable bool
 	// SessionOK reports whether the incremental session route could
-	// express the request (enabled, k within the ladder).
+	// express the request (k within the ladder).
 	SessionOK bool
 	// Workers mirrors DispatchOptions.Workers for the routing table.
 	Workers int
@@ -188,8 +184,6 @@ type Dispatcher struct {
 	decO     Oracle
 	bruOnce  sync.Once
 	bruO     Oracle
-	exhOnce  sync.Once
-	exhO     Oracle
 	sessOnce sync.Once
 	sessO    *SessionOracle
 	sessErr  error
@@ -199,8 +193,8 @@ type Dispatcher struct {
 // an unknown Force name; backends are constructed on first use.
 func NewDispatcher(enc *encoding.Encoding, opts DispatchOptions) (*Dispatcher, error) {
 	if !KnownOracle(opts.Force) {
-		return nil, fmt.Errorf("reconstruct: unknown oracle %q (want auto|%s|%s|%s|%s|%s|%s)",
-			opts.Force, RouteSAT, RouteParallel, RouteSession, RouteDecode, RouteBrute, RouteExhaustive)
+		return nil, fmt.Errorf("reconstruct: unknown oracle %q (want auto|%s|%s|%s|%s|%s)",
+			opts.Force, RouteSAT, RouteParallel, RouteSession, RouteDecode, RouteBrute)
 	}
 	if opts.Force == "auto" {
 		opts.Force = ""
@@ -233,11 +227,6 @@ func (d *Dispatcher) decode() Oracle {
 func (d *Dispatcher) brute() Oracle {
 	d.bruOnce.Do(func() { d.bruO = NewBruteOracle(d.enc, d.opts.maxNullity()) })
 	return d.bruO
-}
-
-func (d *Dispatcher) exhaustive() Oracle {
-	d.exhOnce.Do(func() { d.exhO = NewExhaustiveOracle(d.enc, 0) })
-	return d.exhO
 }
 
 func (d *Dispatcher) session() (*SessionOracle, error) {
@@ -280,7 +269,7 @@ func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features,
 		// ForcedTrue + (m - Fixed) — the presolve's feasibility bound.
 		f.KFeasible = entry.K >= f.ForcedTrue && entry.K <= f.ForcedTrue+(m-f.Fixed)
 	}
-	f.SessionOK = !d.opts.DisableSession && entry.K <= min(d.opts.sessionMaxK(), m)
+	f.SessionOK = entry.K <= min(d.opts.sessionMaxK(), m)
 	return f, nil
 }
 
@@ -295,8 +284,6 @@ func (d *Dispatcher) oracleFor(route string) (Oracle, error) {
 		return d.session()
 	case RouteParallel:
 		return d.par(), nil
-	case RouteExhaustive:
-		return d.exhaustive(), nil
 	default:
 		return d.sat(), nil
 	}

@@ -21,11 +21,11 @@ import (
 // treats it as "pick another backend", never as a request failure.
 var ErrUnsupported = errors.New("reconstruct: oracle does not support this request")
 
-// Oracle is one sound Signal Reconstruction backend. All six engines
+// Oracle is one sound Signal Reconstruction backend. All five engines
 // in the repository — algebraic decode, serial SAT, cube-split
-// parallel SAT, the incremental session solver, GF(2) brute force and
-// exhaustive concretization — implement it, as does the cost-model
-// Dispatcher that routes between them.
+// parallel SAT, the incremental session solver and GF(2) brute force —
+// implement it, as does the cost-model Dispatcher that routes between
+// them.
 //
 // The error contract is typed and uniform across implementations:
 //
@@ -359,64 +359,6 @@ func (o *bruteOracle) Count(ctx context.Context, entry core.LogEntry, cons []Con
 }
 
 func (o *bruteOracle) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	return checkVia(o, ctx, entry, cons)
-}
-
-// --- exhaustive concretization ---
-
-// exhaustiveOracle scans all 2^m signals (core.Concretize). It exists
-// as an independent ground truth for small m, not as a route the cost
-// model ever prefers — the brute oracle dominates it whenever both
-// apply (2^nullity <= 2^m).
-type exhaustiveOracle struct {
-	enc  *encoding.Encoding
-	maxM int
-}
-
-// NewExhaustiveOracle returns the 2^m concretization backend; maxM
-// bounds the scan (default 16 when <= 0).
-func NewExhaustiveOracle(enc *encoding.Encoding, maxM int) Oracle {
-	if maxM <= 0 {
-		maxM = 16
-	}
-	return &exhaustiveOracle{enc: enc, maxM: maxM}
-}
-
-func (o *exhaustiveOracle) Name() string { return "exhaustive" }
-
-func (o *exhaustiveOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	if err := validateShape(o.enc, entry); err != nil {
-		return nil, false, err
-	}
-	if o.enc.M() > o.maxM {
-		return nil, false, fmt.Errorf("exhaustive concretization refuses m=%d > %d: %w", o.enc.M(), o.maxM, ErrUnsupported)
-	}
-	if !evaluableAll(cons) {
-		return nil, false, errUnsupportedConstraints("exhaustive concretization")
-	}
-	sigs := core.Concretize(o.enc, entry)
-	out := make([]core.Signal, 0, len(sigs))
-	for _, s := range sigs {
-		if !holdsAll(cons, s) {
-			continue
-		}
-		out = append(out, s)
-		if limit > 0 && len(out) >= limit && len(out) < len(sigs) {
-			return out, false, nil
-		}
-	}
-	return out, true, nil
-}
-
-func (o *exhaustiveOracle) First(ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	return firstVia(o, ctx, entry, cons)
-}
-
-func (o *exhaustiveOracle) Count(ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	return countVia(o, ctx, entry, cons, max)
-}
-
-func (o *exhaustiveOracle) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
 	return checkVia(o, ctx, entry, cons)
 }
 

@@ -228,13 +228,12 @@ func (s *Server) solve(ctx context.Context, sess *session, entry core.LogEntry, 
 // dispatcher configuration.
 func (s *Server) dispatchOptions() reconstruct.DispatchOptions {
 	return reconstruct.DispatchOptions{
-		Force:          s.cfg.Oracle,
-		Workers:        1,
-		SessionMaxK:    s.cfg.SessionMaxK,
-		DisableSession: s.cfg.DisableIncremental,
-		GaussInSearch:  s.cfg.GaussInSearch,
-		MaxConflicts:   s.cfg.MaxConflicts,
-		Obs:            s.obs,
+		Force:         s.cfg.Oracle,
+		Workers:       1,
+		SessionMaxK:   s.cfg.SessionMaxK,
+		GaussInSearch: s.cfg.GaussInSearch,
+		MaxConflicts:  s.cfg.MaxConflicts,
+		Obs:           s.obs,
 	}
 }
 

@@ -161,9 +161,6 @@ type Config struct {
 	// solver encodes its cardinality ladder for (default 16); entries
 	// with larger k fall back to a one-shot instance.
 	SessionMaxK int
-	// DisableIncremental turns off per-session solver reuse: every
-	// solve builds a fresh SAT instance (ablation/debug).
-	DisableIncremental bool
 	// GaussInSearch enables in-search Gaussian elimination in the
 	// incremental session solvers: the reduced parity matrix stays live
 	// across decision levels, extracting implications and conflicts
@@ -184,7 +181,7 @@ type Config struct {
 	// (default 4096).
 	MaxStreams int
 	// Oracle pins every solve to one reconstruction backend ("sat",
-	// "sat-inc", "decode", "brute", "exhaustive"). "" or "auto" (the
+	// "sat-inc", "decode", "brute"). "" or "auto" (the
 	// default) lets the dispatcher's cost model route each request to
 	// the cheapest sound backend.
 	Oracle string

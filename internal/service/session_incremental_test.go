@@ -70,23 +70,3 @@ func TestIncrementalFallbackOnLargeK(t *testing.T) {
 		t.Fatalf("incremental solves = %d, want 0", n)
 	}
 }
-
-// DisableIncremental routes everything through the one-shot path
-// without even counting fallbacks.
-func TestIncrementalDisabled(t *testing.T) {
-	_, base, reg := startServer(t, Config{DisableIncremental: true}, 0)
-	wire, _ := testLog(t, 16, 9, 3, 7)
-	resp, body, err := postWire(base, wire, "scheme=incremental&depth=4&limit=-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d (%v)", resp.StatusCode, body)
-	}
-	snap := reg.Snapshot()
-	for _, m := range []string{MetricSessionReuse, MetricSessionClone, MetricSessionFallback} {
-		if v := snap.Counters[m]; v != 0 {
-			t.Fatalf("%s = %d with incremental disabled", m, v)
-		}
-	}
-}
