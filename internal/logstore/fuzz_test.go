@@ -1,18 +1,18 @@
 package logstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"testing"
 )
 
-// FuzzSegment drives the segment record framer/reader with arbitrary
-// bytes: walkRecords must never panic, must decode only what
-// frameRecord(encodeRecord(...)) produced, and a re-encode of every
-// decoded record must be byte-identical to the frame it came from
-// (the store's byte-identical-replay guarantee rests on this).
+// FuzzSegment drives the segment record framer and the walker, the
+// store's one record reader, with arbitrary bytes: the walker must
+// never panic, must decode only what frameRecord(encodeRecord(...))
+// produced, and a re-encode of every decoded record must be
+// byte-identical to the frame it came from (the store's
+// byte-identical-replay guarantee rests on this).
 //
 // The corpus is seeded from the crash-recovery matrix: a clean
 // segment, a torn final record, a cut CRC, a zero-filled tail, and a
@@ -55,12 +55,25 @@ func FuzzSegment(f *testing.F) {
 		const maxRecord = 1 << 20
 		var decoded []Record
 		var offs []int64
-		off, err := walkRecords(bufio.NewReader(bytes.NewReader(data)), maxRecord,
-			func(rec Record, o int64) error {
-				decoded = append(decoded, rec)
-				offs = append(offs, o)
-				return nil
+		w := newWalker(bytes.NewReader(data), segHeaderSize, segHeaderSize+int64(len(data)), maxRecord)
+		defer w.release()
+		var err error
+		for {
+			var v *recordView
+			if v, err = w.next(); v == nil {
+				break
+			}
+			decoded = append(decoded, Record{
+				Device: string(v.device), Signal: string(v.signal),
+				Epoch: v.epoch, TraceCycleBase: v.base,
+				Body: append([]byte(nil), v.body...),
 			})
+			offs = append(offs, v.off)
+			if !bytes.Equal(v.key, keyBytes(string(v.device), string(v.signal))) {
+				t.Fatalf("record %d: key bytes disagree with its names", len(decoded)-1)
+			}
+		}
+		off := w.off
 		if off < segHeaderSize || off > segHeaderSize+int64(len(data)) {
 			t.Fatalf("reported offset %d outside segment bounds", off)
 		}

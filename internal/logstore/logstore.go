@@ -28,7 +28,7 @@
 package logstore
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -77,6 +77,10 @@ const (
 	// Query-side counters.
 	MetricQueries      = "logstore.queries"
 	MetricQueryRecords = "logstore.query.records"
+	// MetricQueryScanned counts the records queries walked, matching
+	// or not; query.records over query.scanned is the read path's
+	// useful-work ratio.
+	MetricQueryScanned = "logstore.query.scanned"
 )
 
 // Options tunes a Store. The zero value is production-usable.
@@ -334,8 +338,7 @@ func (s *Store) scanSegment(path string, seq uint64, rec *Recovery) (*segment, e
 	if err != nil {
 		return nil, fmt.Errorf("logstore: segment %s: %v: %w", filepath.Base(path), err, ErrCorrupt)
 	}
-	br := bufio.NewReader(f)
-	hdrSeq, err := readSegmentHeader(br)
+	hdrSeq, err := readSegmentHeader(f)
 	if err != nil {
 		// Nothing salvageable without a trustworthy header; drop the
 		// whole file from the index (fail closed) but leave it on disk
@@ -347,10 +350,27 @@ func (s *Store) scanSegment(path string, seq uint64, rec *Recovery) (*segment, e
 			filepath.Base(path), hdrSeq, ErrCorrupt)
 	}
 	seg := &segment{seq: seq, path: path, keys: make(map[Key]*keyIndex)}
-	goodOff, walkErr := walkRecords(br, s.opts.MaxRecordBytes, func(r Record, off int64) error {
-		indexSegmentRecord(seg, r, off)
-		return nil
-	})
+	// byKey finds a walked record's index entry from its raw key bytes
+	// without converting them to strings: a lookup m[string(b)] does not
+	// allocate, so only a segment's first record of each key does.
+	byKey := make(map[string]*keyIndex)
+	w := newWalker(f, segHeaderSize, st.Size(), s.opts.MaxRecordBytes)
+	defer w.release()
+	var walkErr error
+	for {
+		v, err := w.next()
+		if v == nil {
+			walkErr = err
+			break
+		}
+		ki := byKey[string(v.key)]
+		if ki == nil {
+			ki = seg.keyIndexFor(Key{string(v.device), string(v.signal)})
+			byKey[string(v.key)] = ki
+		}
+		seg.add(ki, v.epoch, v.off)
+	}
+	goodOff := w.off
 	seg.size = goodOff
 	if walkErr != nil {
 		// Damaged tail: truncate the file back to the last intact
@@ -365,7 +385,7 @@ func (s *Store) scanSegment(path string, seq uint64, rec *Recovery) (*segment, e
 			filepath.Base(path), seg.records, dropped, walkErr)
 	}
 	if st.Size() != goodOff {
-		// walkRecords stopped clean but short (cannot happen today;
+		// The walk stopped clean but short (cannot happen today;
 		// defensive against a future early-exit) — treat like damage.
 		rec.TruncatedBytes += st.Size() - goodOff
 		if err := os.Truncate(path, goodOff); err != nil {
@@ -377,37 +397,38 @@ func (s *Store) scanSegment(path string, seq uint64, rec *Recovery) (*segment, e
 
 // indexRecord folds one appended record into the segment index and the
 // store-wide bookkeeping. The open-time scan instead indexes into the
-// candidate segment only (indexSegmentRecord) and absorbs it on
-// success, so a segment dropped during recovery never pollutes the
-// store counters or the per-key epoch clamp.
+// candidate segment only and absorbs it on success, so a segment
+// dropped during recovery never pollutes the store counters or the
+// per-key epoch clamp.
 func (s *Store) indexRecord(seg *segment, r Record, off int64) {
-	indexSegmentRecord(seg, r, off)
-	s.stats.Records++
 	key := Key{r.Device, r.Signal}
+	seg.add(seg.keyIndexFor(key), r.Epoch, off)
+	s.stats.Records++
 	if last, ok := s.lastEpoch[key]; !ok || r.Epoch > last {
 		s.lastEpoch[key] = r.Epoch
 	}
 }
 
-// indexSegmentRecord folds one record into a segment's local index.
-func indexSegmentRecord(seg *segment, r Record, off int64) {
-	key := Key{r.Device, r.Signal}
+// keyIndexFor returns the segment's index entry for key, creating it.
+func (seg *segment) keyIndexFor(key Key) *keyIndex {
 	ki := seg.keys[key]
 	if ki == nil {
-		ki = &keyIndex{minEpoch: r.Epoch, maxEpoch: r.Epoch, sorted: true}
+		ki = &keyIndex{minEpoch: math.MaxInt64, maxEpoch: math.MinInt64, sorted: true}
 		seg.keys[key] = ki
 	}
-	if r.Epoch < ki.maxEpoch {
+	return ki
+}
+
+// add folds one record of ki's key, at file offset off, into the
+// segment's local index.
+func (seg *segment) add(ki *keyIndex, epoch, off int64) {
+	if epoch < ki.maxEpoch {
 		ki.sorted = false
 	}
-	if r.Epoch < ki.minEpoch {
-		ki.minEpoch = r.Epoch
-	}
-	if r.Epoch > ki.maxEpoch {
-		ki.maxEpoch = r.Epoch
-	}
+	ki.minEpoch = min(ki.minEpoch, epoch)
+	ki.maxEpoch = max(ki.maxEpoch, epoch)
 	if ki.count%sparseEvery == 0 {
-		ki.sparse = append(ki.sparse, idxPoint{epoch: r.Epoch, off: off})
+		ki.sparse = append(ki.sparse, idxPoint{epoch: epoch, off: off})
 	}
 	ki.count++
 	seg.records++
@@ -604,6 +625,11 @@ func (s *Store) compactLocked() (int, error) {
 // append order, with bodies copied out byte-identically. A structural
 // failure while reading (a segment damaged since open) fails closed
 // with an error wrapping ErrCorrupt.
+//
+// The returned records share q.Device and q.Signal as their names, and
+// their bodies are capacity-bounded slices of one per-query arena: each
+// is an independent copy of the stored bytes, and appending to one
+// never reaches another.
 func (s *Store) Query(q Query) ([]Record, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -614,28 +640,55 @@ func (s *Store) Query(q Query) ([]Record, error) {
 		return nil, fmt.Errorf("logstore: query range [%d, %d] is empty", q.From, q.To)
 	}
 	key := Key{q.Device, q.Signal}
-	var out []Record
+	qs := queryScan{q: q, key: keyBytes(q.Device, q.Signal)}
 	for _, seg := range s.segs {
-		if q.Limit > 0 && len(out) >= q.Limit {
+		if q.Limit > 0 && len(qs.out) >= q.Limit {
 			break
 		}
 		ki := seg.keys[key]
 		if ki == nil || ki.count == 0 || ki.minEpoch > q.To || ki.maxEpoch < q.From {
 			continue
 		}
-		if err := s.scanForQuery(seg, ki, key, q, &out); err != nil {
+		if err := s.scanForQuery(seg, ki, &qs); err != nil {
 			return nil, err
 		}
 	}
 	s.obs.Counter(MetricQueries).Inc()
-	s.obs.Counter(MetricQueryRecords).Add(int64(len(out)))
-	return out, nil
+	s.obs.Counter(MetricQueryRecords).Add(int64(len(qs.out)))
+	s.obs.Counter(MetricQueryScanned).Add(qs.scanned)
+	return qs.out, nil
+}
+
+// queryScan is one Query's state across the segments it reads.
+type queryScan struct {
+	q       Query
+	key     []byte // keyBytes(q.Device, q.Signal)
+	out     []Record
+	arena   []byte // backing store of the returned bodies
+	scanned int64  // records walked, matching or not
+}
+
+// keep appends one matching record, copying its body into the arena.
+func (qs *queryScan) keep(v *recordView) {
+	if cap(qs.arena)-len(qs.arena) < len(v.body) {
+		qs.arena = make([]byte, 0, max(2*cap(qs.arena), len(v.body), 4<<10))
+	}
+	start := len(qs.arena)
+	qs.arena = append(qs.arena, v.body...)
+	qs.out = append(qs.out, Record{
+		Device: qs.q.Device, Signal: qs.q.Signal,
+		Epoch: v.epoch, TraceCycleBase: v.base,
+		Body: qs.arena[start:len(qs.arena):len(qs.arena)],
+	})
 }
 
 // scanForQuery reads one segment's matching records. Sorted keys seek
 // via the sparse index (largest sample strictly below From) and stop
-// once past To; unsorted keys scan the whole segment.
-func (s *Store) scanForQuery(seg *segment, ki *keyIndex, key Key, q Query, out *[]Record) error {
+// once past To; unsorted keys scan the whole segment. Every record
+// walked is CRC-checked, so damage anywhere in the walked span — in any
+// key's record — fails the query closed.
+func (s *Store) scanForQuery(seg *segment, ki *keyIndex, qs *queryScan) error {
+	q := qs.q
 	start := int64(segHeaderSize)
 	if ki.sorted {
 		for _, p := range ki.sparse {
@@ -649,27 +702,33 @@ func (s *Store) scanForQuery(seg *segment, ki *keyIndex, key Key, q Query, out *
 		return fmt.Errorf("logstore: segment %s: %v: %w", filepath.Base(seg.path), err, ErrCorrupt)
 	}
 	defer f.Close()
-	r := bufio.NewReader(io.NewSectionReader(f, start, seg.size-start))
-	walk := func(rec Record, off int64) error {
-		if rec.Device != key.Device || rec.Signal != key.Signal {
+	if _, err := f.Seek(start, io.SeekStart); err != nil {
+		return fmt.Errorf("logstore: segment %s: %v: %w", filepath.Base(seg.path), err, ErrCorrupt)
+	}
+	w := newWalker(f, start, seg.size, s.opts.MaxRecordBytes)
+	defer w.release()
+	for {
+		v, err := w.next()
+		if err != nil {
+			return fmt.Errorf("logstore: segment %s: %w", filepath.Base(seg.path), err)
+		}
+		if v == nil {
 			return nil
 		}
-		if ki.sorted && rec.Epoch > q.To {
-			return errStopWalk
+		qs.scanned++
+		if !bytes.Equal(v.key, qs.key) {
+			continue
 		}
-		if rec.Epoch >= q.From && rec.Epoch <= q.To {
-			*out = append(*out, rec)
-			if q.Limit > 0 && len(*out) >= q.Limit {
-				return errStopWalk
+		if ki.sorted && v.epoch > q.To {
+			return nil
+		}
+		if v.epoch >= q.From && v.epoch <= q.To {
+			qs.keep(v)
+			if q.Limit > 0 && len(qs.out) >= q.Limit {
+				return nil
 			}
 		}
-		return nil
 	}
-	// The section reader hides the true offsets; recompute for errors.
-	if _, err := walkRecords(r, s.opts.MaxRecordBytes, walk); err != nil {
-		return fmt.Errorf("logstore: segment %s: %w", filepath.Base(seg.path), err)
-	}
-	return nil
 }
 
 // Keys lists the streams currently on disk, sorted by device then

@@ -216,26 +216,42 @@ func fillSegments(t *testing.T, st *Store, nSegs int) []Record {
 	return out
 }
 
-// countSegmentRecords walks one segment file and returns its record
-// count (the file must be intact).
-func countSegmentRecords(t *testing.T, path string) int {
+// walkSegmentFile walks one intact segment file and returns each
+// record's frame offset and the offset just past the last record.
+func walkSegmentFile(t *testing.T, path string) (offs []int64, end int64) {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := readSegmentHeader(f); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	if _, err := walkRecords(f, 16<<20, func(Record, int64) error {
-		n++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	w := newWalker(f, segHeaderSize, fi.Size(), 16<<20)
+	defer w.release()
+	for {
+		v, err := w.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == nil {
+			return offs, w.off
+		}
+		offs = append(offs, v.off)
 	}
-	return n
+}
+
+// countSegmentRecords walks one segment file and returns its record
+// count (the file must be intact).
+func countSegmentRecords(t *testing.T, path string) int {
+	t.Helper()
+	offs, _ := walkSegmentFile(t, path)
+	return len(offs)
 }
 
 // TestCrashRecoveryMatrix is the injected-failure matrix from the
@@ -295,21 +311,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Find the final record's frame start by re-walking.
-				f, err := os.Open(last)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var lastFrame int64
-				if _, err := readSegmentHeader(f); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := walkRecords(f, 16<<20, func(_ Record, off int64) error {
-					lastFrame = off
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
+				offs, _ := walkSegmentFile(t, last)
+				lastFrame := offs[len(offs)-1]
 				// Keep the length field, cut inside the CRC field.
 				if lastFrame+6 >= fi.Size() {
 					t.Fatal("segment too small for CRC cut")
@@ -379,18 +382,9 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				// valid, semantically a replay. The store must keep serving
 				// (duplicates are data, not damage).
 				last := o.names[len(o.names)-1]
+				offs, end := walkSegmentFile(t, last)
+				lastOff := offs[len(offs)-1]
 				f, err := os.Open(last)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var lastOff int64
-				if _, err := readSegmentHeader(f); err != nil {
-					t.Fatal(err)
-				}
-				end, err := walkRecords(f, 16<<20, func(_ Record, off int64) error {
-					lastOff = off
-					return nil
-				})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -470,12 +470,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, code, map[string]string{"status": status})
 }
 
+// writeJSON sends v as compact JSON. Indentation costs encode time and
+// bytes on the largest responses, the /v1/logs listings with bodies.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorStatus maps an error to its HTTP status and message (500 unless

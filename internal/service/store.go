@@ -136,15 +136,20 @@ func (s *Server) handleStoreLogs(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequest("need both device and signal (or neither, for the stream listing)"))
 		return
 	}
+	// Parsed in a fixed order, so a request with two bad values always
+	// reports the first.
 	var from, to int64
-	for name, dst := range map[string]*int64{"from_epoch_us": &from, "to_epoch_us": &to} {
-		if v := q.Get(name); v != "" {
+	for _, p := range []struct {
+		name string
+		dst  *int64
+	}{{"from_epoch_us", &from}, {"to_epoch_us", &to}} {
+		if v := q.Get(p.name); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				s.writeError(w, badRequest("query %s=%q: %v", name, v, err))
+				s.writeError(w, badRequest("query %s=%q: %v", p.name, v, err))
 				return
 			}
-			*dst = n
+			*p.dst = n
 		}
 	}
 	from, to = epochRange(from, to)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,6 +350,43 @@ func TestStoreQueryValidation(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("geometry mismatch: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestStoreLogsBadParams: malformed /v1/logs selections are 400s that
+// name the offending parameter. The parameters are parsed in a fixed
+// order, so a request with several bad values always reports the same
+// one; each row is sent several times to show it.
+func TestStoreLogsBadParams(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	_, base, _ := startServer(t, Config{Store: st}, 0)
+	for _, tc := range []struct {
+		query string
+		want  string // substring of the error message
+	}{
+		{"device=d", "need both device and signal"},
+		{"device=d&signal=s&from_epoch_us=x", "from_epoch_us"},
+		{"device=d&signal=s&to_epoch_us=y", "to_epoch_us"},
+		{"device=d&signal=s&to_epoch_us=y&from_epoch_us=x", `from_epoch_us="x"`},
+		{"device=d&signal=s&limit=0", "limit"},
+	} {
+		for i := 0; i < 8; i++ {
+			httpResp, err := http.Get(base + "/v1/logs?" + tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(httpResp.Body)
+			httpResp.Body.Close()
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatalf("%s: %v: %s", tc.query, err, raw)
+			}
+			if httpResp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+				t.Fatalf("%s: %d %q, want 400 naming %s", tc.query, httpResp.StatusCode, e.Error, tc.want)
+			}
+		}
 	}
 }
 
