@@ -173,7 +173,7 @@ func BenchmarkEncodingGeneration(b *testing.B) {
 // --- Ablations (DESIGN.md section 5) ---
 
 // BenchmarkAblationCardinality compares the Sinz sequential counter
-// against the naive binomial encoding.
+// against the naive binomial encoding (ablation_test.go instances).
 func BenchmarkAblationCardinality(b *testing.B) {
 	// m is kept small: the binomial encoding needs C(m, k+1) clauses
 	// and refuses anything explosive by design.
@@ -182,52 +182,40 @@ func BenchmarkAblationCardinality(b *testing.B) {
 		b.Fatal(err)
 	}
 	entry := core.Log(enc, bench.PlantedSignal(32, 3))
-	for _, mode := range []struct {
-		name string
-		opts reconstruct.Options
-	}{
-		{"sinz", reconstruct.Options{}},
-		{"binomial", reconstruct.Options{BinomialCardinality: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rec, err := reconstruct.New(enc, entry, nil, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := rec.EnumerateStrict(10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchmarkAblations(b, enc, entry, []ablation{
+		{name: "sinz", cut: 8},
+		{name: "binomial", cut: 8, binomial: true},
+	})
 }
 
 // BenchmarkAblationXor compares native XOR clauses (with and without
-// cutting) against Tseitin CNF expansion.
+// cutting) against Tseitin CNF expansion (ablation_test.go instances).
 func BenchmarkAblationXor(b *testing.B) {
 	enc, err := bench.CachedEncoding("incremental", 128, 16, 4, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	entry := core.Log(enc, bench.PlantedSignal(128, 4))
-	for _, mode := range []struct {
-		name string
-		opts reconstruct.Options
-	}{
-		{"native-cut8", reconstruct.Options{}},
-		{"native-uncut", reconstruct.Options{XorCutLen: -1}},
-		{"native-cut4", reconstruct.Options{XorCutLen: 4}},
-		{"native-cut16", reconstruct.Options{XorCutLen: 16}},
-		{"tseitin-cnf", reconstruct.Options{XorAsCNF: true}},
-	} {
+	benchmarkAblations(b, enc, entry, []ablation{
+		{name: "native-cut8", cut: 8},
+		{name: "native-uncut"},
+		{name: "native-cut4", cut: 4},
+		{name: "native-cut16", cut: 16},
+		{name: "tseitin-cnf", xorCNF: true},
+	})
+}
+
+// benchmarkAblations times a 10-candidate enumeration of entry under
+// each ablation variant.
+func benchmarkAblations(b *testing.B, enc *encoding.Encoding, entry core.LogEntry, modes []ablation) {
+	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rec, err := reconstruct.New(enc, entry, nil, mode.opts)
+				inst, err := newAblation(enc, entry, mode, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := rec.EnumerateStrict(10); err != nil {
+				if _, _, err := inst.enumerate(10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,11 +252,12 @@ func BenchmarkAblationSATvsBruteForce(b *testing.B) {
 }
 
 // BenchmarkPresolveOnOff quantifies the GF(2) Gaussian presolve: the
-// same reconstruction with and without row reduction ahead of the SAT
-// encoding. The presolve drops b − rank redundant parity rows and
-// fixes unit-row positions before the solver ever runs. The summed
-// solver conflicts per op are deterministic, so BENCH.json guards them
-// next to the wall clock.
+// same reconstruction through reconstruct.New and through the raw-rows
+// ablation (ablation_test.go), which feeds the b parity rows to the
+// solver without row reduction. The presolve drops b − rank redundant
+// parity rows and fixes unit-row positions before the solver ever runs.
+// The summed solver conflicts per op are deterministic, so BENCH.json
+// guards them next to the wall clock.
 func BenchmarkPresolveOnOff(b *testing.B) {
 	for _, c := range []struct{ m, k int }{{128, 4}, {512, 8}} {
 		enc, err := bench.CachedEncoding("incremental", c.m, bench.PaperB[c.m], 4, 0)
@@ -276,30 +265,38 @@ func BenchmarkPresolveOnOff(b *testing.B) {
 			b.Fatal(err)
 		}
 		entry := core.Log(enc, bench.PlantedSignal(c.m, c.k))
-		for _, mode := range []struct {
-			name       string
-			noPresolve bool
-		}{{"presolve", false}, {"raw", true}} {
-			b.Run(fmt.Sprintf("m=%d/k=%d/%s", c.m, c.k, mode.name), func(b *testing.B) {
-				reg := obs.NewRegistry()
-				opts := reconstruct.Options{NoPresolve: mode.noPresolve, MaxConflicts: benchBudget, Obs: reg}
-				var fixed, freed float64
-				for i := 0; i < b.N; i++ {
-					rec, err := reconstruct.New(enc, entry, nil, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, st, err := rec.First(); err != nil || st != sat.Sat {
-						b.Fatalf("status %v err %v", st, err)
-					}
-					ps := rec.Stats().Presolve
-					fixed, freed = float64(ps.Fixed), float64(ps.Freed)
+		b.Run(fmt.Sprintf("m=%d/k=%d/presolve", c.m, c.k), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			opts := reconstruct.Options{MaxConflicts: benchBudget, Obs: reg}
+			var fixed, freed float64
+			for i := 0; i < b.N; i++ {
+				rec, err := reconstruct.New(enc, entry, nil, opts)
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportConflicts(b, reg)
-				b.ReportMetric(fixed, "fixed")
-				b.ReportMetric(freed, "freed")
-			})
-		}
+				if _, st, err := rec.First(); err != nil || st != sat.Sat {
+					b.Fatalf("status %v err %v", st, err)
+				}
+				ps := rec.Stats().Presolve
+				fixed, freed = float64(ps.Fixed), float64(ps.Freed)
+			}
+			reportConflicts(b, reg)
+			b.ReportMetric(fixed, "fixed")
+			b.ReportMetric(freed, "freed")
+		})
+		b.Run(fmt.Sprintf("m=%d/k=%d/raw", c.m, c.k), func(b *testing.B) {
+			reg := obs.NewRegistry()
+			for i := 0; i < b.N; i++ {
+				inst, err := newAblation(enc, entry, rawAblation, reg, benchBudget)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st := inst.bld.S.Solve(); st != sat.Sat {
+					b.Fatalf("status %v", st)
+				}
+			}
+			reportConflicts(b, reg)
+		})
 	}
 }
 

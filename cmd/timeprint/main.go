@@ -290,7 +290,6 @@ func cmdReconstruct(args []string) {
 	propSpec := fs.String("prop", "", "property expression, e.g. \"mingap(3); dk(32,3)\"")
 	parallel := fs.Int("parallel", 1, "cube-split solver workers (1 = serial, 0 = GOMAXPROCS)")
 	oracle := fs.String("oracle", "auto", "backend: auto (cost-model routing), sat, sat-par, sat-inc, decode or brute")
-	gauss := fs.Bool("gauss", false, "in-search Gaussian elimination: keep the reduced parity matrix live across decision levels on the sat-inc route")
 	obsSetup := obsFlags(fs)
 	_ = fs.Parse(args)
 	enc := newEncoding(*m, *b)
@@ -336,10 +335,9 @@ func cmdReconstruct(args []string) {
 	}
 
 	disp, err := timeprints.NewDispatcher(enc, timeprints.DispatchOptions{
-		Force:         *oracle,
-		Workers:       *parallel,
-		GaussInSearch: *gauss,
-		Obs:           reg,
+		Force:   *oracle,
+		Workers: *parallel,
+		Obs:     reg,
 	})
 	if err != nil {
 		fail(err)

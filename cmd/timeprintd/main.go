@@ -63,7 +63,6 @@ func main() {
 	maxConflicts := fs.Int64("max-conflicts", 0, "server-side solver conflict budget per solve (0 = unlimited)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM")
 	sessionMaxK := fs.Int("session-maxk", 16, "largest change count the per-session incremental solver encodes; larger k falls back to one-shot solves")
-	gauss := fs.Bool("gauss", false, "in-search Gaussian elimination: keep the reduced parity matrix live across decision levels in the incremental session solvers")
 	oracle := fs.String("oracle", "auto", "reconstruction backend: auto (cost-model routing), sat, sat-inc, decode or brute")
 	storeDir := fs.String("store-dir", "", "durable log store directory: ingested wire logs are persisted here and served back via /v1/logs and /v1/query (empty disables)")
 	storeSegBytes := fs.Int64("store-segment-bytes", 0, "log store segment size before rotation (0 = default)")
@@ -92,7 +91,6 @@ func main() {
 		MaxConflicts:   *maxConflicts,
 		DrainTimeout:   *drain,
 		SessionMaxK:    *sessionMaxK,
-		GaussInSearch:  *gauss,
 		Oracle:         *oracle,
 		Obs:            reg,
 	}

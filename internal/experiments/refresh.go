@@ -284,7 +284,7 @@ func localizeDelay(enc *encoding.Encoding, hwSt *trace.Store, refs, hwRefs []cor
 }
 
 // maxTwoDelayChanges bounds the two-delay fallback: its candidate set
-// is C(k, 2) complete assignments, each costing O(m) clauses, which is
+// is C(k, 2) complete assignments, each costing O(k) clauses, which is
 // prohibitive for the dense boot-burst trace-cycles (and those are
 // whole-suffix shifts, not two isolated delays, anyway).
 const maxTwoDelayChanges = 40

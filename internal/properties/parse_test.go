@@ -24,7 +24,7 @@ func TestParseSingleProperties(t *testing.T) {
 		{"periodic(100,5)", "Periodic(100±5)"},
 		{"count(0,100,2,2)", "Count[0,100) in [2,2]"},
 		{"first(2,9)", "FirstChangeIn[2,9)"},
-		{"exact(1,2,3)", "ExactChanges(3)"},
+		{"exact(1,2,3)", "ExactChanges(1,2,3)"},
 	}
 	for _, tc := range cases {
 		p, err := Parse(tc.in)

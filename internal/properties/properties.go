@@ -15,7 +15,10 @@
 package properties
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
@@ -292,12 +295,24 @@ func (p ExactChanges) Apply(b *cnf.Builder, vars []int) error {
 	return nil
 }
 
-func (p ExactChanges) String() string { return fmt.Sprintf("ExactChanges(%d)", len(p.Changes)) }
+// String lists the changes, so two different change sets never share
+// a cache key or a session guard.
+func (p ExactChanges) String() string {
+	b := []byte("ExactChanges(")
+	for i, c := range p.Changes {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
+	}
+	return string(append(b, ')'))
+}
 
 // OneOfSignals asserts the signal equals one of the listed candidate
 // signals — a disjunction of complete assignments, encoded with a
 // one-hot selector. The Section 5.2.2 delay localization compiles to
-// this via DelayedVariants.
+// this via DelayedVariants, and the Section 5.2.1 CAN reconstruction
+// lists the frame at every offset.
 type OneOfSignals struct {
 	Name       string
 	Candidates []core.Signal
@@ -313,37 +328,60 @@ func (p OneOfSignals) Holds(s core.Signal) bool {
 	return false
 }
 
-// Apply introduces a selector variable per candidate; the chosen
-// selector forces every change variable to that candidate's value.
+// Apply introduces a selector variable per candidate, with clauses in
+// proportion to the candidates' changes rather than m per candidate:
+//
+//	sel_j → v_i                     for each change i of candidate j
+//	v_i → OR(sel_j : j changes at i) for each position i
+//	exactly one sel_j               (one clause plus AtMostK(sels, 1))
+//
+// The selected candidate forces its own changes, and no other position
+// can change because no selected candidate supports it, so the signal
+// equals the selected candidate whatever k is.
 func (p OneOfSignals) Apply(b *cnf.Builder, vars []int) error {
 	if len(p.Candidates) == 0 {
 		b.AddClause()
 		return nil
 	}
 	sels := make([]int, len(p.Candidates))
+	support := make([][]int, len(vars)) // support[i]: -v_i, then the selectors changing at i
+	for i, v := range vars {
+		support[i] = []int{-v}
+	}
 	for j, cand := range p.Candidates {
 		if cand.M() != len(vars) {
 			return fmt.Errorf("candidate %d has length %d, want %d", j, cand.M(), len(vars))
 		}
-		sel := b.NewVar()
-		sels[j] = sel
-		for i, v := range vars {
-			if cand.Changed(i) {
-				b.AddClause(-sel, v)
-			} else {
-				b.AddClause(-sel, -v)
-			}
+		sels[j] = b.NewVar()
+		for _, i := range cand.Changes() {
+			b.AddClause(-sels[j], vars[i])
+			support[i] = append(support[i], sels[j])
 		}
 	}
+	for _, clause := range support {
+		b.AddClause(clause...)
+	}
 	b.AddClause(sels...)
+	b.AtMostK(sels, 1)
 	return nil
 }
 
+// String is Name (or "OneOfSignals(n)" when unnamed) followed by a
+// digest of the candidates, so two different candidate sets never
+// share a cache key or a session guard.
 func (p OneOfSignals) String() string {
-	if p.Name != "" {
-		return p.Name
+	name := p.Name
+	if name == "" {
+		name = fmt.Sprintf("OneOfSignals(%d)", len(p.Candidates))
 	}
-	return fmt.Sprintf("OneOfSignals(%d)", len(p.Candidates))
+	h := sha256.New()
+	var buf []byte
+	for _, c := range p.Candidates {
+		v := c.Vector()
+		buf = binary.AppendUvarint(buf[:0], uint64(v.Width()))
+		h.Write(v.AppendBytes(buf))
+	}
+	return fmt.Sprintf("%s#%x", name, h.Sum(nil)[:8])
 }
 
 // DelayedVariants builds the Section 5.2.2 localization property: the

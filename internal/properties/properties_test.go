@@ -172,6 +172,9 @@ func TestExactChangesCompilation(t *testing.T) {
 	checkCompilation(t, ExactChanges{Changes: nil}, 8)
 }
 
+// TestOneOfSignalsCompilation checks the selector encoding against
+// Holds on fixed sets and on random ones that include duplicate
+// candidates and the all-zero candidate.
 func TestOneOfSignalsCompilation(t *testing.T) {
 	cands := []core.Signal{
 		core.SignalFromChanges(6, 0, 1),
@@ -180,6 +183,49 @@ func TestOneOfSignalsCompilation(t *testing.T) {
 	}
 	checkCompilation(t, OneOfSignals{Candidates: cands}, 6)
 	checkCompilation(t, OneOfSignals{Candidates: nil}, 4)
+
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		m := 3 + r.Intn(6)
+		var cands []core.Signal
+		for n := 1 + r.Intn(6); len(cands) < n; {
+			switch x := r.Intn(6); {
+			case x == 0:
+				cands = append(cands, core.SignalFromChanges(m))
+			case x == 1 && len(cands) > 0:
+				cands = append(cands, cands[r.Intn(len(cands))])
+			default:
+				cands = append(cands, core.SignalFromVector(bitvec.FromUint(r.Uint64(), m)))
+			}
+		}
+		checkCompilation(t, OneOfSignals{Candidates: cands}, m)
+	}
+}
+
+// TestStringsSeparateDifferentProperties pins the String forms that
+// the service cache and the session guard table use as keys: two
+// different properties must never share one.
+func TestStringsSeparateDifferentProperties(t *testing.T) {
+	if got := (ExactChanges{Changes: []int{1, 2, 3}}).String(); got != "ExactChanges(1,2,3)" {
+		t.Errorf("ExactChanges String = %q", got)
+	}
+	if a, b := (ExactChanges{Changes: []int{3, 7}}).String(), (ExactChanges{Changes: []int{4, 9}}).String(); a == b {
+		t.Errorf("exact(3,7) and exact(4,9) share key %q", a)
+	}
+	x := OneOfSignals{Candidates: []core.Signal{core.SignalFromChanges(8, 1, 2)}}
+	y := OneOfSignals{Candidates: []core.Signal{core.SignalFromChanges(8, 5, 6)}}
+	if x.String() == y.String() {
+		t.Errorf("different unnamed candidate sets share key %q", x.String())
+	}
+	if x.String() != (OneOfSignals{Candidates: []core.Signal{core.SignalFromChanges(8, 1, 2)}}).String() {
+		t.Error("equal candidate sets render differently")
+	}
+	// Equal delta and reference k, different references.
+	a := DelayedVariants(core.SignalFromChanges(10, 2, 5), 1)
+	b := DelayedVariants(core.SignalFromChanges(10, 3, 7), 1)
+	if a.String() == b.String() {
+		t.Errorf("DelayedVariants of different references share key %q", a.String())
+	}
 }
 
 func TestAllCompilation(t *testing.T) {

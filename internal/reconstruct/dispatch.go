@@ -61,15 +61,6 @@ type DispatchOptions struct {
 	// SessionMaxK bounds the incremental session's cardinality ladder
 	// (default 16).
 	SessionMaxK int
-	// GaussInSearch keeps the session solver's reduced parity matrix
-	// live across decision levels (in-search Gaussian elimination) so
-	// wide-row systems propagate mid-search instead of only when a row
-	// collapses to one literal. The routing table is unchanged — the
-	// sat-inc route simply runs with the stronger propagator — because
-	// in-search elimination is bit-exact on answers and never worse
-	// than level-0 on the wide, property-free parity systems the
-	// session route already owns.
-	GaussInSearch bool
 	// MaxNullity caps the brute route's 2^nullity coset walk
 	// (default 16 — beyond that SAT search is the better bet).
 	MaxNullity int
@@ -232,10 +223,9 @@ func (d *Dispatcher) brute() Oracle {
 func (d *Dispatcher) session() (*SessionOracle, error) {
 	d.sessOnce.Do(func() {
 		d.sessO, d.sessErr = NewSessionOracle(d.enc, SessionOptions{
-			MaxK:          d.opts.sessionMaxK(),
-			MaxConflicts:  d.opts.MaxConflicts,
-			InSearchGauss: d.opts.GaussInSearch,
-			Obs:           d.opts.Obs,
+			MaxK:         d.opts.sessionMaxK(),
+			MaxConflicts: d.opts.MaxConflicts,
+			Obs:          d.opts.Obs,
 		})
 	})
 	return d.sessO, d.sessErr
@@ -265,9 +255,7 @@ func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features,
 				}
 			}
 		}
-		// Every solution has at least ForcedTrue ones and at most
-		// ForcedTrue + (m - Fixed) — the presolve's feasibility bound.
-		f.KFeasible = entry.K >= f.ForcedTrue && entry.K <= f.ForcedTrue+(m-f.Fixed)
+		f.KFeasible = kFeasible(entry.K, m, f.Fixed, f.ForcedTrue)
 	}
 	f.SessionOK = entry.K <= min(d.opts.sessionMaxK(), m)
 	return f, nil

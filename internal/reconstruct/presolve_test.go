@@ -49,8 +49,8 @@ func TestPresolveInconsistentTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := rec.Stats().Presolve
-	if !ps.Enabled || !ps.Inconsistent {
-		t.Fatalf("presolve stats %+v: want Enabled and Inconsistent", ps)
+	if !ps.Inconsistent {
+		t.Fatalf("presolve stats %+v: want Inconsistent", ps)
 	}
 	if st := rec.Check(); st != sat.Unsat {
 		t.Fatalf("status %v, want Unsat", st)
@@ -131,8 +131,9 @@ func TestPresolveAllPositionsForced(t *testing.T) {
 }
 
 // TestPresolveEquivalence checks, on randomized small instances, that
-// the presolved SAT path, the raw (NoPresolve) SAT path and the
-// linear-algebra brute force all agree on the candidate set.
+// the presolved SAT path and the linear-algebra brute force agree on
+// the candidate set. (The raw-rows leg lives with the other encoding
+// ablations in the root package's TestAblationModesAgree.)
 func TestPresolveEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 20; trial++ {
@@ -146,35 +147,27 @@ func TestPresolveEquivalence(t *testing.T) {
 		}
 		entry := core.Log(enc, core.SignalFromVector(v))
 
-		var got [2][]core.Signal
-		for i, opts := range []Options{{}, {NoPresolve: true}} {
-			rec, err := New(enc, entry, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sigs, exhausted, err := rec.EnumerateStrict(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !exhausted {
-				t.Fatalf("trial %d opts %d: not exhausted", trial, i)
-			}
-			got[i] = sigs
-			if ps := rec.Stats().Presolve; ps.Enabled == opts.NoPresolve {
-				t.Fatalf("trial %d: presolve Enabled=%v under NoPresolve=%v", trial, ps.Enabled, opts.NoPresolve)
-			}
+		rec, err := New(enc, entry, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigs, exhausted, err := rec.EnumerateStrict(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exhausted {
+			t.Fatalf("trial %d: not exhausted", trial)
 		}
 		bf, err := BruteForce(enc, entry, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pk, nk, bk := sigKeySet(got[0]), sigKeySet(got[1]), sigKeySet(bf)
-		if len(pk) != len(nk) || len(pk) != len(bk) {
-			t.Fatalf("trial %d: presolve %d, raw %d, brute force %d candidates",
-				trial, len(pk), len(nk), len(bk))
+		pk, bk := sigKeySet(sigs), sigKeySet(bf)
+		if len(pk) != len(bk) {
+			t.Fatalf("trial %d: presolve %d, brute force %d candidates", trial, len(pk), len(bk))
 		}
 		for k := range pk {
-			if !nk[k] || !bk[k] {
+			if !bk[k] {
 				t.Fatalf("trial %d: candidate sets differ", trial)
 			}
 		}

@@ -15,6 +15,7 @@
 package reconstruct
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/bitvec"
@@ -36,30 +37,13 @@ type Constraint interface {
 	String() string
 }
 
-// Options tune how the SAT instance is built and solved. The zero
-// value is the paper's configuration: native XOR clauses and the Sinz
-// sequential-counter cardinality encoding.
+// Options tune how the SAT instance is solved. The encoding itself is
+// fixed: the paper's native XOR parity rows (after the GF(2) presolve,
+// cut at xorCutLen) and the Sinz sequential-counter cardinality.
 type Options struct {
-	// XorAsCNF expands parity rows to plain CNF instead of native XOR
-	// clauses (ablation).
-	XorAsCNF bool
-	// BinomialCardinality uses the naive C(m,k+1)-clause encoding
-	// instead of the sequential counter (ablation; fails on large
-	// instances by design).
-	BinomialCardinality bool
 	// MaxConflicts bounds the solver effort per Solve call; 0 means
 	// unlimited.
 	MaxConflicts int64
-	// XorCutLen caps the length of native XOR clauses; longer parity
-	// rows are chained through auxiliary variables (see cnf.AddXorCut).
-	// 0 means the default of 8; negative disables cutting (ablation).
-	XorCutLen int
-	// NoPresolve skips the GF(2) Gaussian presolve and feeds the raw
-	// parity rows of A·x = TP to the solver (ablation). By default the
-	// system is row-reduced first: inconsistency yields UNSAT without
-	// any SAT search, unit rows become fixed positions, and redundant
-	// rows are dropped before the CNF is built.
-	NoPresolve bool
 	// Obs, when non-nil, receives the layer's metrics (presolve
 	// outcomes, candidate counts, build/enumerate spans) and is handed
 	// down to the underlying SAT solver. Nil is fully supported and is
@@ -67,17 +51,21 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// xorCutLen caps the length of the native XOR clauses New emits;
+// longer parity rows are chained through auxiliary variables (see
+// cnf.AddXorCut).
+const xorCutLen = 8
+
 // Metric names published by the reconstruction layer.
 const (
 	// MetricInstances counts SAT instances built by New.
 	MetricInstances = "reconstruct.instances"
 	// Presolve outcome counters: instances refuted outright by the
-	// GF(2) elimination, positions fixed by unit rows, redundant parity
-	// rows eliminated, and instances built with presolve disabled.
+	// GF(2) elimination, positions fixed by unit rows, and redundant
+	// parity rows eliminated.
 	MetricPresolveInconsistent = "reconstruct.presolve.inconsistent"
 	MetricPresolveFixed        = "reconstruct.presolve.fixed"
 	MetricPresolveFreed        = "reconstruct.presolve.freed"
-	MetricPresolveDisabled     = "reconstruct.presolve.disabled"
 	// MetricCandidates counts candidate signals delivered by the
 	// enumeration APIs.
 	MetricCandidates = "reconstruct.candidates"
@@ -87,22 +75,9 @@ const (
 	SpanEnumerate = "reconstruct.enumerate"
 )
 
-func (o Options) cutLen() int {
-	switch {
-	case o.XorCutLen == 0:
-		return 8
-	case o.XorCutLen < 0:
-		return 1 << 30 // effectively uncut
-	default:
-		return o.XorCutLen
-	}
-}
-
 // PresolveStats reports what the GF(2) Gaussian presolve decided
 // before the SAT solver was involved.
 type PresolveStats struct {
-	// Enabled is false when Options.NoPresolve skipped the presolve.
-	Enabled bool
 	// Rank is the rank of the parity system A.
 	Rank int
 	// Fixed counts signal positions whose value is forced by a unit
@@ -138,125 +113,89 @@ type Reconstructor struct {
 // property constraints (may be nil).
 func New(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, opts Options) (*Reconstructor, error) {
 	defer opts.Obs.StartSpan(SpanBuild).End()
-	m, b := enc.M(), enc.B()
-	if entry.TP.Width() != b {
-		return nil, fmt.Errorf("reconstruct: timeprint width %d, want %d: %w", entry.TP.Width(), b, core.ErrWidth)
+	if err := validateShape(enc, entry); err != nil {
+		return nil, err
 	}
-	if entry.K < 0 || entry.K > m {
-		return nil, fmt.Errorf("reconstruct: k=%d outside [0,%d]: %w", entry.K, m, core.ErrKRange)
-	}
-
+	m := enc.M()
 	bld := cnf.NewBuilder(m)
 	bld.S.Obs = opts.Obs
+	bld.S.MaxConflicts = opts.MaxConflicts
 	vars := make([]int, m)
 	for i := range vars {
 		vars[i] = i + 1
 	}
 	r := &Reconstructor{enc: enc, entry: entry, builder: bld, vars: vars, obs: opts.Obs}
 	opts.Obs.Counter(MetricInstances).Inc()
-	if opts.NoPresolve {
-		opts.Obs.Counter(MetricPresolveDisabled).Inc()
+	r.presolve = presolve(bld, vars, enc, entry)
+	if r.presolve.Inconsistent {
+		opts.Obs.Counter(MetricPresolveInconsistent).Inc()
 	}
-	defer func() {
-		if r.presolve.Inconsistent {
-			opts.Obs.Counter(MetricPresolveInconsistent).Inc()
-		}
-		opts.Obs.Counter(MetricPresolveFixed).Add(int64(r.presolve.Fixed))
-		opts.Obs.Counter(MetricPresolveFreed).Add(int64(r.presolve.Freed))
-	}()
-
-	emitRow := func(row []int, rhs bool) {
-		if opts.XorAsCNF {
-			bld.AddXorCNF(row, rhs)
-			return
-		}
-		cut := opts.cutLen()
-		if cut >= len(row) {
-			bld.AddXor(row, rhs)
-		} else {
-			bld.AddXorCut(row, rhs, cut)
-		}
-	}
-
-	if opts.NoPresolve {
-		// One parity row per timeprint bit j: XOR of {x_i : TS(i)_j = 1}
-		// equals TP_j.
-		ts := enc.Timestamps()
-		for j := 0; j < b; j++ {
-			var row []int
-			for i := 0; i < m; i++ {
-				if ts[i].Get(j) {
-					row = append(row, vars[i])
-				}
-			}
-			emitRow(row, entry.TP.Get(j))
-		}
-	} else {
-		// GF(2) presolve: row-reduce [A | TP] first. The reduced system
-		// has the same solution set, but inconsistency is decided here
-		// (UNSAT with zero solver work), unit rows become level-0 unit
-		// clauses, and the b − rank redundant rows disappear.
-		ech := enc.Matrix().Eliminate(entry.TP)
-		r.presolve = PresolveStats{Enabled: true, Rank: ech.Rank, Freed: b - ech.Rank}
-		if !ech.Consistent {
-			r.presolve.Inconsistent = true
-			bld.AddClause() // empty clause: solver reports Unsat instantly
-		} else {
-			forcedTrue := 0
-			for i, rowVec := range ech.Rows {
-				ones := rowVec.Ones()
-				if len(ones) == 1 {
-					// Unit row: position is identical in every solution.
-					r.presolve.Fixed++
-					if ech.RHS[i] {
-						forcedTrue++
-						bld.AddClause(vars[ones[0]])
-					} else {
-						bld.AddClause(-vars[ones[0]])
-					}
-					continue
-				}
-				row := make([]int, len(ones))
-				for j, c := range ones {
-					row[j] = vars[c]
-				}
-				emitRow(row, ech.RHS[i])
-			}
-			// Cardinality feasibility against the fixed positions: every
-			// solution has at least forcedTrue ones and at most
-			// forcedTrue + (m − fixed) ones.
-			if entry.K < forcedTrue || entry.K > forcedTrue+(m-r.presolve.Fixed) {
-				r.presolve.Inconsistent = true
-				bld.AddClause()
-			}
-		}
-	}
+	opts.Obs.Counter(MetricPresolveFixed).Add(int64(r.presolve.Fixed))
+	opts.Obs.Counter(MetricPresolveFreed).Add(int64(r.presolve.Freed))
 
 	// The instance is already refuted: skip the cardinality and
 	// property encodings — the solver answers Unsat from the empty
 	// clause with zero search.
 	if r.presolve.Inconsistent {
-		bld.S.MaxConflicts = opts.MaxConflicts
 		return r, nil
 	}
 
 	// Cardinality: exactly k changes.
-	if opts.BinomialCardinality {
-		if err := bld.ExactlyKBinomial(vars, entry.K); err != nil {
-			return nil, err
-		}
-	} else {
-		bld.ExactlyK(vars, entry.K)
-	}
+	bld.ExactlyK(vars, entry.K)
 
 	for _, c := range constraints {
 		if err := c.Apply(bld, vars); err != nil {
 			return nil, fmt.Errorf("reconstruct: constraint %s: %w", c, err)
 		}
 	}
-
-	bld.S.MaxConflicts = opts.MaxConflicts
 	return r, nil
+}
+
+// presolve row-reduces [A | TP] and emits the reduced system. It has
+// the same solution set as A·x = TP, but inconsistency is decided here
+// (an empty clause: UNSAT with zero solver work), unit rows become
+// level-0 unit clauses, and the b − rank redundant rows disappear.
+func presolve(bld *cnf.Builder, vars []int, enc *encoding.Encoding, entry core.LogEntry) PresolveStats {
+	ech := enc.Matrix().Eliminate(entry.TP)
+	ps := PresolveStats{Rank: ech.Rank, Freed: enc.B() - ech.Rank}
+	if !ech.Consistent {
+		ps.Inconsistent = true
+		bld.AddClause()
+		return ps
+	}
+	forcedTrue := 0
+	for i, rowVec := range ech.Rows {
+		ones := rowVec.Ones()
+		if len(ones) == 1 {
+			// Unit row: position is identical in every solution.
+			ps.Fixed++
+			if ech.RHS[i] {
+				forcedTrue++
+				bld.AddClause(vars[ones[0]])
+			} else {
+				bld.AddClause(-vars[ones[0]])
+			}
+			continue
+		}
+		row := make([]int, len(ones))
+		for j, c := range ones {
+			row[j] = vars[c]
+		}
+		bld.AddXorCut(row, ech.RHS[i], xorCutLen)
+	}
+	if !kFeasible(entry.K, enc.M(), ps.Fixed, forcedTrue) {
+		ps.Inconsistent = true
+		bld.AddClause()
+	}
+	return ps
+}
+
+// kFeasible applies the cardinality bound of a consistent reduced
+// system: with fixed positions pinned by unit rows, forcedTrue of them
+// to 1, every solution has at least forcedTrue ones and at most
+// forcedTrue + (m − fixed).
+func kFeasible(k, m, fixed, forcedTrue int) bool {
+	return k >= forcedTrue && k <= forcedTrue+(m-fixed)
 }
 
 // First searches for one candidate signal. ok=false with status Unsat
@@ -267,18 +206,7 @@ func (r *Reconstructor) First() (core.Signal, sat.Status, error) {
 	if st != sat.Sat {
 		return core.Signal{}, st, nil
 	}
-	return r.model(), sat.Sat, nil
-}
-
-// model extracts the current solver model as a signal.
-func (r *Reconstructor) model() core.Signal {
-	v := bitvec.New(r.enc.M())
-	for i, x := range r.vars {
-		if r.builder.S.Value(x) {
-			v.Set(i, true)
-		}
-	}
-	return core.SignalFromVector(v)
+	return checkedSignal(r.enc, r.entry, func(i int) bool { return r.builder.S.Value(r.vars[i]) }), sat.Sat, nil
 }
 
 // EnumerateStrict finds up to limit candidate signals (limit <= 0:
@@ -309,18 +237,8 @@ func (r *Reconstructor) EnumerateWithin(done <-chan struct{}, limit int) ([]core
 func (r *Reconstructor) enumerate(limit int) ([]core.Signal, bool, error) {
 	defer r.obs.StartSpan(SpanEnumerate).End()
 	var out []core.Signal
-	n, st, err := r.builder.S.EnumerateModels(r.vars, limit, func(m map[int]bool) bool {
-		v := bitvec.New(r.enc.M())
-		for i, x := range r.vars {
-			if m[x] {
-				v.Set(i, true)
-			}
-		}
-		s := core.SignalFromVector(v)
-		if got := core.Log(r.enc, s); !got.Equal(r.entry) {
-			panic(fmt.Sprintf("reconstruct: candidate %s logs to %v, want %v", s, got, r.entry))
-		}
-		out = append(out, s)
+	n, st, err := r.builder.S.EnumerateModels(r.vars, limit, func(model map[int]bool) bool {
+		out = append(out, checkedSignal(r.enc, r.entry, func(i int) bool { return model[r.vars[i]] }))
 		return true
 	})
 	r.obs.Counter(MetricCandidates).Add(int64(n))
@@ -380,21 +298,28 @@ func (r *Reconstructor) Stats() Stats {
 	return Stats{Solver: r.builder.S.Stats, Presolve: r.presolve}
 }
 
-// signalFromModel converts a projected model (indexed like r.vars)
-// into a signal, verifying it against the log entry. A mismatch
-// indicates a solver bug and panics.
-func (r *Reconstructor) signalFromModel(model sat.Model) core.Signal {
-	v := bitvec.New(r.enc.M())
-	for i, set := range model {
-		if set {
+// checkedSignal builds the signal whose position i changes iff
+// changed(i), for i in [0, m), and verifies it against the log entry.
+// Every model a solver returns goes through it; a mismatch indicates a
+// solver bug and panics.
+func checkedSignal(enc *encoding.Encoding, entry core.LogEntry, changed func(i int) bool) core.Signal {
+	v := bitvec.New(enc.M())
+	for i := 0; i < enc.M(); i++ {
+		if changed(i) {
 			v.Set(i, true)
 		}
 	}
 	s := core.SignalFromVector(v)
-	if got := core.Log(r.enc, s); !got.Equal(r.entry) {
-		panic(fmt.Sprintf("reconstruct: candidate %s logs to %v, want %v", s, got, r.entry))
+	if got := core.Log(enc, s); !got.Equal(entry) {
+		panic(fmt.Sprintf("reconstruct: candidate %s logs to %v, want %v", s, got, entry))
 	}
 	return s
+}
+
+// signalFromModel converts a projected model (indexed like r.vars)
+// into a checked signal.
+func (r *Reconstructor) signalFromModel(model sat.Model) core.Signal {
+	return checkedSignal(r.enc, r.entry, func(i int) bool { return model[i] })
 }
 
 // EnumerateParallelStrict finds up to limit candidate signals (limit
@@ -441,37 +366,13 @@ func (r *Reconstructor) FirstParallel(workers int) (core.Signal, sat.Status, err
 
 // BruteForce solves SR by linear algebra: Gaussian elimination yields
 // the solution coset (particular solution + nullspace span), which is
-// enumerated exhaustively and filtered by |x| = k. Cost is 2^nullity,
-// so it refuses instances whose nullity exceeds maxNullity (default 28
-// when <= 0). It is the validation baseline for the SAT path.
+// enumerated exhaustively and filtered by |x| = k — the brute oracle's
+// coset walk without constraints. Cost is 2^nullity, so it refuses
+// instances whose nullity exceeds maxNullity (default 28 when <= 0).
+// It is the validation baseline for the SAT path.
 func BruteForce(enc *encoding.Encoding, entry core.LogEntry, limit, maxNullity int) ([]core.Signal, error) {
-	if entry.TP.Width() != enc.B() {
-		return nil, fmt.Errorf("reconstruct: timeprint width %d, want %d: %w", entry.TP.Width(), enc.B(), core.ErrWidth)
-	}
-	if entry.K < 0 || entry.K > enc.M() {
-		return nil, fmt.Errorf("reconstruct: k=%d outside [0,%d]: %w", entry.K, enc.M(), core.ErrKRange)
-	}
-	if maxNullity <= 0 {
-		maxNullity = 28
-	}
-	sys, ok := enc.Matrix().Solve(entry.TP)
-	if !ok {
-		return nil, nil // TP outside the column space: no signals
-	}
-	if sys.Nullity() > maxNullity {
-		return nil, fmt.Errorf("reconstruct: brute force refuses nullity %d > %d", sys.Nullity(), maxNullity)
-	}
-	var out []core.Signal
-	sys.EnumerateSolutions(maxNullity, func(x bitvec.Vector) bool {
-		if x.PopCount() == entry.K {
-			out = append(out, core.SignalFromVector(x))
-			if limit > 0 && len(out) >= limit {
-				return false
-			}
-		}
-		return true
-	})
-	return out, nil
+	sigs, _, err := NewBruteOracle(enc, maxNullity).Enumerate(context.Background(), entry, nil, limit)
+	return sigs, err
 }
 
 // CountCandidates counts all signals matching the entry (no

@@ -77,47 +77,6 @@ func TestSATMatchesBruteForceAndExhaustive(t *testing.T) {
 	}
 }
 
-func TestAblationModesAgree(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	enc := mustEnc(t, 14, 10, 4)
-	for trial := 0; trial < 10; trial++ {
-		v := bitvec.New(14)
-		for i := 0; i < 14; i++ {
-			if r.Intn(4) == 0 {
-				v.Set(i, true)
-			}
-		}
-		entry := core.Log(enc, core.SignalFromVector(v))
-
-		counts := map[string]int{}
-		for name, opt := range map[string]Options{
-			"native-sinz":  {},
-			"cnfxor-sinz":  {XorAsCNF: true},
-			"native-binom": {BinomialCardinality: true},
-			"cnfxor-binom": {XorAsCNF: true, BinomialCardinality: true},
-		} {
-			rec, err := New(enc, entry, nil, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sigs, exhausted, err := rec.EnumerateStrict(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !exhausted {
-				t.Fatalf("%s not exhausted", name)
-			}
-			counts[name] = len(sigs)
-		}
-		want := counts["native-sinz"]
-		for name, c := range counts {
-			if c != want {
-				t.Fatalf("trial %d: %s found %d, native-sinz %d", trial, name, c, want)
-			}
-		}
-	}
-}
-
 func TestFirstAndCheck(t *testing.T) {
 	enc := mustEnc(t, 16, 8, 4)
 	truth := core.SignalFromChanges(16, 2, 3, 9, 10)

@@ -3,7 +3,6 @@ package reconstruct
 import (
 	"fmt"
 
-	"repro/internal/bitvec"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -34,14 +33,10 @@ type SessionOptions struct {
 	MaxK int
 	// MaxConflicts bounds solver effort per query; 0 means unlimited.
 	MaxConflicts int64
-	// NoGauss disables the in-solver XOR Gaussian elimination
-	// (ablation; the session then relies on watch propagation alone).
-	NoGauss bool
-	// InSearchGauss additionally keeps the reduced GF(2) matrix live
-	// ACROSS decision levels (CryptoMiniSat-style in-search
-	// elimination): parity implications and conflicts are extracted
-	// mid-search instead of only at level 0. Ignored when NoGauss is
-	// set.
+	// InSearchGauss keeps the reduced GF(2) matrix live ACROSS
+	// decision levels (CryptoMiniSat-style in-search elimination):
+	// parity implications and conflicts are extracted mid-search
+	// instead of only at level 0.
 	InSearchGauss bool
 	// Obs receives the session metrics and the solver counters; nil is
 	// fully supported.
@@ -99,8 +94,8 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) (*Session, error) {
 	m, b := enc.M(), enc.B()
 	bld := cnf.NewBuilder(m)
 	bld.S.Obs = opts.Obs
-	bld.S.EnableGauss = !opts.NoGauss
-	bld.S.EnableGaussInSearch = opts.InSearchGauss && !opts.NoGauss
+	bld.S.EnableGauss = true
+	bld.S.EnableGaussInSearch = opts.InSearchGauss
 	vars := make([]int, m)
 	for i := range vars {
 		vars[i] = i + 1
@@ -154,18 +149,14 @@ func (s *Session) Supports(k int) bool { return k >= 0 && k <= s.maxK }
 // query's assumption literals, registering unseen properties as
 // guarded clause groups.
 func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) (_ []int, err error) {
-	m, b := s.enc.M(), s.enc.B()
-	if entry.TP.Width() != b {
-		return nil, fmt.Errorf("reconstruct: timeprint width %d, want %d: %w", entry.TP.Width(), b, core.ErrWidth)
-	}
-	if entry.K < 0 || entry.K > m {
-		return nil, fmt.Errorf("reconstruct: k=%d outside [0,%d]: %w", entry.K, m, core.ErrKRange)
+	if err := validateShape(s.enc, entry); err != nil {
+		return nil, err
 	}
 	if !s.Supports(entry.K) {
 		return nil, fmt.Errorf("reconstruct: session ladder caps k at %d, got %d: %w", s.maxK, entry.K, core.ErrKRange)
 	}
 
-	assumps := make([]int, 0, b+2+len(constraints))
+	assumps := make([]int, 0, len(s.tpSel)+2+len(constraints))
 	for j, sel := range s.tpSel {
 		if entry.TP.Get(j) {
 			assumps = append(assumps, sel)
@@ -241,17 +232,7 @@ func (s *Session) query(entry core.LogEntry, constraints []Constraint, limit int
 	s.obs.Counter(MetricSessionQueries).Inc()
 	var out []core.Signal
 	n, st, err := s.bld.S.EnumerateAssuming(assumps, s.vars, limit, func(model map[int]bool) bool {
-		v := bitvec.New(s.enc.M())
-		for i, x := range s.vars {
-			if model[x] {
-				v.Set(i, true)
-			}
-		}
-		sig := core.SignalFromVector(v)
-		if got := core.Log(s.enc, sig); !got.Equal(entry) {
-			panic(fmt.Sprintf("reconstruct: session candidate %s logs to %v, want %v", sig, got, entry))
-		}
-		out = append(out, sig)
+		out = append(out, checkedSignal(s.enc, entry, func(i int) bool { return model[s.vars[i]] }))
 		return true
 	})
 	s.obs.Counter(MetricCandidates).Add(int64(n))

@@ -246,3 +246,31 @@ func TestSessionInterruptRecovers(t *testing.T) {
 		t.Fatalf("session poisoned after interrupt: %d signals, exhausted=%v, err=%v", len(sigs), exhausted, err)
 	}
 }
+
+// TestSessionSeparatesEqualSizeCandidateSets queries one session with
+// two unnamed OneOfSignals sets of the same size: each query must be
+// answered under its own candidates, not under a guard group the first
+// one registered.
+func TestSessionSeparatesEqualSizeCandidateSets(t *testing.T) {
+	enc := mustEnc(t, 16, 9, 4)
+	truth := core.SignalFromChanges(16, 3, 7)
+	entry := core.Log(enc, truth)
+	sess, err := NewSession(enc, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := properties.OneOfSignals{Candidates: []core.Signal{truth, core.SignalFromChanges(16, 1, 2)}}
+	without := properties.OneOfSignals{Candidates: []core.Signal{core.SignalFromChanges(16, 4, 9), core.SignalFromChanges(16, 5, 6)}}
+	for _, tc := range []struct {
+		prop properties.OneOfSignals
+		want int
+	}{{with, 1}, {without, 0}, {with, 1}} {
+		sigs, exhausted, err := sess.Query(entry, []Constraint{tc.prop}, 0)
+		if err != nil || !exhausted {
+			t.Fatalf("%s: exhausted=%v err=%v", tc.prop, exhausted, err)
+		}
+		if len(sigs) != tc.want || (tc.want == 1 && !sigs[0].Equal(truth)) {
+			t.Fatalf("%s: got %v, want %d candidate(s)", tc.prop, sigs, tc.want)
+		}
+	}
+}

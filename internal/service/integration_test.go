@@ -399,3 +399,37 @@ func waitGauge(t testing.TB, reg *obs.Registry, name string, want int64) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// Two exact(...) queries with different change sets over one log must
+// not share a cache entry: the second answer has to satisfy its own
+// property. The log's signal changes at {3, 7}, so exact(3,7) finds it
+// and exact(4,9) finds nothing.
+func TestExactPropertiesDoNotShareCacheEntry(t *testing.T) {
+	_, base, _ := startServer(t, Config{Workers: 2}, 0)
+	wire, truth := testLog(t, 16, 9, 3, 7)
+	for _, tc := range []struct {
+		props string
+		want  []string
+	}{
+		{"exact(3,7)", []string{truth.String()}},
+		{"exact(4,9)", nil},
+	} {
+		resp, body, err := postWire(base, wire, "scheme=incremental&depth=4&limit=-1&properties="+tc.props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%v)", tc.props, resp.StatusCode, body)
+		}
+		r0 := body["results"].([]any)[0].(map[string]any)
+		var got []string
+		if cands, ok := r0["candidates"].([]any); ok {
+			for _, c := range cands {
+				got = append(got, c.(string))
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || r0["exhausted"] != true {
+			t.Fatalf("%s: candidates %v (exhausted %v), want %v", tc.props, got, r0["exhausted"], tc.want)
+		}
+	}
+}

@@ -161,11 +161,6 @@ type Config struct {
 	// solver encodes its cardinality ladder for (default 16); entries
 	// with larger k fall back to a one-shot instance.
 	SessionMaxK int
-	// GaussInSearch enables in-search Gaussian elimination in the
-	// incremental session solvers: the reduced parity matrix stays live
-	// across decision levels, extracting implications and conflicts
-	// mid-search (the -gauss daemon flag).
-	GaussInSearch bool
 	// MaxBatchJobs bounds the jobs one /v1/batch request may carry
 	// (default 256); BatchParallelism bounds how many of a batch's
 	// entries solve concurrently (default Workers). Note the whole

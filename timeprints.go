@@ -67,7 +67,8 @@ type (
 	// Reconstructor solves the signal reconstruction problem for one
 	// log entry.
 	Reconstructor = reconstruct.Reconstructor
-	// Options tunes the reconstruction SAT encoding.
+	// Options bounds a reconstruction's solver effort (MaxConflicts)
+	// and names its metrics registry (Obs).
 	Options = reconstruct.Options
 	// Oracle is the uniform interface over every reconstruction
 	// backend (SAT, algebraic decode, GF(2) brute force, exhaustive
