@@ -5,13 +5,14 @@ GO ?= go
 #   1. the solver benchmarks — GF(2) presolve on/off, the cube-split
 #      portfolio, the incremental session against fresh solvers, in-search
 #      Gauss against level-0 reduction, cost-model dispatch against
-#      always-SAT — where -benchtime=1x -count=5 keeps the workloads
-#      bounded while still giving a median;
+#      always-SAT, two goroutines on one SessionOracle's warm session
+#      pool — where -benchtime=1x -count=5 keeps the workloads bounded
+#      while still giving a median;
 #   2. the feature-extraction, decode-route and store-query
 #      microbenchmarks;
 #   3. the tprload per-class mean latencies.
 BENCH_RUN = { \
-	$(GO) test -run='^$$' -bench='^Benchmark(PresolveOnOff|ParallelWorkers|SessionQueries|SessionQueriesGauss|Dispatch)$$' -count=5 -benchtime=1x . && \
+	$(GO) test -run='^$$' -bench='^Benchmark(PresolveOnOff|ParallelWorkers|SessionQueries|SessionQueriesGauss|SessionOracleConcurrent|Dispatch)$$' -count=5 -benchtime=1x . && \
 	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|StoreQuery)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ && \
 	$(GO) run ./cmd/tprload -self -bench -count 5; \
 }

@@ -9,6 +9,8 @@ package timeprints_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	timeprints "repro"
@@ -506,6 +508,79 @@ func BenchmarkSessionQueriesGauss(b *testing.B) {
 			b.ReportMetric(float64(gprops)/float64(b.N), "gprops")
 			b.ReportMetric(float64(gconfl)/float64(b.N), "gconfl")
 		})
+	}
+}
+
+// BenchmarkSessionOracleConcurrent guards the SessionOracle's warm
+// session pool under the forensic-witness shape: 2 goroutines each ask
+// one SessionOracle for a single witness of 16 distinct k = 4..8
+// bursts, each inside its own 48-cycle suspicion window, on the m=128
+// paper encoding. It guards the pool against regressions of itself:
+// 32 heavy-tailed queries are too few to rank pool designs against
+// each other (EXPERIMENTS.md). Which goroutine's session serves which
+// query depends on scheduling, so conflicts vary between runs and only
+// ns/op is guarded (BENCH.json, make bench-check).
+func BenchmarkSessionOracleConcurrent(b *testing.B) {
+	const (
+		m          = 128
+		goroutines = 2
+		perG       = 16
+		window     = 48
+	)
+	enc, err := bench.CachedEncoding("incremental", m, bench.PaperB[m], 4, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type query struct {
+		entry core.LogEntry
+		props []reconstruct.Constraint
+	}
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]query, goroutines*perG)
+	for i := range queries {
+		k := 4 + i%5
+		from := rng.Intn(m - window + 1)
+		changes := rng.Perm(window)[:k]
+		for j := range changes {
+			changes[j] += from
+		}
+		queries[i] = query{
+			entry: core.Log(enc, core.SignalFromChanges(m, changes...)),
+			props: []reconstruct.Constraint{properties.Window{Lo: from, Hi: from + window}},
+		}
+	}
+	ctx := context.Background()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		o, err := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		var wg sync.WaitGroup
+		errs := make([]error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for _, q := range queries[g*perG : (g+1)*perG] {
+					sigs, _, err := o.Enumerate(ctx, q.entry, q.props, 1)
+					if err == nil && len(sigs) == 0 {
+						err = fmt.Errorf("no witness for k=%d", q.entry.K)
+					}
+					if err != nil {
+						errs[g] = err
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

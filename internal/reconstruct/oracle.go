@@ -60,11 +60,15 @@ type Oracle interface {
 
 // Oracle/dispatch metric names.
 const (
-	// MetricOracleSessionReuse counts queries answered on a
-	// SessionOracle's warm retained solver; MetricOracleSessionClone
-	// counts queries that found it busy and ran on a prototype clone.
-	MetricOracleSessionReuse = "reconstruct.oracle.session.reuse"
-	MetricOracleSessionClone = "reconstruct.oracle.session.clone"
+	// MetricOracleSessionReuse counts queries solved on a warm session
+	// taken from a SessionOracle's pool; MetricOracleSessionClone
+	// counts queries that found the pool empty, so a new session was
+	// cloned from the prototype (and joins the pool afterwards).
+	// MetricOracleSessionRetired counts sessions dropped on release
+	// because their variable count outgrew the pool's ceiling.
+	MetricOracleSessionReuse   = "reconstruct.oracle.session.reuse"
+	MetricOracleSessionClone   = "reconstruct.oracle.session.clone"
+	MetricOracleSessionRetired = "reconstruct.oracle.session.retired"
 	// MetricDispatchChosenPrefix + route counts requests the dispatcher
 	// sent to that route; MetricDispatchFallback counts mispredicts —
 	// requests whose chosen backend returned ErrUnsupported and were
@@ -365,17 +369,28 @@ func (o *bruteOracle) Check(ctx context.Context, entry core.LogEntry, cons []Con
 // --- incremental session ---
 
 // SessionOracle adapts reconstruct.Session to the Oracle interface
-// with the warm-solver discipline the service pioneered: a prototype
-// Session that is NEVER queried (so cloning it is a pure read), a live
-// clone that accumulates learned clauses across queries, and a
-// TryLock: a request that finds the live solver busy runs on a fresh
-// prototype clone instead of queueing behind it.
+// with a pool of warm solvers: a prototype Session that is NEVER
+// queried (so cloning it is a pure read) and a free list of sessions
+// that each accumulate learned clauses across the queries they serve.
+// A query takes a session from the free list, or clones the prototype
+// when the list is empty, and puts it back when done. The list grows
+// only when it is empty, so it never holds more sessions than the
+// peak number of concurrent queries; the service's admission bounds
+// that by its worker count.
 type SessionOracle struct {
-	mu    sync.Mutex // guards live
 	proto *Session
-	live  *Session
 	obs   *obs.Registry
+
+	mu   sync.Mutex // guards free
+	free []*Session
 }
+
+// maxSessionGrowth caps a pooled session's variable count at this
+// multiple of the prototype's. Every enumeration leaves a retired
+// selector variable behind and every distinct property string adds a
+// permanent guard group, so a session that outgrows the cap is dropped
+// on release and the pool clones a fresh one on the next empty take.
+const maxSessionGrowth = 2
 
 // NewSessionOracle builds the incremental assumption-based backend for
 // enc. Construction pays the one-off A-structure encoding (uncut XOR
@@ -386,7 +401,7 @@ func NewSessionOracle(enc *encoding.Encoding, opts SessionOptions) (*SessionOrac
 	if err != nil {
 		return nil, err
 	}
-	return &SessionOracle{proto: proto, live: proto.Clone(), obs: opts.Obs}, nil
+	return &SessionOracle{proto: proto, free: []*Session{proto.Clone()}, obs: opts.Obs}, nil
 }
 
 func (o *SessionOracle) Name() string { return "sat-inc" }
@@ -426,8 +441,8 @@ func (o *SessionOracle) Check(ctx context.Context, entry core.LogEntry, cons []C
 }
 
 // acquire validates the entry against the session's fixed shape and
-// picks a solver: the warm live one when free, a prototype clone when
-// busy.
+// takes a warm session from the pool, cloning the prototype when the
+// pool is empty. The returned func puts the session back.
 func (o *SessionOracle) acquire(entry core.LogEntry) (*Session, func(), error) {
 	if err := validateShape(o.proto.enc, entry); err != nil {
 		return nil, nil, err
@@ -435,12 +450,33 @@ func (o *SessionOracle) acquire(entry core.LogEntry) (*Session, func(), error) {
 	if !o.proto.Supports(entry.K) {
 		return nil, nil, fmt.Errorf("session ladder caps k at %d, got %d: %w", o.proto.MaxK(), entry.K, ErrUnsupported)
 	}
-	if o.mu.TryLock() {
-		o.obs.Counter(MetricOracleSessionReuse).Inc()
-		return o.live, o.mu.Unlock, nil
+	var sess *Session
+	o.mu.Lock()
+	if n := len(o.free); n > 0 {
+		sess = o.free[n-1]
+		o.free[n-1] = nil
+		o.free = o.free[:n-1]
 	}
-	o.obs.Counter(MetricOracleSessionClone).Inc()
-	return o.proto.Clone(), func() {}, nil
+	o.mu.Unlock()
+	if sess != nil {
+		o.obs.Counter(MetricOracleSessionReuse).Inc()
+	} else {
+		o.obs.Counter(MetricOracleSessionClone).Inc()
+		sess = o.proto.Clone()
+	}
+	return sess, func() { o.release(sess) }, nil
+}
+
+// release returns a session to the pool, or drops it once it has
+// outgrown maxSessionGrowth times the prototype's variable count.
+func (o *SessionOracle) release(sess *Session) {
+	if sess.numVars() > maxSessionGrowth*o.proto.numVars() {
+		o.obs.Counter(MetricOracleSessionRetired).Inc()
+		return
+	}
+	o.mu.Lock()
+	o.free = append(o.free, sess)
+	o.mu.Unlock()
 }
 
 // mapErr translates session errors to the Oracle contract: budget and

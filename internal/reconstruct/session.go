@@ -250,6 +250,11 @@ func (s *Session) Check(entry core.LogEntry, constraints []Constraint) (sat.Stat
 	return s.bld.S.SolveAssuming(assumps), nil
 }
 
+// numVars reports the session solver's variable count. It grows by
+// one retired selector per enumeration and by one guard (plus any
+// auxiliary variables) per distinct property.
+func (s *Session) numVars() int { return s.bld.S.NumVars() }
+
 // Stats exposes the underlying solver counters.
 func (s *Session) Stats() sat.Stats { return s.bld.S.Stats }
 

@@ -1,13 +1,16 @@
 package reconstruct
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/obs"
 	"repro/internal/properties"
 	"repro/internal/sat"
 )
@@ -272,5 +275,138 @@ func TestSessionSeparatesEqualSizeCandidateSets(t *testing.T) {
 		if len(sigs) != tc.want || (tc.want == 1 && !sigs[0].Equal(truth)) {
 			t.Fatalf("%s: got %v, want %d candidate(s)", tc.prop, sigs, tc.want)
 		}
+	}
+}
+
+// TestSessionOracleRetiresOvergrownSession drives the pool's one
+// session past the variable ceiling with distinct Window properties
+// (each adds a permanent guard, each enumeration a retired selector)
+// and checks that the overgrown session is dropped rather than reused,
+// while every answer still matches brute force.
+func TestSessionOracleRetiresOvergrownSession(t *testing.T) {
+	const m = 16
+	enc := mustEnc(t, m, 9, 4)
+	reg := obs.NewRegistry()
+	o, err := NewSessionOracle(enc, SessionOptions{MaxK: 3, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brute := NewBruteOracle(enc, 0)
+	r := rand.New(rand.NewSource(53))
+	ctx := context.Background()
+	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
+	query := func(lo, hi int) {
+		t.Helper()
+		changes := r.Perm(hi - lo)[:min(3, hi-lo)]
+		for i := range changes {
+			changes[i] += lo
+		}
+		entry := core.Log(enc, core.SignalFromChanges(m, changes...))
+		cons := []Constraint{properties.Window{Lo: lo, Hi: hi}}
+		got, ex, err := o.Enumerate(ctx, entry, cons, 0)
+		if err != nil || !ex {
+			t.Fatalf("Window[%d,%d): exhausted=%v err=%v", lo, hi, ex, err)
+		}
+		want, _, err := brute.Enumerate(ctx, entry, cons, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gk, wk := sigKeySet(got), sigKeySet(want)
+		if len(gk) != len(wk) {
+			t.Fatalf("Window[%d,%d): session %d candidates, brute force %d", lo, hi, len(gk), len(wk))
+		}
+		for k := range wk {
+			if !gk[k] {
+				t.Fatalf("Window[%d,%d): session missing %s", lo, hi, k)
+			}
+		}
+	}
+
+	queries := 0
+	for lo := 0; lo < m && counter(MetricOracleSessionRetired) == 0; lo++ {
+		for hi := lo + 1; hi <= m && counter(MetricOracleSessionRetired) == 0; hi++ {
+			query(lo, hi)
+			queries++
+		}
+	}
+	if counter(MetricOracleSessionRetired) != 1 {
+		t.Fatalf("no session retired after %d distinct windows", queries)
+	}
+	t.Logf("retired after %d queries (prototype %d variables)", queries, o.proto.numVars())
+	if reuse, clone := counter(MetricOracleSessionReuse), counter(MetricOracleSessionClone); reuse != int64(queries) || clone != 0 {
+		t.Fatalf("before retirement: reuse=%d clone=%d, want %d/0", reuse, clone, queries)
+	}
+	// The retired session left the pool empty: the next query runs on a
+	// fresh prototype clone, which then serves the query after it.
+	query(0, m)
+	if clone := counter(MetricOracleSessionClone); clone != 1 {
+		t.Fatalf("after retirement: clone=%d, want 1 (the overgrown session was reused)", clone)
+	}
+	query(1, m)
+	if reuse := counter(MetricOracleSessionReuse); reuse != int64(queries)+1 {
+		t.Fatalf("after retirement: reuse=%d, want %d", reuse, queries+1)
+	}
+}
+
+// TestSessionOracleConcurrentPool hammers one SessionOracle from
+// several goroutines (run it under -race): every answer must match the
+// serial one-shot SAT oracle, and the pool may clone at most one
+// session per goroutine, since it grows only when every pooled session
+// is busy.
+func TestSessionOracleConcurrentPool(t *testing.T) {
+	const m, goroutines, perG = 24, 4, 12
+	enc := mustEnc(t, m, 11, 4)
+	reg := obs.NewRegistry()
+	o, err := NewSessionOracle(enc, SessionOptions{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSATOracle(enc, Options{})
+	r := rand.New(rand.NewSource(59))
+	ctx := context.Background()
+	entries := make([]core.LogEntry, perG)
+	want := make([]map[string]bool, perG)
+	for i := range entries {
+		entries[i] = core.Log(enc, core.SignalFromChanges(m, r.Perm(m)[:1+i%4]...))
+		sigs, ex, err := ref.Enumerate(ctx, entries[i], nil, 0)
+		if err != nil || !ex {
+			t.Fatalf("reference entry %d: exhausted=%v err=%v", i, ex, err)
+		}
+		want[i] = sigKeySet(sigs)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range entries {
+				i := (j + g) % perG
+				sigs, ex, err := o.Enumerate(ctx, entries[i], nil, 0)
+				if err != nil || !ex {
+					t.Errorf("goroutine %d entry %d: exhausted=%v err=%v", g, i, ex, err)
+					return
+				}
+				got := sigKeySet(sigs)
+				if len(got) != len(want[i]) {
+					t.Errorf("goroutine %d entry %d: %d candidates, serial SAT %d", g, i, len(got), len(want[i]))
+					return
+				}
+				for k := range want[i] {
+					if !got[k] {
+						t.Errorf("goroutine %d entry %d: missing %s", g, i, k)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	snap := reg.Snapshot()
+	reuse, clone := snap.Counters[MetricOracleSessionReuse], snap.Counters[MetricOracleSessionClone]
+	if reuse+clone != goroutines*perG {
+		t.Fatalf("reuse(%d) + clone(%d) != %d queries", reuse, clone, goroutines*perG)
+	}
+	if clone > goroutines {
+		t.Fatalf("clone = %d > %d goroutines: the pool grew past peak concurrency", clone, goroutines)
 	}
 }

@@ -32,6 +32,10 @@ func (s *Solver) propagate() *conflictInfo {
 }
 
 // propagateCNF visits all clauses watching ¬p (p just became true).
+// Every exit clears the slots the compaction vacated: a stale watcher
+// in a list's spare capacity would keep a clause that reduceDB or
+// DropGuard detached reachable, so a long-lived solver's memory would
+// grow with every clause it ever watched.
 func (s *Solver) propagateCNF(p lit) *conflictInfo {
 	ws := s.watches[p]
 	kept := ws[:0]
@@ -56,6 +60,7 @@ func (s *Solver) propagateCNF(p lit) *conflictInfo {
 				for wi++; wi < len(ws); wi++ {
 					kept = append(kept, ws[wi])
 				}
+				clear(ws[len(kept):])
 				s.watches[p] = kept
 				return &conflictInfo{lits: c.lits}
 			case valUnassigned:
@@ -97,12 +102,14 @@ func (s *Solver) propagateCNF(p lit) *conflictInfo {
 			for wi++; wi < len(ws); wi++ {
 				kept = append(kept, ws[wi])
 			}
+			clear(ws[len(kept):])
 			s.watches[p] = kept
 			return &conflictInfo{lits: c.lits}
 		}
 		kept = append(kept, w)
 		s.uncheckedEnqueue(c.lits[0], reason{kind: reasonClause, cls: c})
 	}
+	clear(ws[len(kept):])
 	s.watches[p] = kept
 	return nil
 }
@@ -121,6 +128,7 @@ func (s *Solver) propagateXors(v int32) *conflictInfo {
 			for wi++; wi < len(ws); wi++ {
 				kept = append(kept, ws[wi])
 			}
+			clear(ws[len(kept):])
 			s.xorWatches[v] = kept
 			return &conflictInfo{lits: s.xorReason(x, 0, false)}
 		}
@@ -130,6 +138,7 @@ func (s *Solver) propagateXors(v int32) *conflictInfo {
 			// A propagation may cascade; the main loop drains the trail.
 		}
 	}
+	clear(ws[len(kept):])
 	s.xorWatches[v] = kept
 	return nil
 }
@@ -277,12 +286,22 @@ func (s *Solver) bumpClause(c *clause) {
 func (s *Solver) decayClauseActivity() { s.claInc /= 0.999 }
 
 // computeLBD counts distinct decision levels among a clause's literals.
+// lbdStamp[l] == lbdEpoch marks level l as counted by this call, so
+// the count needs no per-conflict set.
 func (s *Solver) computeLBD(lits []lit) int32 {
-	levels := map[int32]struct{}{}
+	s.lbdEpoch++
+	n := int32(0)
 	for _, l := range lits {
-		levels[s.level[l.varIdx()]] = struct{}{}
+		lv := int(s.level[l.varIdx()])
+		for lv >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, 0)
+		}
+		if s.lbdStamp[lv] != s.lbdEpoch {
+			s.lbdStamp[lv] = s.lbdEpoch
+			n++
+		}
 	}
-	return int32(len(levels))
+	return n
 }
 
 // pickBranchLit selects the unassigned variable with highest activity
@@ -367,12 +386,15 @@ func clauseLess(a, b *clause) bool {
 	return a.act > b.act
 }
 
+// detachClause unlinks c from both watch lists, zeroing the vacated
+// tail slot so the list's spare capacity does not pin c.
 func (s *Solver) detachClause(c *clause) {
 	for _, w := range []lit{c.lits[0].not(), c.lits[1].not()} {
 		ws := s.watches[w]
 		for i, x := range ws {
 			if x.cls == c {
 				ws[i] = ws[len(ws)-1]
+				ws[len(ws)-1] = watcher{}
 				s.watches[w] = ws[:len(ws)-1]
 				break
 			}

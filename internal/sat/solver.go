@@ -178,6 +178,8 @@ type Solver struct {
 
 	seen       []bool
 	analyzeBuf []lit
+	lbdStamp   []uint64 // per decision level; see computeLBD
+	lbdEpoch   uint64
 
 	// model is the assignment captured at the most recent Sat result.
 	// Model and Value read it, so SolveAssuming can retract its

@@ -103,13 +103,15 @@ func TestBatchMixedJobsAndPerJobErrors(t *testing.T) {
 
 // TestSessionOracleRaceReuseCloneFallback hammers one spec with
 // concurrent unary and batch traffic under a pinned "sat-inc" oracle
-// and asserts the TryLock discipline's accounting closes: every
-// executed solve either reused the warm retained solver, ran on a
-// clone, or fell past the session's k ladder to the serial engine —
-// reuse + clone + fallback must sum to the solve count exactly.
-// Run under -race this also shakes out data races between the
-// session's lazy encoding build, the TryLock hand-off, and the batch
-// worker pool.
+// and asserts the session pool's accounting closes: every executed
+// solve either ran on a pooled warm session, cloned a new session
+// because the pool was empty, or fell past the session's k ladder to
+// the serial engine — reuse + clone + fallback must sum to the solve
+// count exactly. The pool grows only when empty, and admission caps
+// concurrent solves at Workers on the unary and batch paths alike, so
+// at most Workers sessions are ever cloned. Run under -race this also
+// shakes out data races between the session's lazy encoding build,
+// the pool hand-off, and the batch worker pool.
 func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 	const m, b = 32, 12
 	enc, err := encoding.Incremental(m, b, 4)
@@ -142,7 +144,8 @@ func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 		qs = append(qs, query{tp, k})
 	}
 
-	_, base, reg := startServer(t, Config{Workers: 8, QueueDepth: 2048, Oracle: "sat-inc"}, 0)
+	const workers = 8
+	_, base, reg := startServer(t, Config{Workers: workers, QueueDepth: 2048, Oracle: "sat-inc"}, 0)
 	specJSON := fmt.Sprintf(`{"m":%d,"b":%d}`, m, b)
 	var wg sync.WaitGroup
 	var bad atomic.Int64
@@ -195,6 +198,9 @@ func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 	if reuse+clone+fallback != solves {
 		t.Fatalf("accounting leak: reuse(%d) + clone(%d) + fallback(%d) = %d, want solves=%d",
 			reuse, clone, fallback, reuse+clone+fallback, solves)
+	}
+	if clone > workers {
+		t.Fatalf("clone = %d > Workers = %d: the session pool outgrew admission's concurrency bound", clone, workers)
 	}
 }
 

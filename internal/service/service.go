@@ -83,14 +83,16 @@ const (
 	// sessions.
 	MetricSolves   = "service.solves"
 	MetricSessions = "service.sessions"
-	// Incremental-session counters: solves answered by the retained
-	// warm solver (reuse) and solves that found it busy and ran on a
-	// clone of the session prototype instead. Both are published by
-	// reconstruct.SessionOracle now that the dispatcher owns the
-	// session pattern; the aliases keep the service's documented names
-	// stable. MetricSessionFallback counts solves routed to the session
-	// that it could not express (unsupported k, constraint the session
-	// cannot guard) and were re-run on one-shot SAT.
+	// Incremental-session counters, published by the per-spec
+	// reconstruct.SessionOracle's pool of warm sessions: reuse counts
+	// solves run on a pooled warm session; clone counts solves that
+	// found the pool empty, so a new session was cloned from the
+	// prototype and kept. Admission caps concurrent solves at Workers,
+	// so clone stays at or below Workers per spec unless sessions are
+	// retired for growth. The aliases keep the service's documented
+	// names stable. MetricSessionFallback counts solves routed to the
+	// session that it could not express (unsupported k, constraint the
+	// session cannot guard) and were re-run on one-shot SAT.
 	MetricSessionReuse    = reconstruct.MetricOracleSessionReuse
 	MetricSessionClone    = reconstruct.MetricOracleSessionClone
 	MetricSessionFallback = "service.session.fallback"

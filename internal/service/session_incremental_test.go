@@ -7,8 +7,8 @@ import (
 )
 
 // Sequential distinct queries against one encoding session pinned to
-// the incremental backend must all be answered by the warm retained
-// solver, with zero fallbacks to one-shot instances. (The oracle is
+// the incremental backend must all be answered by the one warm pooled
+// session (no clones), with zero fallbacks to one-shot instances. (The oracle is
 // pinned because auto-routing would send these small instances to the
 // cheaper brute/decode backends.)
 func TestIncrementalSessionCounters(t *testing.T) {
@@ -35,8 +35,8 @@ func TestIncrementalSessionCounters(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	reuse, clone := snap.Counters[MetricSessionReuse], snap.Counters[MetricSessionClone]
-	if reuse+clone != int64(len(queries)) {
-		t.Fatalf("reuse=%d clone=%d, want sum %d", reuse, clone, len(queries))
+	if reuse != int64(len(queries)) || clone != 0 {
+		t.Fatalf("reuse=%d clone=%d, want %d/0", reuse, clone, len(queries))
 	}
 	if fb := snap.Counters[MetricSessionFallback]; fb != 0 {
 		t.Fatalf("fallbacks = %d, want 0", fb)
