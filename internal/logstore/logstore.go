@@ -14,13 +14,19 @@
 //     frame are never served as data. Open-time recovery salvages the
 //     intact prefix of a damaged segment, truncates the damage away,
 //     and reports it as a typed error wrapping ErrCorrupt.
-//   - Append-only. Segments are written once, sealed at a fixed size
-//     boundary (fsync-on-rotate), and never rewritten. Retention drops
-//     whole sealed segments oldest-first — compaction is an unlink,
-//     not a rewrite, so it can never corrupt surviving data.
+//   - Append-only, rewritten exactly once. The active segment is only
+//     appended to. At a fixed size boundary it is sealed: fsynced, then
+//     rewritten exactly once, its records grouped by key, into a temp
+//     file that replaces it by atomic rename (a segment whose records
+//     are already grouped is kept as it is). Until the rename the
+//     append-order file stays authoritative, and after it nothing
+//     writes the segment again. Retention drops whole sealed segments
+//     oldest-first — compaction is an unlink, not a rewrite, so it can
+//     never corrupt surviving data.
 //   - Cheap open. The in-memory index (per-segment, per-key epoch
-//     bounds plus a sparse offset list) is rebuilt by scanning segments
-//     on open; there is no separate index file to keep consistent.
+//     bounds, the key's extent and a sparse offset list) is rebuilt by
+//     scanning segments on open, whatever order their records are in;
+//     there is no separate index file to keep consistent.
 //   - Monotone epochs. Within one (device, signal) key, epochs never
 //     decrease: Append clamps a lagging epoch up to the key's last
 //     value (wall clocks step; forensic order must not), which keeps
@@ -28,6 +34,7 @@
 package logstore
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -35,6 +42,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -81,6 +89,15 @@ const (
 	// or not; query.records over query.scanned is the read path's
 	// useful-work ratio.
 	MetricQueryScanned = "logstore.query.scanned"
+	// SpanSeal times each rotation under the write lock: the fsync,
+	// the key-clustering rewrite, the next segment's creation and
+	// retention. It publishes the histogram logstore.seal.ns and the
+	// counter logstore.seal.calls.
+	SpanSeal = "logstore.seal"
+	// MetricSealUnclustered counts seals whose key-clustering rewrite
+	// failed before its rename (a read, check, write or rename error);
+	// the segment then stays sealed in append order, still valid.
+	MetricSealUnclustered = "logstore.seal.unclustered"
 )
 
 // Options tunes a Store. The zero value is production-usable.
@@ -190,10 +207,14 @@ type Recovery struct {
 // Corrupt reports whether recovery found any damage.
 func (r *Recovery) Corrupt() bool { return len(r.Errs) > 0 }
 
-// idxPoint is one sparse-index sample: the epoch of the record at off.
+// idxPoint is one sparse-index sample: the record of the key at off,
+// and the epoch of the key's record before it in the segment
+// (math.MinInt64 for the key's first). With sorted epochs, a query for
+// epochs from From on may start its walk at the sample exactly when
+// before < From.
 type idxPoint struct {
-	epoch int64
-	off   int64
+	before int64
+	off    int64
 }
 
 // keyIndex is one key's footprint within one segment.
@@ -204,9 +225,14 @@ type keyIndex struct {
 	// sorted is true while the key's epochs within the segment are
 	// non-decreasing in file order — Append guarantees it, but a
 	// hand-damaged or foreign file may not; unsorted keys fall back to
-	// full-segment scans so the sparse seek stays sound.
+	// walking the key's whole extent so the sparse seek stays sound.
 	sorted bool
 	sparse []idxPoint
+	// end is the file offset just past the key's last record. The
+	// key's extent, [sparse[0].off, end), holds every record of the
+	// key: one contiguous run in a sealed, key-clustered segment, and
+	// interleaved with other keys in the active segment.
+	end int64
 }
 
 // segment is one on-disk file plus its in-memory index.
@@ -252,6 +278,9 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		opts:      opts,
 		obs:       opts.Obs,
 		lastEpoch: make(map[Key]int64),
+	}
+	if err := removeStaleSorting(dir); err != nil {
+		return nil, nil, fmt.Errorf("logstore: %w", err)
 	}
 	rec := &Recovery{}
 	names, seqs, err := listSegments(dir)
@@ -368,7 +397,7 @@ func (s *Store) scanSegment(path string, seq uint64, rec *Recovery) (*segment, e
 			ki = seg.keyIndexFor(Key{string(v.device), string(v.signal)})
 			byKey[string(v.key)] = ki
 		}
-		seg.add(ki, v.epoch, v.off)
+		seg.add(ki, v.epoch, v.off, w.off)
 	}
 	goodOff := w.off
 	seg.size = goodOff
@@ -400,9 +429,9 @@ func (s *Store) scanSegment(path string, seq uint64, rec *Recovery) (*segment, e
 // candidate segment only and absorbs it on success, so a segment
 // dropped during recovery never pollutes the store counters or the
 // per-key epoch clamp.
-func (s *Store) indexRecord(seg *segment, r Record, off int64) {
+func (s *Store) indexRecord(seg *segment, r Record, off, end int64) {
 	key := Key{r.Device, r.Signal}
-	seg.add(seg.keyIndexFor(key), r.Epoch, off)
+	seg.add(seg.keyIndexFor(key), r.Epoch, off, end)
 	s.stats.Records++
 	if last, ok := s.lastEpoch[key]; !ok || r.Epoch > last {
 		s.lastEpoch[key] = r.Epoch
@@ -419,17 +448,19 @@ func (seg *segment) keyIndexFor(key Key) *keyIndex {
 	return ki
 }
 
-// add folds one record of ki's key, at file offset off, into the
-// segment's local index.
-func (seg *segment) add(ki *keyIndex, epoch, off int64) {
+// add folds one record of ki's key, the frame at file offsets
+// [off, end), into the segment's local index. Records are added in
+// file order.
+func (seg *segment) add(ki *keyIndex, epoch, off, end int64) {
 	if epoch < ki.maxEpoch {
 		ki.sorted = false
 	}
+	if ki.count%sparseEvery == 0 {
+		ki.sparse = append(ki.sparse, idxPoint{before: ki.maxEpoch, off: off})
+	}
 	ki.minEpoch = min(ki.minEpoch, epoch)
 	ki.maxEpoch = max(ki.maxEpoch, epoch)
-	if ki.count%sparseEvery == 0 {
-		ki.sparse = append(ki.sparse, idxPoint{epoch: epoch, off: off})
-	}
+	ki.end = end
 	ki.count++
 	seg.records++
 }
@@ -530,7 +561,7 @@ func (s *Store) Append(rec Record) (int64, error) {
 	if _, err := active.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("logstore: append: %w", err)
 	}
-	s.indexRecord(active, rec, active.size)
+	s.indexRecord(active, rec, active.size, active.size+int64(len(frame)))
 	active.size += int64(len(frame))
 	s.stats.Appends++
 	s.obs.Counter(MetricAppends).Inc()
@@ -558,8 +589,9 @@ func (s *Store) Rotate() error {
 
 // rotateLocked seals the active segment — this is the durability
 // point: the sealed file is fsynced before the new one is created —
-// then enforces retention. Caller holds mu.
+// clusters it by key, then enforces retention. Caller holds mu.
 func (s *Store) rotateLocked() error {
+	defer s.obs.StartSpan(SpanSeal).End()
 	active := s.segs[len(s.segs)-1]
 	if !s.opts.NoSync {
 		if err := active.f.Sync(); err != nil {
@@ -571,6 +603,11 @@ func (s *Store) rotateLocked() error {
 	}
 	active.f = nil
 	active.sealed = true
+	if err := s.cluster(active); err != nil {
+		// The append-order file is still in place and still a valid
+		// segment; it is only slower to query.
+		s.obs.Counter(MetricSealUnclustered).Inc()
+	}
 	s.stats.Rotations++
 	s.obs.Counter(MetricRotations).Inc()
 	if err := s.newActiveSegment(active.seq + 1); err != nil {
@@ -579,6 +616,122 @@ func (s *Store) rotateLocked() error {
 	_, err := s.compactLocked()
 	s.publishGauges()
 	return err
+}
+
+// cluster rewrites the sealed segment seg with its records grouped by
+// key, so that each key's records form one contiguous run a query
+// walks alone. It reads the file back through the CRC-checking walker,
+// stable-sorts the frames by key bytes (keeping append order, and so
+// monotone epochs, within each key), writes them under the unchanged
+// header to seg's path plus sortingSuffix, fsyncs that file and renames
+// it over the segment; then it swaps in the index of the new layout.
+// The rename is made durable by the directory fsync of the next
+// segment's creation, which follows at once: a crash before then
+// leaves one of the two files under the name, and each is a valid
+// segment holding the same records. A segment already grouped by key
+// is left as it is.
+//
+// On error no rename happened: the temp file is removed, and the
+// append-order file and its index stay authoritative.
+func (s *Store) cluster(seg *segment) error {
+	data, err := os.ReadFile(seg.path)
+	if err != nil {
+		return err
+	}
+	if int64(len(data)) != seg.size {
+		return fmt.Errorf("segment %s is %d bytes, indexed %d: %w",
+			filepath.Base(seg.path), len(data), seg.size, ErrCorrupt)
+	}
+	// run is one key's records: its raw key bytes, its entry in the
+	// clustered index and, once the runs are ordered, the next free slot
+	// of the run in the clustered order.
+	type run struct {
+		key  []byte // aliases data
+		ki   *keyIndex
+		slot int
+	}
+	type frame struct {
+		off, end, epoch int64
+		run             *run
+	}
+	clustered := &segment{keys: make(map[Key]*keyIndex, len(seg.keys))}
+	byKey := make(map[string]*run, len(seg.keys))
+	var runs []*run
+	frames := make([]frame, 0, seg.records)
+	w := newWalker(bytes.NewReader(data[segHeaderSize:]), segHeaderSize, seg.size, s.opts.MaxRecordBytes)
+	defer w.release()
+	for {
+		v, err := w.next()
+		if err != nil {
+			return err
+		}
+		if v == nil {
+			break
+		}
+		r := byKey[string(v.key)]
+		if r == nil {
+			keyOff := v.off + recFrameSize
+			r = &run{
+				key: data[keyOff : keyOff+int64(len(v.key))],
+				ki:  clustered.keyIndexFor(Key{string(v.device), string(v.signal)}),
+			}
+			byKey[string(r.key)] = r
+			runs = append(runs, r)
+		}
+		r.slot++ // counts the run's records until the runs are ordered
+		frames = append(frames, frame{off: v.off, end: w.off, epoch: v.epoch, run: r})
+	}
+	if w.off != seg.size || len(frames) != seg.records {
+		return fmt.Errorf("segment %s walked %d record(s) to offset %d, indexed %d to %d: %w",
+			filepath.Base(seg.path), len(frames), w.off, seg.records, seg.size, ErrCorrupt)
+	}
+	// A counting sort: the runs in key-byte order, each run's records
+	// in append order.
+	slices.SortFunc(runs, func(a, b *run) int { return bytes.Compare(a.key, b.key) })
+	next := 0
+	for _, r := range runs {
+		next, r.slot = next+r.slot, next
+	}
+	order := make([]frame, len(frames))
+	moved := false
+	for i, fr := range frames {
+		order[fr.run.slot] = fr
+		moved = moved || fr.run.slot != i
+		fr.run.slot++
+	}
+	if !moved {
+		return nil
+	}
+
+	tmp := seg.path + sortingSuffix
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriterSize(f, walkBufSize)
+	bw.Write(data[:segHeaderSize]) // a write error is sticky; Flush reports it
+	off := int64(segHeaderSize)
+	for _, fr := range order {
+		bw.Write(data[fr.off:fr.end])
+		clustered.add(fr.run.ki, fr.epoch, off, off+fr.end-fr.off)
+		off += fr.end - fr.off
+	}
+	err = bw.Flush()
+	if err == nil && !s.opts.NoSync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, seg.path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: Open deletes any temp file left
+		return err
+	}
+	seg.keys = clustered.keys
+	return nil
 }
 
 // Compact enforces retention now: whole sealed segments are dropped
@@ -682,19 +835,24 @@ func (qs *queryScan) keep(v *recordView) {
 	})
 }
 
-// scanForQuery reads one segment's matching records. Sorted keys seek
-// via the sparse index (largest sample strictly below From) and stop
-// once past To; unsorted keys scan the whole segment. Every record
-// walked is CRC-checked, so damage anywhere in the walked span — in any
-// key's record — fails the query closed.
+// scanForQuery reads one segment's matching records, walking no
+// further than the key's extent [sparse[0].off, ki.end). Sorted keys
+// seek via the sparse index (the last sample whose preceding record is
+// below From) and stop once past To; unsorted keys walk their whole
+// extent. On a key-clustered segment the extent is the key's own run,
+// so the walk returns every record it reads except at most
+// sparseEvery-1 before From and one past To. Every record walked is
+// CRC-checked, so damage anywhere in the walked span — in any key's
+// record — fails the query closed.
 func (s *Store) scanForQuery(seg *segment, ki *keyIndex, qs *queryScan) error {
 	q := qs.q
-	start := int64(segHeaderSize)
+	start := ki.sparse[0].off
 	if ki.sorted {
-		for _, p := range ki.sparse {
-			if p.epoch < q.From && p.off > start {
-				start = p.off
+		for _, p := range ki.sparse[1:] {
+			if p.before >= q.From {
+				break
 			}
+			start = p.off
 		}
 	}
 	f, err := os.Open(seg.path)
@@ -705,7 +863,7 @@ func (s *Store) scanForQuery(seg *segment, ki *keyIndex, qs *queryScan) error {
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return fmt.Errorf("logstore: segment %s: %v: %w", filepath.Base(seg.path), err, ErrCorrupt)
 	}
-	w := newWalker(f, start, seg.size, s.opts.MaxRecordBytes)
+	w := newWalker(f, start, ki.end, s.opts.MaxRecordBytes)
 	defer w.release()
 	for {
 		v, err := w.next()

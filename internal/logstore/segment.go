@@ -27,8 +27,13 @@ import (
 // All integers are little-endian. The CRC covers the payload only; the
 // length field is validated by range (a record must at least hold its
 // fixed fields plus a wire-log header) so a zero-filled or truncated
-// tail can never alias a valid record. Segments are append-only and
-// immutable once sealed: compaction drops whole files, never rewrites.
+// tail can never alias a valid record. The active segment is
+// append-only, its records in append order. A segment is rewritten
+// exactly once, at seal, by atomic rename: the same frames under the
+// same header, grouped by key (append order within a key; a segment
+// already grouped is kept as it is), so the framing and the version do
+// not change and a reader of either layout reads both. After that
+// nothing writes it; compaction drops whole files, never rewrites.
 const (
 	segMagic      = 0x47535054 // "TPSG"
 	segVersion    = 1
@@ -47,6 +52,11 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// sortingSuffix names the temp file a seal writes a segment's
+// key-clustered copy to, beside the segment, before renaming it over
+// the segment.
+const sortingSuffix = ".sorting"
 
 // segmentName renders the canonical file name for a sequence number.
 func segmentName(seq uint64) string { return fmt.Sprintf("seg-%08d.tpl", seq) }
@@ -82,6 +92,27 @@ func quarantineSegment(path string) (string, error) {
 		return "", err
 	}
 	return dst, nil
+}
+
+// removeStaleSorting deletes the seal temp files a crash left in dir.
+// Until its rename, a seal's segment file is the authoritative copy,
+// so a temp file left behind holds nothing the store needs. Only names
+// of the form <segment name>.sorting are touched.
+func removeStaleSorting(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		seg, ok := strings.CutSuffix(e.Name(), sortingSuffix)
+		if _, isSeg := parseSegmentName(seg); !ok || !isSeg || e.IsDir() {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // listSegments returns the store's segment files sorted by sequence.
@@ -236,8 +267,8 @@ func (v *recordView) parse(payload []byte) error {
 }
 
 // walkBufSize is the walker's read-ahead: a 256-record window of one
-// key in a 16-key fleet walks about 430 KB of interleaved records, a
-// handful of reads at this size.
+// key in a 16-key fleet walks about 26 KB of a sealed segment's
+// key-clustered run, one read at this size.
 const walkBufSize = 64 << 10
 
 // walker reads one segment's records in file order through a large

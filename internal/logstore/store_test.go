@@ -2,11 +2,13 @@ package logstore
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -193,14 +195,15 @@ func TestStoreReopenPersists(t *testing.T) {
 	}
 }
 
-// fillSegments appends records until the store has at least nSegs
-// segments, returning every appended record in order.
-func fillSegments(t *testing.T, st *Store, nSegs int) []Record {
+// fillSegments appends records, round-robin over devices (all on
+// signal "sig", epochs increasing across devices), until the store has
+// at least nSegs segments, returning every appended record in order.
+func fillSegments(t *testing.T, st *Store, nSegs int, devices ...string) []Record {
 	t.Helper()
 	var out []Record
 	for i := 0; st.Stats().Segments < nSegs; i++ {
 		r := Record{
-			Device: "ecu-a", Signal: "sig",
+			Device: devices[i%len(devices)], Signal: "sig",
 			Epoch:          int64(1000 + i),
 			TraceCycleBase: int64(i * 16),
 			Body:           wireBody(t, 64, 8, 2, int64(i)),
@@ -216,50 +219,85 @@ func fillSegments(t *testing.T, st *Store, nSegs int) []Record {
 	return out
 }
 
-// walkSegmentFile walks one intact segment file and returns each
-// record's frame offset and the offset just past the last record.
-func walkSegmentFile(t *testing.T, path string) (offs []int64, end int64) {
+// segFrame is one record of a segment file: its frame offset, its raw
+// frame bytes and the record it decodes to.
+type segFrame struct {
+	off int64
+	raw []byte
+	rec Record
+}
+
+// readSegment reads every record of one intact segment file in file
+// order.
+func readSegment(t *testing.T, path string) []segFrame {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
+	data := mustRead(t, path)
+	if _, err := readSegmentHeader(bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readSegmentHeader(f); err != nil {
-		t.Fatal(err)
-	}
-	w := newWalker(f, segHeaderSize, fi.Size(), 16<<20)
+	w := newWalker(bytes.NewReader(data[segHeaderSize:]), segHeaderSize, int64(len(data)), 16<<20)
 	defer w.release()
+	var out []segFrame
 	for {
 		v, err := w.next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v == nil {
-			return offs, w.off
+			return out
 		}
-		offs = append(offs, v.off)
+		out = append(out, segFrame{off: v.off, raw: data[v.off:w.off], rec: Record{
+			Device: string(v.device), Signal: string(v.signal),
+			Epoch: v.epoch, TraceCycleBase: v.base,
+			Body: append([]byte(nil), v.body...),
+		}})
 	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // countSegmentRecords walks one segment file and returns its record
 // count (the file must be intact).
 func countSegmentRecords(t *testing.T, path string) int {
 	t.Helper()
-	offs, _ := walkSegmentFile(t, path)
-	return len(offs)
+	return len(readSegment(t, path))
 }
 
-// TestCrashRecoveryMatrix is the injected-failure matrix from the
-// issue: for each kind of damage, open-time recovery must salvage
-// every intact record, report the damage as an error wrapping
-// ErrCorrupt, and accept a post-recovery append (and rotation) that
-// round-trips.
+// segmentLayout renders the segment file at path with its records in
+// append order (clustered false; the fixtures' epochs increase across
+// keys, so epoch order is append order) or grouped by key (clustered
+// true, as a seal writes it).
+func segmentLayout(t *testing.T, path string, clustered bool) []byte {
+	t.Helper()
+	frames := readSegment(t, path)
+	slices.SortStableFunc(frames, func(a, b segFrame) int {
+		if clustered {
+			return bytes.Compare(keyBytes(a.rec.Device, a.rec.Signal), keyBytes(b.rec.Device, b.rec.Signal))
+		}
+		return cmp.Compare(a.rec.Epoch, b.rec.Epoch)
+	})
+	out := append([]byte(nil), mustRead(t, path)[:segHeaderSize]...)
+	for _, fr := range frames {
+		out = append(out, fr.raw...)
+	}
+	return out
+}
+
+// TestCrashRecoveryMatrix is the injected-failure matrix: for each kind
+// of damage, open-time recovery must salvage every intact record,
+// report the damage as an error wrapping ErrCorrupt, delete any seal
+// temp file, and accept a post-recovery append (and rotation) that
+// round-trips. The fixture interleaves three keys, so its sealed
+// segments are clustered by key and its active segment is not.
 func TestCrashRecoveryMatrix(t *testing.T) {
+	devices := []string{"ecu-a", "ecu-b", "ecu-c"}
 	type outcome struct {
 		names   []string // segment files, sorted
 		lastOff int64    // size of the last segment file
@@ -267,7 +305,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	prepare := func(t *testing.T) (string, []Record, outcome) {
 		dir := t.TempDir()
 		st, _ := mustOpen(t, dir, Options{SegmentBytes: 400})
-		recs := fillSegments(t, st, 3)
+		recs := fillSegments(t, st, 3, devices...)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -311,8 +349,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Find the final record's frame start by re-walking.
-				offs, _ := walkSegmentFile(t, last)
-				lastFrame := offs[len(offs)-1]
+				frames := readSegment(t, last)
+				lastFrame := frames[len(frames)-1].off
 				// Keep the length field, cut inside the CRC field.
 				if lastFrame+6 >= fi.Size() {
 					t.Fatal("segment too small for CRC cut")
@@ -382,20 +420,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				// valid, semantically a replay. The store must keep serving
 				// (duplicates are data, not damage).
 				last := o.names[len(o.names)-1]
-				offs, end := walkSegmentFile(t, last)
-				lastOff := offs[len(offs)-1]
-				f, err := os.Open(last)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Seek(lastOff, 0); err != nil {
-					t.Fatal(err)
-				}
-				dup := make([]byte, end-lastOff)
-				if _, err := f.Read(dup); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
+				frames := readSegment(t, last)
+				dup := frames[len(frames)-1].raw
 				w, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -408,6 +434,45 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			},
 			wantErrs:   false,
 			duplicated: true,
+		},
+		{
+			// A crash between writing (and fsyncing) a seal's sorted
+			// temp file and renaming it: the append-order segment is
+			// authoritative and the temp file is stale.
+			name: "sort file complete, not renamed",
+			damage: func(t *testing.T, dir string, o outcome) int {
+				crashBeforeRename(t, o.names[0], func(n int) int { return n })
+				return 0
+			},
+		},
+		{
+			name: "sort file torn",
+			damage: func(t *testing.T, dir string, o outcome) int {
+				crashBeforeRename(t, o.names[0], func(n int) int { return n/2 + 3 })
+				return 0
+			},
+		},
+		{
+			// A crash after a seal's rename, before the next segment
+			// was created: the highest segment is the one the seal
+			// clustered, and it resumes as the append target. The
+			// records of the fixture's last segment were never
+			// appended in that history.
+			name: "sort file renamed, next segment not created",
+			damage: func(t *testing.T, dir string, o outcome) int {
+				last, sealed := o.names[len(o.names)-1], o.names[len(o.names)-2]
+				if bytes.Equal(segmentLayout(t, sealed, true), segmentLayout(t, sealed, false)) {
+					t.Fatalf("%s: clustering does not reorder the fixture", sealed)
+				}
+				if !bytes.Equal(segmentLayout(t, sealed, true), mustRead(t, sealed)) {
+					t.Fatalf("%s: sealed segment is not clustered by key", sealed)
+				}
+				lost := countSegmentRecords(t, last)
+				if err := os.Remove(last); err != nil {
+					t.Fatal(err)
+				}
+				return lost
+			},
 		},
 	}
 
@@ -428,10 +493,25 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			} else if rec.Corrupt() {
 				t.Fatalf("unexpected recovery errors: %v", rec.Errs)
 			}
-			got, err := st.Query(AllTime("ecu-a", "sig"))
-			if err != nil {
-				t.Fatalf("post-recovery query: %v", err)
+			if stale, _ := filepath.Glob(filepath.Join(dir, "*"+sortingSuffix)); len(stale) > 0 {
+				t.Fatalf("Open left seal temp files: %v", stale)
 			}
+			// Every key's records come back in append order; merged by
+			// epoch they are the store's whole history.
+			var got []Record
+			for _, d := range devices {
+				recs, err := st.Query(AllTime(d, "sig"))
+				if err != nil {
+					t.Fatalf("post-recovery query: %v", err)
+				}
+				for i := 1; i < len(recs); i++ {
+					if recs[i].Epoch < recs[i-1].Epoch {
+						t.Fatalf("%s: epoch %d follows %d", d, recs[i].Epoch, recs[i-1].Epoch)
+					}
+				}
+				got = append(got, recs...)
+			}
+			slices.SortStableFunc(got, func(a, b Record) int { return cmp.Compare(a.Epoch, b.Epoch) })
 			if want := len(recs) - lost; len(got) != want {
 				t.Fatalf("salvaged %d records, want %d (lost %d of %d)", len(got), want, lost, len(recs))
 			}
@@ -453,8 +533,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					if tc.duplicated && i == len(got)-1 {
 						j = len(recs) - 1 // the replayed copy
 					}
-					if !bytes.Equal(g.Body, recs[j].Body) {
-						t.Fatalf("salvaged record %d body mismatch", i)
+					if g.Device != recs[j].Device || !bytes.Equal(g.Body, recs[j].Body) {
+						t.Fatalf("salvaged record %d mismatch", i)
 					}
 				}
 			}
@@ -484,13 +564,32 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// crashBeforeRename puts the sealed segment at path in the state a
+// crash leaves when it hits the seal after the key-clustered temp file
+// was written but before the rename: the segment in append order, and
+// beside it the temp file, complete or cut to keep(n) of its n bytes.
+func crashBeforeRename(t *testing.T, path string, keep func(n int) int) {
+	t.Helper()
+	sorted := segmentLayout(t, path, true)
+	appendOrder := segmentLayout(t, path, false)
+	if bytes.Equal(sorted, appendOrder) {
+		t.Fatalf("%s: clustering does not reorder the fixture", path)
+	}
+	if err := os.WriteFile(path, appendOrder, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+sortingSuffix, sorted[:keep(len(sorted))], 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStoreCorruptHeader: a segment whose header is damaged is dropped
 // from the index (fail closed), quarantined aside, reported, and the
 // rest still serves.
 func TestStoreCorruptHeader(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := mustOpen(t, dir, Options{SegmentBytes: 400})
-	recs := fillSegments(t, st, 3)
+	recs := fillSegments(t, st, 3, "ecu-a")
 	st.Close()
 	names, _, err := listSegments(dir)
 	if err != nil {
@@ -927,11 +1026,14 @@ func TestStoreClosed(t *testing.T) {
 }
 
 // TestStoreForeignFilesIgnored: non-segment files in the directory are
-// left alone and do not confuse the scanner.
+// left alone and do not confuse the scanner; Open deletes only seal
+// temp files named after a segment.
 func TestStoreForeignFilesIgnored(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("not a segment"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"README.txt", "notes.sorting"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a segment"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, rec := mustOpen(t, dir, Options{})
 	if rec.Corrupt() {
@@ -941,7 +1043,9 @@ func TestStoreForeignFilesIgnored(t *testing.T) {
 	if _, err := st.Append(Record{Device: "d", Signal: "s", Epoch: 1, Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "README.txt")); err != nil {
-		t.Fatalf("foreign file disturbed: %v", err)
+	for _, name := range []string{"README.txt", "notes.sorting"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("foreign file disturbed: %v", err)
+		}
 	}
 }
