@@ -8,12 +8,12 @@ GO ?= go
 #      always-SAT, two goroutines on one SessionOracle's warm session
 #      pool — where -benchtime=1x -count=5 keeps the workloads bounded
 #      while still giving a median;
-#   2. the feature-extraction, decode-route, store-query and store-seal
-#      microbenchmarks;
+#   2. the feature-extraction, decode-route, store-query, store-seal and
+#      stream-frame microbenchmarks;
 #   3. the tprload per-class mean latencies.
 BENCH_RUN = { \
 	$(GO) test -run='^$$' -bench='^Benchmark(PresolveOnOff|ParallelWorkers|SessionQueries|SessionQueriesGauss|SessionOracleConcurrent|Dispatch)$$' -count=5 -benchtime=1x . && \
-	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|StoreQuery|StoreSeal)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ && \
+	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|StoreQuery|StoreSeal|StreamFrame)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ ./internal/service/ && \
 	$(GO) run ./cmd/tprload -self -bench -count 5; \
 }
 
@@ -22,8 +22,8 @@ BENCH_RUN = { \
 # check is the canonical verification gate: formatting, vet, build,
 # the full test suite under the race detector, and a single-pass run
 # of the Figure 4 benchmark as an end-to-end smoke test plus the
-# feature-extraction, decode-route, store-query and store-seal
-# microbenchmarks.
+# feature-extraction, decode-route, store-query, store-seal and
+# stream-frame microbenchmarks.
 check: fmt vet build race bench-smoke
 
 fmt:
@@ -49,6 +49,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='^BenchmarkFeatures$$' -benchtime=1x ./internal/reconstruct/
 	$(GO) test -run=NONE -bench='^BenchmarkDecodeRoute$$' -benchtime=1x ./internal/decode/
 	$(GO) test -run=NONE -bench='^Benchmark(StoreQuery|StoreSeal)$$' -benchtime=1x ./internal/logstore/
+	$(GO) test -run=NONE -bench='^BenchmarkStreamFrame$$' -benchtime=1x ./internal/service/
 
 # diffcheck runs the differential-oracle and fault-injection trust
 # harness: a seeded 200-case corpus through every reconstruction

@@ -9,8 +9,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 const wordBits = 64
@@ -245,31 +245,46 @@ func (v Vector) Uint64() uint64 {
 // notation used in the paper's Figure 4 (e.g. "00000001" for a vector
 // whose only set bit is bit 0).
 func (v Vector) String() string {
-	var sb strings.Builder
-	sb.Grow(v.width)
-	for i := v.width - 1; i >= 0; i-- {
-		if v.Get(i) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
-		}
-	}
-	return sb.String()
+	// The stack buffer holds any vector up to 256 bits wide, so the
+	// returned string is the only allocation.
+	var stack [256]byte
+	return string(v.AppendMSB(stack[:0]))
 }
 
 // LSBString renders v LSB-first (bit 0 leftmost), the natural reading
 // order when bit i corresponds to clock-cycle i of a trace-cycle.
 func (v Vector) LSBString() string {
-	var sb strings.Builder
-	sb.Grow(v.width)
-	for i := 0; i < v.width; i++ {
-		if v.Get(i) {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
+	var stack [256]byte
+	return string(v.AppendLSB(stack[:0]))
+}
+
+// AppendMSB appends String's rendering of v to dst, reading whole words
+// rather than testing each bit through Get.
+func (v Vector) AppendMSB(dst []byte) []byte {
+	dst = slices.Grow(dst, v.width)
+	out := dst[len(dst) : len(dst)+v.width]
+	for wi := len(v.words) - 1; wi >= 0; wi-- {
+		w := v.words[wi]
+		for j := min(wordBits, v.width-wi*wordBits) - 1; j >= 0; j-- {
+			out[0] = '0' + byte(w>>uint(j)&1)
+			out = out[1:]
 		}
 	}
-	return sb.String()
+	return dst[:len(dst)+v.width]
+}
+
+// AppendLSB appends LSBString's rendering of v to dst, reading whole
+// words rather than testing each bit through Get.
+func (v Vector) AppendLSB(dst []byte) []byte {
+	dst = slices.Grow(dst, v.width)
+	out := dst[len(dst) : len(dst)+v.width]
+	for wi, w := range v.words {
+		chunk := out[wi*wordBits:]
+		for j := range min(len(chunk), wordBits) {
+			chunk[j] = '0' + byte(w>>uint(j)&1)
+		}
+	}
+	return dst[:len(dst)+v.width]
 }
 
 // Parse parses an MSB-first binary string (as produced by String) into a

@@ -335,3 +335,39 @@ func TestQuickOnesRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendRenderingMatchesGet checks the word-level renderers against
+// a bit-by-bit rendering through Get, at widths around word edges and
+// after a non-empty prefix.
+func TestAppendRenderingMatchesGet(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for _, w := range []int{0, 1, 7, 63, 64, 65, 127, 128, 129, 200, 256, 300} {
+		for trial := 0; trial < 4; trial++ {
+			v := New(w)
+			for i := 0; i < w; i++ {
+				v.Set(i, r.Intn(2) == 1)
+			}
+			var lsb, msb strings.Builder
+			for i := 0; i < w; i++ {
+				lsb.WriteByte("01"[btoi(v.Get(i))])
+				msb.WriteByte("01"[btoi(v.Get(w-1-i))])
+			}
+			if got := string(v.AppendLSB([]byte("x="))); got != "x="+lsb.String() {
+				t.Fatalf("width %d: AppendLSB %q, want %q", w, got, "x="+lsb.String())
+			}
+			if got := string(v.AppendMSB([]byte("x="))); got != "x="+msb.String() {
+				t.Fatalf("width %d: AppendMSB %q, want %q", w, got, "x="+msb.String())
+			}
+			if v.LSBString() != lsb.String() || v.String() != msb.String() {
+				t.Fatalf("width %d: LSBString/String disagree with Get", w)
+			}
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

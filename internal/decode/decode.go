@@ -22,7 +22,6 @@
 package decode
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -40,21 +39,27 @@ const MaxK = 4
 type Decoder struct {
 	enc *encoding.Encoding
 
-	// stamps holds every timestamp's word bytes (AppendBytes), n bytes
-	// each. Probes XOR them into stack buffers and look the result up
-	// with m[string(buf)], which does not allocate.
-	stamps []byte
+	// stamps holds every timestamp's words, n per timestamp. Probes XOR
+	// them into stack buffers and look the result up in the word tables
+	// below, which do not allocate.
+	stamps []uint64
 	n      int
 
-	// single maps a timestamp's word bytes to its clock-cycle.
-	single map[string]int
-	// pairs maps the word bytes of TS(i)^TS(j) to the (i, j) pairs
-	// producing it. LI-4 guarantees at most one pair per key; weaker
-	// encodings may have several, all of which are tracked. It is built
-	// by the first k >= 3 query, under pairsOnce.
+	// single maps a timestamp's words to its clock-cycle; with duplicate
+	// timestamps the newest entry, the last clock-cycle, is the one read.
+	single wordTable
+	// pairs maps the words of TS(i)^TS(j) to every (i, j) pair producing
+	// them, stored as i*m+j. LI-4 guarantees at most one pair per key;
+	// weaker encodings may have several, all of which are tracked. It is
+	// built by the first k >= 3 query, under pairsOnce.
 	pairsOnce sync.Once
-	pairs     map[string][][2]int
+	pairs     wordTable
 }
+
+// maxPairM is the largest m whose pair values i*m+j fit an int32. A
+// pair index for a larger m would hold over 10^9 entries, so no real
+// encoding reaches it.
+const maxPairM = 46340
 
 // check validates an entry's shape against the decoder's encoding,
 // wrapping the shared core sentinels for typed classification.
@@ -65,6 +70,9 @@ func (d *Decoder) check(entry core.LogEntry) error {
 	if entry.K < 0 || entry.K > MaxK {
 		return fmt.Errorf("decode: k=%d outside [0,%d] (use the SAT reconstructor): %w", entry.K, MaxK, core.ErrKRange)
 	}
+	if entry.K >= 3 && d.enc.M() > maxPairM {
+		return fmt.Errorf("decode: k=%d needs the pair index, which covers m <= %d, not %d: %w", entry.K, maxPairM, d.enc.M(), core.ErrKRange)
+	}
 	return nil
 }
 
@@ -73,41 +81,109 @@ func (d *Decoder) check(entry core.LogEntry) error {
 // query (O(m²) time and space).
 func New(enc *encoding.Encoding) *Decoder {
 	m := enc.M()
-	d := &Decoder{enc: enc, single: make(map[string]int, m)}
+	d := &Decoder{enc: enc, n: (enc.B() + 63) / 64}
+	d.stamps = make([]uint64, 0, m*d.n)
 	for i := 0; i < m; i++ {
-		d.stamps = enc.Timestamp(i).AppendBytes(d.stamps)
+		ts := enc.Timestamp(i)
+		for w := 0; w < d.n; w++ {
+			d.stamps = append(d.stamps, ts.Word(w))
+		}
 	}
-	d.n = len(d.stamps) / max(m, 1)
+	d.single = newWordTable(d.n, m)
 	for i := 0; i < m; i++ {
-		d.single[string(d.stamp(i))] = i
+		d.single.add(d.stamp(i), int32(i))
 	}
 	return d
 }
 
-// stamp returns the word bytes of TS(i).
-func (d *Decoder) stamp(i int) []byte { return d.stamps[i*d.n : (i+1)*d.n] }
+// stamp returns the words of TS(i).
+func (d *Decoder) stamp(i int) []uint64 { return d.stamps[i*d.n : (i+1)*d.n] }
 
 func (d *Decoder) buildPairs() {
 	d.pairsOnce.Do(func() {
 		m := d.enc.M()
-		d.pairs = make(map[string][][2]int, m*(m-1)/2)
-		key := make([]byte, d.n)
+		d.pairs = newWordTable(d.n, m*(m-1)/2)
+		key := make([]uint64, d.n)
 		for i := 0; i < m; i++ {
 			for j := i + 1; j < m; j++ {
 				xorWords(key, d.stamp(i), d.stamp(j))
-				d.pairs[string(key)] = append(d.pairs[string(key)], [2]int{i, j})
+				d.pairs.add(key, int32(i*m+j))
 			}
 		}
 	})
 }
 
-// xorWords sets dst to a ^ b, eight bytes at a time; all three hold
-// the same whole number of words.
-func xorWords(dst, a, b []byte) {
-	for i := 0; i < len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:], binary.LittleEndian.Uint64(a[i:])^binary.LittleEndian.Uint64(b[i:]))
+// xorWords sets dst to a ^ b; all three have the same length.
+func xorWords(dst, a, b []uint64) {
+	for i := range dst {
+		dst[i] = a[i] ^ b[i]
 	}
 }
+
+// wordTable is an open-addressed hash multimap from n-word keys to
+// int32 values, probed linearly. Its backing arrays hold no pointers, so
+// the garbage collector never scans them, and a lookup allocates
+// nothing. Slot s
+// keeps a distinct key in keys[s*n:(s+1)*n] and the newest entry stored
+// under it in head[s], -1 if the slot is empty. Entry e holds vals[e]
+// and links to the next older entry under the same key through next[e],
+// -1 at the end. There are no deletions, so a probe stops at the first
+// empty slot. Walk a key's values with
+//
+//	for e := t.first(key); e >= 0; e = t.next[e] { ... t.vals[e] ... }
+type wordTable struct {
+	n    int
+	mask int
+	keys []uint64
+	head []int32
+	next []int32
+	vals []int32
+}
+
+// newWordTable sizes a table for count entries, so that at most half of
+// its slots are ever full.
+func newWordTable(n, count int) wordTable {
+	slots := 1
+	for slots < 2*count {
+		slots <<= 1
+	}
+	t := wordTable{
+		n: n, mask: slots - 1,
+		keys: make([]uint64, slots*n), head: make([]int32, slots),
+		next: make([]int32, 0, count), vals: make([]int32, 0, count),
+	}
+	for s := range t.head {
+		t.head[s] = -1
+	}
+	return t
+}
+
+// slot returns the slot that holds key, or the empty slot where it
+// belongs.
+func (t *wordTable) slot(key []uint64) int {
+	h := uint64(0)
+	for _, w := range key {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	s := int(h) & t.mask
+	for t.head[s] >= 0 && !slices.Equal(t.keys[s*t.n:(s+1)*t.n], key) {
+		s = (s + 1) & t.mask
+	}
+	return s
+}
+
+// add stores v under key, ahead of the values already there.
+func (t *wordTable) add(key []uint64, v int32) {
+	s := t.slot(key)
+	copy(t.keys[s*t.n:], key)
+	t.next = append(t.next, t.head[s])
+	t.vals = append(t.vals, v)
+	t.head[s] = int32(len(t.vals) - 1)
+}
+
+// first returns the newest entry stored under key, or -1.
+func (t *wordTable) first(key []uint64) int32 { return t.head[t.slot(key)] }
 
 // Decode returns every signal with exactly entry.K changes whose
 // timestamps XOR to entry.TP, sorted by their Vector().Key(). It
@@ -136,8 +212,11 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 	var buf [MaxK]int
 	// Probe keys live in stack buffers, which fit any timestamp up to
 	// 512 bits wide; wider ones grow onto the heap once per call.
-	var tpBuf, restBuf, rest2Buf [64]byte
-	tp := entry.TP.AppendBytes(tpBuf[:0])
+	var tpBuf, restBuf, rest2Buf [8]uint64
+	tp := tpBuf[:0]
+	for w := 0; w < d.n; w++ {
+		tp = append(tp, entry.TP.Word(w))
+	}
 	rest := append(restBuf[:0], tp...)
 	rest2 := append(rest2Buf[:0], tp...)
 	m := d.enc.M()
@@ -147,15 +226,15 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 			fn(buf[:0])
 		}
 	case 1:
-		if i, ok := d.single[string(tp)]; ok {
-			buf[0] = i
+		if e := d.single.first(tp); e >= 0 {
+			buf[0] = int(d.single.vals[e])
 			fn(buf[:1])
 		}
 	case 2:
 		for i := 0; i < m; i++ {
 			xorWords(rest, tp, d.stamp(i))
-			if j, ok := d.single[string(rest)]; ok && j > i {
-				buf[0], buf[1] = i, j
+			if e := d.single.first(rest); e >= 0 && int(d.single.vals[e]) > i {
+				buf[0], buf[1] = i, int(d.single.vals[e])
 				fn(buf[:2])
 			}
 		}
@@ -163,9 +242,10 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 		d.buildPairs()
 		for i := 0; i < m; i++ {
 			xorWords(rest, tp, d.stamp(i))
-			for _, p := range d.pairs[string(rest)] {
-				if p[0] > i { // canonical order i < p0 < p1
-					buf[0], buf[1], buf[2] = i, p[0], p[1]
+			for e := d.pairs.first(rest); e >= 0; e = d.pairs.next[e] {
+				p := int(d.pairs.vals[e])
+				if p0, p1 := p/m, p%m; p0 > i { // canonical order i < p0 < p1
+					buf[0], buf[1], buf[2] = i, p0, p1
 					fn(buf[:3])
 				}
 			}
@@ -176,10 +256,11 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 			xorWords(rest, tp, d.stamp(i))
 			for j := i + 1; j < m; j++ {
 				xorWords(rest2, rest, d.stamp(j))
-				for _, p := range d.pairs[string(rest2)] {
+				for e := d.pairs.first(rest2); e >= 0; e = d.pairs.next[e] {
 					// Canonical: i < j < p0 < p1 avoids duplicates.
-					if p[0] > j {
-						buf[0], buf[1], buf[2], buf[3] = i, j, p[0], p[1]
+					p := int(d.pairs.vals[e])
+					if p0, p1 := p/m, p%m; p0 > j {
+						buf[0], buf[1], buf[2], buf[3] = i, j, p0, p1
 						fn(buf[:4])
 					}
 				}

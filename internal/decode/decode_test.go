@@ -8,6 +8,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -421,6 +423,155 @@ func TestDecodeDeterministicOrder(t *testing.T) {
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatal("nondeterministic order")
+		}
+	}
+}
+
+// refDecode is a reference decoder over plain Go maps, the way the
+// decoder indexed timestamps before its word tables: it returns the
+// Vector().Key() of every weight-k signal whose timestamps XOR to tp,
+// sorted.
+func refDecode(enc *encoding.Encoding, entry core.LogEntry) []string {
+	m := enc.M()
+	single := map[string]int{}
+	pairs := map[string][][2]int{}
+	for i := 0; i < m; i++ {
+		single[enc.Timestamp(i).Key()] = i
+		for j := i + 1; j < m; j++ {
+			key := enc.Timestamp(i).Xor(enc.Timestamp(j)).Key()
+			pairs[key] = append(pairs[key], [2]int{i, j})
+		}
+	}
+	var out []string
+	emit := func(cs ...int) { out = append(out, core.SignalFromChanges(m, cs...).Vector().Key()) }
+	tp := entry.TP
+	switch entry.K {
+	case 0:
+		if tp.IsZero() {
+			emit()
+		}
+	case 1:
+		if i, ok := single[tp.Key()]; ok {
+			emit(i)
+		}
+	case 2:
+		for i := 0; i < m; i++ {
+			if j, ok := single[tp.Xor(enc.Timestamp(i)).Key()]; ok && j > i {
+				emit(i, j)
+			}
+		}
+	case 3:
+		for i := 0; i < m; i++ {
+			for _, p := range pairs[tp.Xor(enc.Timestamp(i)).Key()] {
+				if p[0] > i {
+					emit(i, p[0], p[1])
+				}
+			}
+		}
+	case 4:
+		for i := 0; i < m; i++ {
+			for j := i + 1; j < m; j++ {
+				for _, p := range pairs[tp.Xor(enc.Timestamp(i)).Xor(enc.Timestamp(j)).Key()] {
+					if p[0] > j {
+						emit(i, j, p[0], p[1])
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDecodeMatchesMapReference checks the word-table indexes against
+// refDecode on weak binary encodings (m = 12..24), whose pair index
+// has many pairs per key, and on an LI-4 one. Decode must return the
+// reference's signals in its order and Count its length, for targets
+// built from real signals and for random timeprints.
+func TestDecodeMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	encs := []*encoding.Encoding{mustEnc(t, 40, 12, 4)}
+	for m := 12; m <= 24; m++ {
+		encs = append(encs, encoding.Binary(m))
+	}
+	for _, enc := range encs {
+		m := enc.M()
+		dec := decode.New(enc)
+		for k := 0; k <= decode.MaxK; k++ {
+			for trial := 0; trial < 3; trial++ {
+				entry := core.Log(enc, core.SignalFromChanges(m, r.Perm(m)[:k]...))
+				if trial == 2 {
+					entry.TP = bitvec.FromUint(r.Uint64(), enc.B())
+				}
+				want := refDecode(enc, entry)
+				sigs, err := dec.Decode(entry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, err := dec.Count(entry)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(sigs) != len(want) || n != len(want) {
+					t.Fatalf("m=%d b=%d k=%d: Decode %d, Count %d, reference %d", m, enc.B(), k, len(sigs), n, len(want))
+				}
+				for i, s := range sigs {
+					if s.Vector().Key() != want[i] {
+						t.Fatalf("m=%d b=%d k=%d: candidate %d differs from the reference", m, enc.B(), k, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIndexHoldsNoPointers checks by reflection that the decoder's
+// indexes keep their contents in pointer-free backing arrays: each
+// index is a flat slice or a struct of ints and flat slices, so the
+// garbage collector scans a few slice headers per decoder and never the
+// m²/2 pair entries behind them.
+func TestIndexHoldsNoPointers(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Array:
+			return pointerFree(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !pointerFree(t.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	var flat func(reflect.Type) bool // ints, and slices of pointer-free elements
+	flat = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Slice:
+			return pointerFree(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if !flat(t.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return pointerFree(t)
+	}
+	types := decode.IndexTypes()
+	if len(types) != 3 {
+		t.Fatalf("index fields %v, want stamps, single and pairs", types)
+	}
+	for name, typ := range types {
+		if !flat(typ) {
+			t.Errorf("index %s (%v) holds pointers", name, typ)
 		}
 	}
 }

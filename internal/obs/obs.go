@@ -225,6 +225,9 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// spans maps a span name to its resolved instruments (start unset),
+	// so StartSpan builds the "<name>.ns" and "<name>.calls" names once.
+	spans map[string]Span
 }
 
 // NewRegistry returns an empty registry.
@@ -233,6 +236,7 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
+		spans:    map[string]Span{},
 	}
 }
 
@@ -302,17 +306,23 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// StartSpan starts a named span timer. On a nil registry the returned
-// zero Span is a no-op.
+// StartSpan starts a named span timer. It allocates only on a name's
+// first call. On a nil registry the returned zero Span is a no-op.
 func (r *Registry) StartSpan(name string) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{
-		h:     r.Histogram(name + ".ns"),
-		c:     r.Counter(name + ".calls"),
-		start: time.Now(),
+	r.mu.RLock()
+	sp, ok := r.spans[name]
+	r.mu.RUnlock()
+	if !ok {
+		sp = Span{h: r.Histogram(name + ".ns"), c: r.Counter(name + ".calls")}
+		r.mu.Lock()
+		r.spans[name] = sp
+		r.mu.Unlock()
 	}
+	sp.start = time.Now()
+	return sp
 }
 
 // Bucket is one populated histogram bucket in a snapshot: Count

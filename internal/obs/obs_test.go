@@ -120,6 +120,20 @@ func TestSpanRecords(t *testing.T) {
 	}
 }
 
+// TestStartSpanAllocs pins the span hot path: after a name's first
+// call, which resolves its instruments, StartSpan(...).End() allocates
+// nothing.
+func TestStartSpanAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.StartSpan("service.solve").End()
+	if got := testing.AllocsPerRun(100, func() { r.StartSpan("service.solve").End() }); got != 0 {
+		t.Fatalf("StartSpan(...).End(): %.0f allocs, want 0", got)
+	}
+	if c := r.Snapshot().Counters["service.solve.calls"]; c != 102 {
+		t.Fatalf("service.solve.calls = %d, want 102", c)
+	}
+}
+
 func TestSnapshotRoundTripAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sat.decisions").Add(42)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -668,5 +669,108 @@ func TestStreamDrain(t *testing.T) {
 	msg, err := sc.readMsg()
 	if err != nil || msg.State != "draining" {
 		t.Fatalf("draining goodbye: %v %+v", err, msg)
+	}
+}
+
+// claimWithin runs one claim on a goroutine and fails the test if it
+// does not return in time: a table that spins under its lock would
+// otherwise hang the test binary.
+func claimWithin(t *testing.T, tbl *streamTable, device string) (*streamState, error) {
+	t.Helper()
+	type result struct {
+		st  *streamState
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := tbl.claim(device, "sig", "spec")
+		done <- result{st, err}
+	}()
+	select {
+	case r := <-done:
+		return r.st, r.err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("claim(%s) did not return", device)
+		return nil, nil
+	}
+}
+
+// TestStreamTableFullRefuses pins the table's bound: with every stream
+// busy a new claim is refused with errStreamTableFull instead of
+// spinning under the table lock, and once a stream is released its
+// slot goes to the next new stream (the idle stream is evicted).
+func TestStreamTableFullRefuses(t *testing.T) {
+	tbl := newStreamTable(2)
+	for _, dev := range []string{"a", "b"} {
+		if _, err := claimWithin(t, tbl, dev); err != nil {
+			t.Fatalf("claim %s: %v", dev, err)
+		}
+	}
+	if _, err := claimWithin(t, tbl, "c"); !errors.Is(err, errStreamTableFull) {
+		t.Fatalf("third claim on a full busy table: %v, want errStreamTableFull", err)
+	}
+	tbl.release("a", "sig")
+	if _, err := claimWithin(t, tbl, "c"); err != nil {
+		t.Fatalf("claim after a release: %v", err)
+	}
+	if _, ok := tbl.items["a\x00sig"]; ok || tbl.ll.Len() != 2 {
+		t.Fatalf("idle stream a not evicted: %d streams", tbl.ll.Len())
+	}
+	if _, err := claimWithin(t, tbl, "d"); !errors.Is(err, errStreamTableFull) {
+		t.Fatalf("claim on a full table again: %v", err)
+	}
+}
+
+// TestStreamTableFullOverWire drives the bound with real connections
+// (run it under -race): with MaxStreams 2 and two live streams, a third
+// hello is answered 503 "stream table full" while the live streams keep
+// serving frames; after one stream ends, a new stream is accepted.
+func TestStreamTableFullOverWire(t *testing.T) {
+	const m, b = 16, 9
+	wire, _ := testLog(t, m, b, 3)
+	_, streamAddr, _ := startStreamServer(t, Config{Workers: 2, MaxStreams: 2})
+	hello := func(dev string) StreamHello {
+		return StreamHello{Device: dev, Signal: "sig", Encoding: EncodingSpec{M: m, B: b}}
+	}
+	live := make([]*StreamClient, 2)
+	for i := range live {
+		live[i] = mustHello(t, streamAddr, hello(fmt.Sprintf("dev%d", i)), 0)
+		defer live[i].Close()
+	}
+
+	var wg sync.WaitGroup
+	for i, sc := range live {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := 0; f < 20; f++ {
+				if msg, err := sc.SendFrame(wire); err != nil || msg.Status != 0 {
+					t.Errorf("stream %d frame %d: %v %+v", i, f, err, msg)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		sc, err := DialStream(streamAddr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := sc.Hello(hello("extra"))
+		sc.Close()
+		if err == nil || msg.Status != http.StatusServiceUnavailable || msg.Error != "stream table full" {
+			t.Fatalf("hello beyond MaxStreams: %v %+v, want 503 stream table full", err, msg)
+		}
+	}
+	wg.Wait()
+
+	if _, err := live[0].End(); err != nil {
+		t.Fatal(err)
+	}
+	live[0].Close()
+	sc := mustHello(t, streamAddr, hello("extra"), 0)
+	defer sc.Close()
+	if msg, err := sc.SendFrame(wire); err != nil || msg.Status != 0 {
+		t.Fatalf("frame on the new stream: %v %+v", err, msg)
 	}
 }

@@ -155,7 +155,7 @@ func (s *Server) runJob(r *http.Request, countOnly bool) (jobResponse, error) {
 func (s *Server) solveEntry(ctx context.Context, sess *session, it workItem, opts solveOpts, admit admitFunc) (entryResponse, error) {
 	entry := it.entry
 	er := entryResponse{TraceCycle: it.tc, TP: entry.TP.String(), K: entry.K}
-	key := cacheKey(sess.spec.key(), entry, opts.propKey, opts.limit, opts.countOnly)
+	key := cacheKey(sess.key, entry, opts.propKey, opts.limit, opts.countOnly)
 
 	if res, ok := s.cache.get(key); ok {
 		er.solveResult, er.Cached = res, true
@@ -275,11 +275,31 @@ func (s *Server) deadlineError(err error) error {
 
 // cacheKey hashes the canonical query identity: encoding session key,
 // timeprint, k, properties, limit and operation. Two requests agree on
-// the key iff the engine would do identical work for them.
+// the key iff the engine would do identical work for them. The preimage
+// is
+//
+//	<sessKey>|tp=<entry.TP.Key()>|k=<k>|props=<propKey>|limit=<limit>|count=<true|false>
+//
+// appended into a stack buffer, so the hex string is the only
+// allocation.
 func cacheKey(sessKey string, entry core.LogEntry, propKey string, limit int, countOnly bool) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|tp=%s|k=%d|props=%s|limit=%d|count=%t", sessKey, entry.TP.Key(), entry.K, propKey, limit, countOnly)
-	return hex.EncodeToString(h.Sum(nil))
+	var stack [256]byte
+	b := append(stack[:0], sessKey...)
+	b = append(b, "|tp="...)
+	b = append(strconv.AppendInt(b, int64(entry.TP.Width()), 10), ':')
+	b = entry.TP.AppendBytes(b)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(entry.K), 10)
+	b = append(b, "|props="...)
+	b = append(b, propKey...)
+	b = append(b, "|limit="...)
+	b = strconv.AppendInt(b, int64(limit), 10)
+	b = append(b, "|count="...)
+	b = strconv.AppendBool(b, countOnly)
+	sum := sha256.Sum256(b)
+	var hexBuf [2 * sha256.Size]byte
+	hex.Encode(hexBuf[:], sum[:])
+	return string(hexBuf[:])
 }
 
 // timeout resolves the effective per-request deadline.
@@ -469,12 +489,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, code, map[string]string{"status": status})
 }
 
-// writeJSON sends v as compact JSON. Indentation costs encode time and
-// bytes on the largest responses, the /v1/logs listings with bodies.
+// writeJSON sends v as compact JSON with json.Encoder's trailing
+// newline. Indentation costs encode time and bytes on the largest
+// responses, the /v1/logs listings with bodies. Responses carrying entry
+// results append themselves (encode.go); the bytes are the same.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	a, ok := v.(jsonAppender)
+	if !ok {
+		_ = json.NewEncoder(w).Encode(v)
+		return
+	}
+	bp := respBufs.Get().(*[]byte)
+	*bp = append(a.appendJSON((*bp)[:0]), '\n')
+	_, _ = w.Write(*bp)
+	if cap(*bp) <= maxPooledResp {
+		respBufs.Put(bp)
+	}
 }
 
 // errorStatus maps an error to its HTTP status and message (500 unless

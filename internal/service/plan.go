@@ -214,7 +214,11 @@ func effectiveLimit(limit int, countOnly bool) int {
 // results from the trace-cycle base. The first error ends the run: a
 // job is answered whole or not at all.
 func (s *Server) runItems(ctx context.Context, sess *session, items []workItem, opts solveOpts, base int) ([]entryResponse, error) {
+	// No items leaves results nil, which replies render as null.
 	var results []entryResponse
+	if len(items) > 0 {
+		results = make([]entryResponse, 0, len(items))
+	}
 	for _, it := range items {
 		it.tc += base
 		er, err := s.solveEntry(ctx, sess, it, opts, s.admit.acquire)

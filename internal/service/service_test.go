@@ -2,8 +2,12 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -313,6 +317,42 @@ func TestCacheKeySeparatesQueries(t *testing.T) {
 	}
 	if again := cacheKey("sess", entry, "", 16, false); again != base {
 		t.Fatal("cache key not deterministic")
+	}
+}
+
+// TestCacheKeyPreimagePinned pins cacheKey to the fmt-built preimage
+// it has always hashed, so the cache and singleflight identity of every
+// query stays the same: random session keys (long explicit ones too),
+// TP widths across word edges, k, properties, limits and both modes.
+func TestCacheKeyPreimagePinned(t *testing.T) {
+	ref := func(sessKey string, entry core.LogEntry, propKey string, limit int, countOnly bool) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s|tp=%s|k=%d|props=%s|limit=%d|count=%t", sessKey, entry.TP.Key(), entry.K, propKey, limit, countOnly)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	r := rand.New(rand.NewSource(3))
+	sp := EncodingSpec{Scheme: "incremental", M: 128, B: 16, Depth: 4, ClockHz: 1.5e8, Epoch: 0.25}
+	long := EncodingSpec{Scheme: "explicit", M: 40, B: 70}
+	for i := 0; i < long.M; i++ {
+		long.Timestamps = append(long.Timestamps, strings.Repeat("01", 35))
+	}
+	for trial := 0; trial < 200; trial++ {
+		sessKey := sp.key()
+		if trial%3 == 0 {
+			sessKey = long.key()
+		}
+		width := []int{1, 16, 63, 64, 65, 200}[r.Intn(6)]
+		tp := bitvec.New(width)
+		for i := 0; i < width; i++ {
+			tp.Set(i, r.Intn(2) == 1)
+		}
+		entry := core.LogEntry{TP: tp, K: r.Intn(40)}
+		props := []string{"", "mingap(3)", "mingap(3); dk(32,3)"}[r.Intn(3)]
+		limit := []int{-1, 16, 4096, r.Intn(1 << 20)}[r.Intn(4)]
+		countOnly := r.Intn(2) == 1
+		if got, want := cacheKey(sessKey, entry, props, limit, countOnly), ref(sessKey, entry, props, limit, countOnly); got != want {
+			t.Fatalf("trial %d: cacheKey %s, want %s", trial, got, want)
+		}
 	}
 }
 

@@ -128,6 +128,9 @@ func (sp EncodingSpec) build() (*encoding.Encoding, error) {
 // each exactly once.
 type session struct {
 	spec EncodingSpec
+	// key is spec.key(), rendered once: every entry's cache key starts
+	// with it.
+	key  string
 	obs  *obs.Registry
 	once sync.Once
 	enc  *encoding.Encoding
@@ -203,7 +206,7 @@ func (t *sessionTable) get(sp EncodingSpec) *session {
 		t.ll.MoveToFront(el)
 		return el.Value.(*sessionEntry).sess
 	}
-	sess := &session{spec: sp, obs: t.reg}
+	sess := &session{spec: sp, key: key, obs: t.reg}
 	t.items[key] = t.ll.PushFront(&sessionEntry{key: key, sess: sess})
 	// Eviction only forgets the table entry: requests (a batch mid-
 	// flight, a live stream) that already hold the *session keep using

@@ -39,6 +39,17 @@ import (
 // "status" only on failure — StreamMsg (streamclient.go) is the
 // client-side union of all of them.
 //
+// Capacity: the stream table holds at most Config.MaxStreams streams,
+// and a stream with a live connection is never evicted. A hello for a
+// new stream while all of them are live is refused with a 503 "stream
+// table full" error line, not queued: the table cannot overflow its
+// bound, and the client retries once a stream ends.
+//
+// Replies: frame replies are written by the entry-result appender
+// (encode.go) into one buffer reused across the connection's frames;
+// their bytes are what encoding/json writes for streamFrameReply.
+// Control lines go through encoding/json.
+//
 // Failure discipline: a corrupt frame (bad length, core.ErrCorrupt,
 // geometry mismatch) answers 400 and closes the connection — the
 // stream's trace-cycle accounting cannot be trusted past it. Transient
@@ -75,7 +86,9 @@ type streamState struct {
 
 // streamTable maps (device, signal) to stream positions. At most one
 // live connection may hold a stream (busy); idle streams are evicted
-// LRU beyond max.
+// LRU beyond max. Busy streams are never evicted, so when all max
+// streams are busy a new stream is refused (errStreamTableFull) rather
+// than let the table grow past its bound.
 type streamTable struct {
 	mu    sync.Mutex
 	max   int
@@ -88,6 +101,10 @@ type streamEntry struct {
 	st  *streamState
 }
 
+// errStreamTableFull refuses a new stream while every stream the table
+// may hold has a live connection; the hello is answered 503.
+var errStreamTableFull = errors.New("stream table full")
+
 func newStreamTable(max int) *streamTable {
 	return &streamTable{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
@@ -95,7 +112,7 @@ func newStreamTable(max int) *streamTable {
 // claim acquires exclusive use of the (device, signal) stream for one
 // connection, creating it on first use. A stream already claimed by a
 // live connection, or previously pinned to a different spec, is
-// refused.
+// refused; so is a new stream when the table is full of busy ones.
 func (t *streamTable) claim(device, signal, specKey string) (*streamState, error) {
 	key := device + "\x00" + signal
 	t.mu.Lock()
@@ -112,20 +129,21 @@ func (t *streamTable) claim(device, signal, specKey string) (*streamState, error
 		t.ll.MoveToFront(el)
 		return st, nil
 	}
+	if t.ll.Len() >= t.max {
+		// Evict the least recently used idle stream; busy ones keep
+		// their position for their connection.
+		el := t.ll.Back()
+		for el != nil && el.Value.(*streamEntry).st.busy {
+			el = el.Prev()
+		}
+		if el == nil {
+			return nil, errStreamTableFull
+		}
+		t.ll.Remove(el)
+		delete(t.items, el.Value.(*streamEntry).key)
+	}
 	st := &streamState{specKey: specKey, busy: true}
 	t.items[key] = t.ll.PushFront(&streamEntry{key: key, st: st})
-	// Evict idle streams beyond capacity; busy ones are skipped (their
-	// connection still needs the position) by rotating them to the
-	// front.
-	for t.ll.Len() > t.max {
-		oldest := t.ll.Back()
-		if oldest.Value.(*streamEntry).st.busy {
-			t.ll.MoveToFront(oldest)
-			continue
-		}
-		t.ll.Remove(oldest)
-		delete(t.items, oldest.Value.(*streamEntry).key)
-	}
 	return st, nil
 }
 
@@ -263,6 +281,10 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 	}
 
 	st, err := s.streams.claim(hello.Device, hello.Signal, spec.key())
+	if errors.Is(err, errStreamTableFull) {
+		fail(http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	if err != nil {
 		fail(http.StatusConflict, "%v", err)
 		return
@@ -276,8 +298,10 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 		return
 	}
 
-	// Frame loop.
+	// Frame loop. Replies are appended into one buffer reused across
+	// the connection's frames.
 	frames, entries := 0, 0
+	var out []byte
 	for {
 		payload, err := readFrame(br, s.cfg.MaxBodyBytes)
 		if err != nil {
@@ -299,7 +323,11 @@ func (s *Server) handleStreamConn(conn net.Conn) {
 		}
 		reply, n, fatal := s.solveStreamFrame(hello, spec, sess, st, frames, payload, opts)
 		entries += n
-		if err := writeStreamLine(conn, reply); err != nil {
+		if cap(out) > maxPooledResp {
+			out = nil
+		}
+		out = append(reply.appendJSON(out[:0]), '\n')
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 		if fatal {
