@@ -511,32 +511,28 @@ func BenchmarkSessionQueriesGauss(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionOracleConcurrent guards the SessionOracle's warm
-// session pool under the forensic-witness shape: 2 goroutines each ask
-// one SessionOracle for a single witness of 16 distinct k = 4..8
-// bursts, each inside its own 48-cycle suspicion window, on the m=128
-// paper encoding. It guards the pool against regressions of itself:
-// 32 heavy-tailed queries are too few to rank pool designs against
-// each other (EXPERIMENTS.md). Which goroutine's session serves which
-// query depends on scheduling, so conflicts vary between runs and only
-// ns/op is guarded (BENCH.json, make bench-check).
-func BenchmarkSessionOracleConcurrent(b *testing.B) {
+// forensicQuery is one query of the forensic-witness shape: a single
+// witness for a k = 4..8 burst inside its own 48-cycle suspicion
+// window, on the m=128 paper encoding.
+type forensicQuery struct {
+	entry core.LogEntry
+	props []reconstruct.Constraint
+}
+
+// forensicQueries returns the m=128 paper encoding and n forensic
+// queries drawn from a seed-1 generator, so every caller asking for
+// n queries gets the same sequence and a shorter one is its prefix.
+func forensicQueries(tb testing.TB, n int) (*encoding.Encoding, []forensicQuery) {
 	const (
-		m          = 128
-		goroutines = 2
-		perG       = 16
-		window     = 48
+		m      = 128
+		window = 48
 	)
 	enc, err := bench.CachedEncoding("incremental", m, bench.PaperB[m], 4, 0)
 	if err != nil {
-		b.Fatal(err)
-	}
-	type query struct {
-		entry core.LogEntry
-		props []reconstruct.Constraint
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	queries := make([]query, goroutines*perG)
+	queries := make([]forensicQuery, n)
 	for i := range queries {
 		k := 4 + i%5
 		from := rng.Intn(m - window + 1)
@@ -544,11 +540,42 @@ func BenchmarkSessionOracleConcurrent(b *testing.B) {
 		for j := range changes {
 			changes[j] += from
 		}
-		queries[i] = query{
+		queries[i] = forensicQuery{
 			entry: core.Log(enc, core.SignalFromChanges(m, changes...)),
 			props: []reconstruct.Constraint{properties.Window{Lo: from, Hi: from + window}},
 		}
 	}
+	return enc, queries
+}
+
+// runForensic asks o for one witness of each query in turn.
+func runForensic(ctx context.Context, o *reconstruct.SessionOracle, queries []forensicQuery) error {
+	for _, q := range queries {
+		sigs, _, err := o.Enumerate(ctx, q.entry, q.props, 1)
+		if err == nil && len(sigs) == 0 {
+			err = fmt.Errorf("no witness for k=%d", q.entry.K)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BenchmarkSessionOracleConcurrent guards the SessionOracle's warm
+// session pool under the forensic-witness shape: 2 goroutines each ask
+// one SessionOracle for 16 of the forensicQueries. It guards the pool
+// against regressions of itself: 32 heavy-tailed queries are too few
+// to rank pool designs against each other (EXPERIMENTS.md). Which
+// goroutine's session serves which query depends on scheduling, so
+// conflicts vary between runs and only ns/op is guarded (BENCH.json,
+// make bench-check).
+func BenchmarkSessionOracleConcurrent(b *testing.B) {
+	const (
+		goroutines = 2
+		perG       = 16
+	)
+	enc, queries := forensicQueries(b, goroutines*perG)
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -563,22 +590,88 @@ func BenchmarkSessionOracleConcurrent(b *testing.B) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for _, q := range queries[g*perG : (g+1)*perG] {
-					sigs, _, err := o.Enumerate(ctx, q.entry, q.props, 1)
-					if err == nil && len(sigs) == 0 {
-						err = fmt.Errorf("no witness for k=%d", q.entry.K)
-					}
-					if err != nil {
-						errs[g] = err
-						return
-					}
-				}
+				errs[g] = runForensic(ctx, o, queries[g*perG:(g+1)*perG])
 			}(g)
 		}
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// warmQueries is the length of the sequential forensic run that
+// BenchmarkSessionWarm times and TestSessionWarmPinnedSearch pins.
+const warmQueries = 48
+
+// BenchmarkSessionWarm is the forensic-witness search in process: the
+// warmQueries forensic queries in sequence on one SessionOracle, whose
+// single pooled session stays warm across them. One goroutine means a
+// deterministic search, so the summed conflicts and allocs/op are
+// guards next to the wall clock (BENCH.json, make bench-check).
+func BenchmarkSessionWarm(b *testing.B) {
+	enc, queries := forensicQueries(b, warmQueries)
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		o, err := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{Obs: reg})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := runForensic(ctx, o, queries); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportConflicts(b, reg)
+}
+
+// TestSessionWarmPinnedSearch pins the solver's search on the
+// BenchmarkSessionWarm sequence: the summed conflicts, decisions,
+// propagations and XOR propagations after 16 and after all warmQueries
+// queries are deterministic, so a change to the solver's data
+// structures that claims to keep the search as it was must reproduce
+// them exactly. The race detector slows the solver about 14x, so a
+// -race run stops at the first checkpoint.
+func TestSessionWarmPinnedSearch(t *testing.T) {
+	checkpoints := []struct {
+		after                                        int
+		conflicts, decisions, propagations, xorProps int64
+	}{
+		{16, 13930, 18404, 846114, 39949},
+		{warmQueries, 39962, 52691, 2362361, 110735},
+	}
+	if raceEnabled {
+		checkpoints = checkpoints[:1]
+	}
+	enc, queries := forensicQueries(t, warmQueries)
+	reg := obs.NewRegistry()
+	o, err := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, cp := range checkpoints {
+		if err := runForensic(context.Background(), o, queries[done:cp.after]); err != nil {
+			t.Fatal(err)
+		}
+		done = cp.after
+		snap := reg.Snapshot().Counters
+		for _, c := range []struct {
+			name string
+			want int64
+		}{
+			{sat.MetricConflicts, cp.conflicts},
+			{sat.MetricDecisions, cp.decisions},
+			{sat.MetricPropagations, cp.propagations},
+			{sat.MetricXorProps, cp.xorProps},
+		} {
+			if got := snap[c.name]; got != c.want {
+				t.Errorf("after %d queries: %s = %d, want %d", done, c.name, got, c.want)
 			}
 		}
 	}

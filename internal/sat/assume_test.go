@@ -222,11 +222,10 @@ func TestCloneCarriesGuardedClauses(t *testing.T) {
 
 // TestDeletedClausesNotRetained drives a reused solver through
 // guarded enumerations until reduceDB has pruned learnt clauses and
-// DropGuard has detached blocking clauses, then checks that no watch
-// list still references a clause from its spare capacity: a stale
-// slot past len keeps a deleted clause reachable, so a long-lived
-// session solver's memory would grow with every clause it ever
-// watched.
+// DropGuard has freed blocking clauses, checking the clause arena after
+// every round: no watcher or reason may name a freed clause, and freed
+// words may not outgrow a fifth of the arena, so a long-lived session
+// solver's memory does not grow with every clause it ever held.
 func TestDeletedClausesNotRetained(t *testing.T) {
 	s := guardedPHP(7)
 	for round := 0; round < 3; round++ {
@@ -234,16 +233,11 @@ func TestDeletedClausesNotRetained(t *testing.T) {
 		if err != nil || st != Unsat || n != 4 {
 			t.Fatalf("round %d: n=%d st=%v err=%v, want 4/Unsat/nil", round, n, st, err)
 		}
+		checkArena(t, s)
 	}
-	t.Logf("conflicts=%d learned=%d pruned=%d", s.Stats.Conflicts, s.Stats.Learned, s.Stats.LearnedPruned)
+	t.Logf("conflicts=%d learned=%d pruned=%d relocations=%d", s.Stats.Conflicts, s.Stats.Learned, s.Stats.LearnedPruned, s.relocs)
 	if s.Stats.LearnedPruned == 0 {
 		t.Fatal("reduceDB never ran; the instance is too easy to exercise it")
 	}
-	for l, ws := range s.watches {
-		for i, w := range ws[len(ws):cap(ws)] {
-			if w.cls != nil {
-				t.Fatalf("watch list %d: spare slot %d still references a clause", l, len(ws)+i)
-			}
-		}
-	}
+	checkRelocated(t, s)
 }

@@ -149,7 +149,7 @@ func (s *Solver) gaussEliminate() bool {
 			// v must equal rhs.
 			units = append(units, mkLit(vars[0], !r.rhs))
 		default:
-			kept = append(kept, &xorClause{vars: vars, rhs: r.rhs, w: [2]int{0, 1}})
+			kept = append(kept, &xorClause{vars: vars, rhs: r.rhs, w: [2]int{0, 1}, idx: uint32(len(kept))})
 		}
 	}
 	// Dependent rows (beyond pivotRow) are all-zero with rhs folded in;
@@ -165,10 +165,10 @@ func (s *Solver) gaussEliminate() bool {
 	// watch-list entry that survived the rebuild (none should today,
 	// but a stale pointer must fail closed, not resurrect a dropped
 	// row) is purged on its next visit instead of propagating a
-	// superseded constraint or pinning the row's memory alive. Stale
-	// xor reasons of level-0 literals are cleared for the same reason —
-	// they are never dereferenced for level-0 assignments, but they
-	// must not outlive the rows they point at.
+	// superseded constraint or pinning the row's memory alive. The xor
+	// reasons of level-0 literals are cleared too: they are never read
+	// for level-0 assignments, but a reason names its row by index, and
+	// the indices now belong to the reduced rows.
 	for _, x := range s.xors {
 		x.dead = true
 	}

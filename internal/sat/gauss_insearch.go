@@ -39,9 +39,9 @@ import "math/bits"
 //     that unassigns part of the row unassigns a watch with it. The
 //     final assignment of a row's columns therefore always triggers a
 //     watch, and a violated parity is never missed.
-//   - Reasons are materialized EAGERLY (reason.lits): a lazy reason
-//     could read a row that a later elimination has already combined
-//     away from the implication it must justify.
+//   - Reasons are materialized EAGERLY (Solver.gaussReasons): a lazy
+//     reason could read a row that a later elimination has already
+//     combined away from the implication it must justify.
 //   - Rows start as the level-0 RREF basis, but folding in level-0
 //     assignments the last re-reduction has not seen can collapse two
 //     rows onto the same support, so a combination CAN cancel a row to
@@ -342,12 +342,12 @@ func (s *Solver) gaussUpdateRow(ri, widx int) (confl *conflictInfo, keep bool) {
 		want := g.rowParity(s, ri, other) != r.rhs
 		implied := mkLit(otherVar, !want)
 		s.Stats.GaussInSearchProps++
-		s.uncheckedEnqueue(implied, reason{kind: reasonGauss, lits: g.reasonFor(s, ri, implied)})
+		s.gaussImplied(ri, implied)
 		return nil, true
 	}
 	if g.rowParity(s, ri, -1) != r.rhs {
 		s.Stats.GaussInSearchConflicts++
-		return &conflictInfo{lits: g.conflictFor(s, ri)}, true
+		return s.gaussConflict(ri), true
 	}
 	return nil, true // satisfied
 }
@@ -463,7 +463,7 @@ scanned:
 		// check that always passes) until the next rebuild drops it.
 		if r.rhs {
 			s.Stats.GaussInSearchConflicts++
-			return &conflictInfo{}
+			return s.conflict(nil)
 		}
 		return nil
 	}
@@ -486,7 +486,7 @@ scanned:
 		g.setWatches(ri, hi, hi2)
 		if g.rowParity(s, ri, -1) != r.rhs {
 			s.Stats.GaussInSearchConflicts++
-			return &conflictInfo{lits: g.conflictFor(s, ri)}
+			return s.gaussConflict(ri)
 		}
 		return nil
 	}
@@ -525,7 +525,7 @@ func (s *Solver) gaussImply(ri int, ucol int32) *conflictInfo {
 	want := g.rowParity(s, ri, ucol) != r.rhs
 	implied := mkLit(impliedVar, !want)
 	s.Stats.GaussInSearchProps++
-	s.uncheckedEnqueue(implied, reason{kind: reasonGauss, lits: g.reasonFor(s, ri, implied)})
+	s.gaussImplied(ri, implied)
 	return nil
 }
 
@@ -585,17 +585,18 @@ func (g *gaussMatrix) rowParity(s *Solver, ri int, skip int32) bool {
 	return parity
 }
 
-// reasonFor materializes the clausal reason for an implication of row
-// ri: the implied literal first, then the negations of the current
-// assignments of every other set column — false literals, exactly the
-// shape analyze() requires. The slice is freshly allocated: the row
-// may be combined away before the implication leaves the trail.
-func (g *gaussMatrix) reasonFor(s *Solver, ri int, implied lit) []lit {
-	r := &g.rows[ri]
-	out := make([]lit, 0, 8)
-	out = append(out, implied)
+// gaussImplied materializes the clausal reason for an implication of
+// row ri into the implied variable's gaussReasons slot, then enqueues
+// the implication: the implied literal first, then the negations of
+// the current assignments of every other set column — false literals,
+// exactly the shape analyze() requires. The reason is copied out of
+// the row because the row may be combined away before the implication
+// leaves the trail.
+func (s *Solver) gaussImplied(ri int, implied lit) {
+	g := s.gmat
 	iv := implied.varIdx()
-	for w, word := range r.bits {
+	out := append(s.gaussReasons[iv][:0], implied)
+	for w, word := range g.rows[ri].bits {
 		for word != 0 {
 			c := int32(w<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
@@ -606,15 +607,17 @@ func (g *gaussMatrix) reasonFor(s *Solver, ri int, implied lit) []lit {
 			out = append(out, mkLit(v, s.assigns[v] == valTrue))
 		}
 	}
-	return out
+	s.gaussReasons[iv] = out
+	s.uncheckedEnqueue(implied, reason{kind: reasonGauss})
 }
 
-// conflictFor materializes the conflict clause of a fully assigned,
-// parity-violated row: the negations of every set column's assignment.
-func (g *gaussMatrix) conflictFor(s *Solver, ri int) []lit {
-	r := &g.rows[ri]
-	out := make([]lit, 0, 8)
-	for w, word := range r.bits {
+// gaussConflict reports the conflict of a fully assigned,
+// parity-violated row ri: the negations of every set column's
+// assignment, materialized into conflBuf.
+func (s *Solver) gaussConflict(ri int) *conflictInfo {
+	g := s.gmat
+	out := s.conflBuf[:0]
+	for w, word := range g.rows[ri].bits {
 		for word != 0 {
 			c := int32(w<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
@@ -622,5 +625,6 @@ func (g *gaussMatrix) conflictFor(s *Solver, ri int) []lit {
 			out = append(out, mkLit(v, s.assigns[v] == valTrue))
 		}
 	}
-	return out
+	s.conflBuf = out
+	return s.conflict(out)
 }

@@ -74,7 +74,7 @@ func pickCubeVars(s *Solver, projection []int, n int) []int {
 		}
 	}
 	for _, c := range s.clauses {
-		for _, l := range c.lits {
+		for _, l := range s.clauseLits(c) {
 			count(l.varIdx())
 		}
 	}

@@ -4,8 +4,16 @@ import "time"
 
 // conflictInfo carries the clause that falsified the trail, in a form
 // conflict analysis can consume uniformly for CNF and XOR conflicts.
+// The solver owns one (Solver.confl); lits aliases the arena or a
+// reused buffer and is valid until the next conflict.
 type conflictInfo struct {
 	lits []lit
+}
+
+// conflict reports lits as the current conflict.
+func (s *Solver) conflict(lits []lit) *conflictInfo {
+	s.confl.lits = lits
+	return &s.confl
 }
 
 // propagate performs unit propagation over CNF and XOR watches until a
@@ -32,62 +40,57 @@ func (s *Solver) propagate() *conflictInfo {
 }
 
 // propagateCNF visits all clauses watching ¬p (p just became true).
-// Every exit clears the slots the compaction vacated: a stale watcher
-// in a list's spare capacity would keep a clause that reduceDB or
-// DropGuard detached reachable, so a long-lived solver's memory would
-// grow with every clause it ever watched.
+// Watchers are pointer-free, so the slots the compaction vacates need
+// no clearing: a stale one keeps no clause alive.
 func (s *Solver) propagateCNF(p lit) *conflictInfo {
 	ws := s.watches[p]
 	kept := ws[:0]
+	falseLit := p.not()
 	for wi := 0; wi < len(ws); wi++ {
 		w := ws[wi]
 		if s.valueLit(w.blocker) == valTrue {
 			kept = append(kept, w)
 			continue
 		}
-		c := w.cls
-		falseLit := p.not()
+		c := w.cref
+		lits := s.clauseLits(c)
 		// Binary clauses: the blocker IS the other literal; no watch
 		// movement can ever help, so propagate or conflict directly.
-		if len(c.lits) == 2 {
-			other := c.lits[0]
+		if len(lits) == 2 {
+			other := lits[0]
 			if other == falseLit {
-				other = c.lits[1]
+				other = lits[1]
 			}
 			switch s.valueLit(other) {
 			case valFalse:
-				kept = append(kept, w)
-				for wi++; wi < len(ws); wi++ {
-					kept = append(kept, ws[wi])
-				}
-				clear(ws[len(kept):])
+				kept = append(kept, ws[wi:]...)
 				s.watches[p] = kept
-				return &conflictInfo{lits: c.lits}
+				return s.conflict(lits)
 			case valUnassigned:
 				// Put the implied literal first so reasonLits works.
-				if c.lits[0] != other {
-					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+				if lits[0] != other {
+					lits[0], lits[1] = lits[1], lits[0]
 				}
-				s.uncheckedEnqueue(other, reason{kind: reasonClause, cls: c})
+				s.uncheckedEnqueue(other, reason{kind: reasonClause, ref: uint32(c)})
 			}
 			kept = append(kept, w)
 			continue
 		}
 		// Normalize so that lits[1] is the falsified watch (¬p ... p is
 		// true so the false literal in the clause is p.not()).
-		if c.lits[0] == falseLit {
-			c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+		if lits[0] == falseLit {
+			lits[0], lits[1] = lits[1], lits[0]
 		}
-		if s.valueLit(c.lits[0]) == valTrue {
-			kept = append(kept, watcher{c, c.lits[0]})
+		if s.valueLit(lits[0]) == valTrue {
+			kept = append(kept, watcher{c, lits[0]})
 			continue
 		}
 		// Find a new watch among lits[2:].
 		found := false
-		for i := 2; i < len(c.lits); i++ {
-			if s.valueLit(c.lits[i]) != valFalse {
-				c.lits[1], c.lits[i] = c.lits[i], c.lits[1]
-				s.watches[c.lits[1].not()] = append(s.watches[c.lits[1].not()], watcher{c, c.lits[0]})
+		for i := 2; i < len(lits); i++ {
+			if s.valueLit(lits[i]) != valFalse {
+				lits[1], lits[i] = lits[i], lits[1]
+				s.watches[lits[1].not()] = append(s.watches[lits[1].not()], watcher{c, lits[0]})
 				found = true
 				break
 			}
@@ -96,20 +99,15 @@ func (s *Solver) propagateCNF(p lit) *conflictInfo {
 			continue
 		}
 		// Clause is unit or conflicting.
-		if s.valueLit(c.lits[0]) == valFalse {
+		if s.valueLit(lits[0]) == valFalse {
 			// Conflict: keep remaining watchers, restore list, report.
-			kept = append(kept, w)
-			for wi++; wi < len(ws); wi++ {
-				kept = append(kept, ws[wi])
-			}
-			clear(ws[len(kept):])
+			kept = append(kept, ws[wi:]...)
 			s.watches[p] = kept
-			return &conflictInfo{lits: c.lits}
+			return s.conflict(lits)
 		}
 		kept = append(kept, w)
-		s.uncheckedEnqueue(c.lits[0], reason{kind: reasonClause, cls: c})
+		s.uncheckedEnqueue(lits[0], reason{kind: reasonClause, ref: uint32(c)})
 	}
-	clear(ws[len(kept):])
 	s.watches[p] = kept
 	return nil
 }
@@ -130,11 +128,11 @@ func (s *Solver) propagateXors(v int32) *conflictInfo {
 			}
 			clear(ws[len(kept):])
 			s.xorWatches[v] = kept
-			return &conflictInfo{lits: s.xorReason(x, 0, false)}
+			return s.conflict(s.xorReason(&s.conflBuf, x, 0, false))
 		}
 		if imply {
 			s.Stats.XorProps++
-			s.uncheckedEnqueue(implied, reason{kind: reasonXor, xor: x})
+			s.uncheckedEnqueue(implied, reason{kind: reasonXor, ref: x.idx})
 			// A propagation may cascade; the main loop drains the trail.
 		}
 	}
@@ -144,25 +142,27 @@ func (s *Solver) propagateXors(v int32) *conflictInfo {
 }
 
 // reasonLits returns the clausal reason for variable v's assignment,
-// with the asserting literal first.
+// with the asserting literal first. An XOR reason is materialized into
+// reasonBuf, so it is valid until the next reasonLits call.
 func (s *Solver) reasonLits(v int32) []lit {
 	r := s.reasons[v]
 	switch r.kind {
 	case reasonClause:
-		return r.cls.lits
+		return s.clauseLits(cref(r.ref))
 	case reasonXor:
-		return s.xorReason(r.xor, v, true)
+		return s.xorReason(&s.reasonBuf, s.xors[r.ref], v, true)
 	case reasonGauss:
 		// Materialized eagerly at propagation time: the matrix row that
 		// implied v may since have been combined away.
-		return r.lits
+		return s.gaussReasons[v]
 	default:
 		return nil
 	}
 }
 
 // analyze performs first-UIP conflict analysis. It returns the learned
-// clause (asserting literal first) and the backjump level.
+// clause (asserting literal first), which aliases analyzeBuf and so is
+// valid until the next analyze, and the backjump level.
 func (s *Solver) analyze(confl *conflictInfo) ([]lit, int) {
 	learnt := s.analyzeBuf[:0]
 	learnt = append(learnt, 0) // placeholder for the asserting literal
@@ -209,8 +209,8 @@ func (s *Solver) analyze(confl *conflictInfo) ([]lit, int) {
 	// Clause minimization: drop literals implied by the rest. The seen
 	// flags of every original literal (kept or dropped) are cleared
 	// afterwards; clearing only kept ones would poison later analyses.
-	original := make([]lit, len(learnt))
-	copy(original, learnt)
+	original := append(s.minBuf[:0], learnt...)
+	s.minBuf = original
 	minimized := learnt[:1]
 	for _, q := range learnt[1:] {
 		if !s.redundant(q) {
@@ -236,9 +236,7 @@ func (s *Solver) analyze(confl *conflictInfo) ([]lit, int) {
 	}
 
 	s.analyzeBuf = learnt // reuse backing array next time
-	out := make([]lit, len(learnt))
-	copy(out, learnt)
-	return out, bt
+	return learnt, bt
 }
 
 // redundant reports whether literal q of a learned clause is implied by
@@ -273,11 +271,12 @@ func (s *Solver) bumpVar(v int32) {
 
 func (s *Solver) decayVarActivity() { s.varInc /= 0.95 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	act := s.clauseAct(c) + s.claInc
+	s.setClauseAct(c, act)
+	if act > 1e20 {
 		for _, lc := range s.learnts {
-			lc.act *= 1e-20
+			s.setClauseAct(lc, s.clauseAct(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -333,45 +332,48 @@ func luby(x int64) int64 {
 }
 
 // reduceDB removes roughly half of the learned clauses, preferring to
-// keep low-LBD and high-activity ones. Clauses that are reasons for
-// current assignments are locked.
+// keep low-LBD and high-activity ones: it Shell-sorts a copy of the
+// list by (LBD ascending, activity descending) and frees the clauses
+// past the first half, except binary ones, those with LBD <= 2 and
+// those locked as the reason of a current assignment. The kept
+// clauses become the new list, in sorted order.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
-	// Selection sort by (lbd asc, act desc) would be O(n^2); use a simple
-	// insertion-ordered copy since learned sets stay small in our
-	// workloads, falling back to a pivot split for large sets.
-	sorted := make([]*clause, len(s.learnts))
-	copy(sorted, s.learnts)
-	sortClauses(sorted)
+	sorted := append(s.sortBuf[:0], s.learnts...)
+	s.sortBuf = sorted
+	s.sortClauses(sorted)
 	keepN := len(sorted) / 2
-	locked := map[*clause]bool{}
 	for v := int32(0); v < int32(s.numVars); v++ {
-		if s.assigns[v] != valUnassigned && s.reasons[v].kind == reasonClause && s.reasons[v].cls.learned {
-			locked[s.reasons[v].cls] = true
+		if r := s.reasons[v]; s.assigns[v] != valUnassigned && r.kind == reasonClause && s.hasFlag(cref(r.ref), flagLearned) {
+			s.ca[r.ref-hdrFlags] |= flagLocked
 		}
 	}
-	var kept []*clause
+	kept := s.learnts[:0]
 	for i, c := range sorted {
-		if i < keepN || c.lbd <= 2 || locked[c] || len(c.lits) <= 2 {
+		locked := s.hasFlag(c, flagLocked)
+		s.ca[c-hdrFlags] &^= flagLocked
+		if i < keepN || s.clauseLBD(c) <= 2 || locked || s.ca[c] <= 2 {
 			kept = append(kept, c)
 		} else {
-			s.detachClause(c)
+			s.freeClause(c)
 			s.Stats.LearnedPruned++
 		}
 	}
 	s.learnts = kept
+	s.maybeRelocate()
 }
 
-func sortClauses(cs []*clause) {
-	// Shell sort: dependency-free, adequate for clause DB sizes here.
+// sortClauses Shell-sorts cs by clauseLess: dependency-free, adequate
+// for the clause DB sizes here, and deterministic.
+func (s *Solver) sortClauses(cs []cref) {
 	n := len(cs)
 	for gap := n / 2; gap > 0; gap /= 2 {
 		for i := gap; i < n; i++ {
 			c := cs[i]
 			j := i
-			for ; j >= gap && clauseLess(c, cs[j-gap]); j -= gap {
+			for ; j >= gap && s.clauseLess(c, cs[j-gap]); j -= gap {
 				cs[j] = cs[j-gap]
 			}
 			cs[j] = c
@@ -379,27 +381,11 @@ func sortClauses(cs []*clause) {
 	}
 }
 
-func clauseLess(a, b *clause) bool {
-	if a.lbd != b.lbd {
-		return a.lbd < b.lbd
+func (s *Solver) clauseLess(a, b cref) bool {
+	if la, lb := s.clauseLBD(a), s.clauseLBD(b); la != lb {
+		return la < lb
 	}
-	return a.act > b.act
-}
-
-// detachClause unlinks c from both watch lists, zeroing the vacated
-// tail slot so the list's spare capacity does not pin c.
-func (s *Solver) detachClause(c *clause) {
-	for _, w := range []lit{c.lits[0].not(), c.lits[1].not()} {
-		ws := s.watches[w]
-		for i, x := range ws {
-			if x.cls == c {
-				ws[i] = ws[len(ws)-1]
-				ws[len(ws)-1] = watcher{}
-				s.watches[w] = ws[:len(ws)-1]
-				break
-			}
-		}
-	}
+	return s.clauseAct(a) > s.clauseAct(b)
 }
 
 // Solve searches for a satisfying assignment. It returns Sat, Unsat, or
@@ -567,13 +553,13 @@ func (s *Solver) search(conflictLimit int64, budget *int64, maxLearnts *int64) (
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], reason{})
 			} else {
-				c := &clause{lits: learnt, learned: true, lbd: s.computeLBD(learnt)}
+				c := s.allocClause(learnt, true, s.computeLBD(learnt))
 				s.learnts = append(s.learnts, c)
 				s.Stats.Learned++
 				s.Stats.LearnedLits += int64(len(learnt))
 				s.attachClause(c)
 				s.bumpClause(c)
-				s.uncheckedEnqueue(learnt[0], reason{kind: reasonClause, cls: c})
+				s.uncheckedEnqueue(learnt[0], reason{kind: reasonClause, ref: uint32(c)})
 			}
 			s.decayVarActivity()
 			s.decayClauseActivity()

@@ -19,6 +19,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -98,24 +99,27 @@ const (
 	reasonXor
 	// reasonGauss is an implication extracted mid-search from the
 	// in-search XOR Gauss matrix. Unlike reasonXor, the clausal reason
-	// is materialized EAGERLY at propagation time (into lits): matrix
-	// rows are XOR-combined during search, so a lazy reason could read
-	// a row that no longer implies the literal it justified.
+	// is materialized EAGERLY at propagation time (into
+	// Solver.gaussReasons): matrix rows are XOR-combined during search,
+	// so a lazy reason could read a row that no longer implies the
+	// literal it justified.
 	reasonGauss
 )
 
+// reason is why a variable was assigned: for reasonClause, ref is the
+// clause's cref; for reasonXor, the row's index in Solver.xors. It
+// holds no pointer, so the per-variable reason table costs the garbage
+// collector nothing.
 type reason struct {
 	kind reasonKind
-	cls  *clause
-	xor  *xorClause
-	lits []lit // reasonGauss only: asserting literal first
+	ref  uint32
 }
 
 // watcher is one entry of a literal's watch list. blocker is a literal
 // of the clause that, when already true, lets propagation skip the
 // clause without touching its memory.
 type watcher struct {
-	cls     *clause
+	cref    cref
 	blocker lit
 }
 
@@ -154,19 +158,27 @@ type Stats struct {
 type Solver struct {
 	numVars int
 
-	clauses []*clause // problem clauses
-	learnts []*clause // learned clauses
+	// ca is the clause arena (see cref); wasted counts the words of
+	// freed clauses still in it and relocs the relocAll runs.
+	ca      []lit
+	wasted  int
+	relocs  int
+	clauses []cref // problem clauses
+	learnts []cref // learned clauses
 	xors    []*xorClause
 
 	watches    [][]watcher    // per literal
 	xorWatches [][]*xorClause // per variable
 
-	assigns  []int8
-	level    []int32
-	reasons  []reason
-	trail    []lit
-	trailLim []int
-	qhead    int
+	assigns []int8
+	level   []int32
+	reasons []reason
+	// gaussReasons[v] is v's reasonGauss clause, asserting literal
+	// first; its storage is reused by v's next Gauss implication.
+	gaussReasons [][]lit
+	trail        []lit
+	trailLim     []int
+	qhead        int
 
 	// VSIDS
 	activity []float64
@@ -181,6 +193,18 @@ type Solver struct {
 	lbdStamp   []uint64 // per decision level; see computeLBD
 	lbdEpoch   uint64
 
+	// Reused scratch, so the conflict path allocates nothing: confl is
+	// the conflict propagate returns; conflBuf and reasonBuf hold
+	// materialized XOR and Gauss conflicts and XOR reasons; minBuf is
+	// analyze's pre-minimization copy, sortBuf reduceDB's sort order and
+	// addBuf the simplified literals of an input clause.
+	confl     conflictInfo
+	conflBuf  []lit
+	reasonBuf []lit
+	minBuf    []lit
+	sortBuf   []cref
+	addBuf    []lit
+
 	// model is the assignment captured at the most recent Sat result.
 	// Model and Value read it, so SolveAssuming can retract its
 	// assumptions before returning without losing the model.
@@ -194,7 +218,7 @@ type Solver struct {
 
 	// guarded tracks removable clauses by their guard variable (see
 	// AddGuardedClause/DropGuard).
-	guarded map[int32][]*clause
+	guarded map[int32][]cref
 
 	// EnableGauss turns on the in-solver XOR Gaussian elimination: at
 	// the start of a solve the XOR rows are row-reduced over GF(2)
@@ -317,6 +341,7 @@ func (s *Solver) grow(n int) {
 		s.assigns = append(s.assigns, valUnassigned)
 		s.level = append(s.level, 0)
 		s.reasons = append(s.reasons, reason{})
+		s.gaussReasons = append(s.gaussReasons, nil)
 		s.activity = append(s.activity, 0)
 		s.polarity = append(s.polarity, true)
 		s.seen = append(s.seen, false)
@@ -332,22 +357,20 @@ func (s *Solver) grow(n int) {
 	s.numVars = n
 }
 
+// valueLit is branch-free: a>>7 is all ones only for valUnassigned,
+// which masks out the negation bit, and otherwise l's low bit flips
+// valTrue and valFalse.
 func (s *Solver) valueLit(l lit) int8 {
 	a := s.assigns[l.varIdx()]
-	if a == valUnassigned {
-		return valUnassigned
-	}
-	if l.negated() {
-		return 1 - a
-	}
-	return a
+	return a ^ (int8(l&1) &^ (a >> 7))
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // AddClause adds a CNF clause given as DIMACS literals. Adding the
-// empty clause marks the formula unsatisfiable. The error return is
-// reserved for future input validation; it is currently always nil.
+// empty clause marks the formula unsatisfiable. It returns an error,
+// adding nothing, only when the clause would overflow the clause
+// arena's 2^32 words.
 func (s *Solver) AddClause(extLits ...int) error {
 	if len(extLits) == 0 {
 		s.ok = false
@@ -374,7 +397,7 @@ func (s *Solver) AddClause(extLits ...int) error {
 
 	// Simplify: drop false literals, detect satisfied/tautological
 	// clauses, dedupe.
-	lits := make([]lit, 0, len(extLits))
+	lits := s.addBuf[:0]
 	seenLit := map[lit]bool{}
 	for _, x := range extLits {
 		l := extToLit(x)
@@ -392,6 +415,7 @@ func (s *Solver) AddClause(extLits ...int) error {
 			lits = append(lits, l)
 		}
 	}
+	s.addBuf = lits // allocClause copies lits into the arena
 	switch len(lits) {
 	case 0:
 		s.ok = false
@@ -403,15 +427,13 @@ func (s *Solver) AddClause(extLits ...int) error {
 		}
 		return nil
 	}
-	c := &clause{lits: lits}
+	if !arenaFits(len(s.ca), len(lits)) {
+		return errArenaFull
+	}
+	c := s.allocClause(lits, false, 0)
 	s.clauses = append(s.clauses, c)
 	s.attachClause(c)
 	return nil
-}
-
-func (s *Solver) attachClause(c *clause) {
-	s.watches[c.lits[0].not()] = append(s.watches[c.lits[0].not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].not()] = append(s.watches[c.lits[1].not()], watcher{c, c.lits[0]})
 }
 
 // AddXorClause adds the parity constraint v1 ^ v2 ^ … ^ vn = rhs over
@@ -471,7 +493,7 @@ func (s *Solver) AddXorClause(vars []int, rhs bool) error {
 		}
 		return nil
 	}
-	x := &xorClause{vars: vs, rhs: rhs}
+	x := &xorClause{vars: vs, rhs: rhs, idx: uint32(len(s.xors))}
 	x.w[0], x.w[1] = 0, 1
 	s.xors = append(s.xors, x)
 	s.xorGen++
@@ -509,6 +531,9 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := s.trail[i].varIdx()
 		s.polarity[v] = s.trail[i].negated()
 		s.assigns[v] = valUnassigned
+		if s.reasons[v].kind == reasonGauss {
+			s.gaussReasons[v] = s.gaussReasons[v][:0]
+		}
 		s.reasons[v] = reason{}
 		if !s.order.inHeap(v) {
 			s.order.insert(v)
@@ -595,8 +620,7 @@ func (s *Solver) AddGuardedClause(sel int, extLits ...int) error {
 	if s.valueLit(guard) == valTrue {
 		return nil // selector already retired at level 0
 	}
-	lits := make([]lit, 0, len(extLits)+1)
-	lits = append(lits, guard)
+	lits := append(s.addBuf[:0], guard)
 	seenLit := map[lit]bool{guard: true}
 	for _, x := range extLits {
 		l := extToLit(x)
@@ -614,6 +638,7 @@ func (s *Solver) AddGuardedClause(sel int, extLits ...int) error {
 			lits = append(lits, l)
 		}
 	}
+	s.addBuf = lits // allocClause copies lits into the arena
 	if len(lits) == 1 {
 		// Only the guard survives: retire the selector at level 0.
 		s.uncheckedEnqueue(guard, reason{})
@@ -622,21 +647,23 @@ func (s *Solver) AddGuardedClause(sel int, extLits ...int) error {
 		}
 		return nil
 	}
-	c := &clause{lits: lits}
+	if !arenaFits(len(s.ca), len(lits)) {
+		return errArenaFull
+	}
+	c := s.allocClause(lits, false, 0)
 	if s.guarded == nil {
-		s.guarded = map[int32][]*clause{}
+		s.guarded = map[int32][]cref{}
 	}
 	s.guarded[int32(sel-1)] = append(s.guarded[int32(sel-1)], c)
 	s.attachClause(c)
 	return nil
 }
 
-// DropGuard detaches and discards every clause added under the guard
-// variable sel. It backtracks to level 0 first, so no dropped clause
-// can be the reason of a live assignment above level 0; level-0
-// reasons that pointed at a dropped clause are cleared defensively
-// (conflict analysis never dereferences level-0 reasons, but a stale
-// pointer should not outlive its clause).
+// DropGuard frees every clause added under the guard variable sel. It
+// backtracks to level 0 first, so no dropped clause can be the reason
+// of a live assignment above level 0; level-0 reasons that named a
+// dropped clause are cleared (conflict analysis never reads level-0
+// reasons, but relocAll must not follow a reason into a freed clause).
 func (s *Solver) DropGuard(sel int) {
 	if sel <= 0 || sel > s.numVars || s.guarded == nil {
 		return
@@ -647,16 +674,15 @@ func (s *Solver) DropGuard(sel int) {
 	}
 	s.cancelUntil(0)
 	delete(s.guarded, int32(sel-1))
-	dropped := make(map[*clause]bool, len(cs))
 	for _, c := range cs {
-		s.detachClause(c)
-		dropped[c] = true
+		s.freeClause(c)
 	}
-	for v := range s.reasons {
-		if s.reasons[v].kind == reasonClause && dropped[s.reasons[v].cls] {
+	for v, r := range s.reasons {
+		if r.kind == reasonClause && s.hasFlag(cref(r.ref), flagFreed) {
 			s.reasons[v] = reason{}
 		}
 	}
+	s.maybeRelocate()
 }
 
 // acquireSelector hands out a fresh guard selector variable. Selectors
@@ -706,35 +732,36 @@ func (s *Solver) Clone() *Solver {
 	// Level-0 assignments carry no useful reasons: conflict analysis
 	// skips level-0 literals, so the clone's reasons start empty.
 	n.reasons = make([]reason, s.numVars)
+	n.gaussReasons = make([][]lit, s.numVars)
 	n.trail = append([]lit(nil), s.trail...)
 	n.qhead = len(n.trail)
 
+	// A fresh, compact arena, attached in the original's list order —
+	// problem clauses, learned clauses, then guard groups by ascending
+	// selector — so the clone's watch lists, and with them its search,
+	// are reproducible.
+	n.ca = make([]lit, 0, len(s.ca)-s.wasted)
 	n.watches = make([][]watcher, 2*s.numVars)
-	n.clauses = make([]*clause, 0, len(s.clauses))
+	n.clauses = make([]cref, 0, len(s.clauses))
 	for _, c := range s.clauses {
-		nc := &clause{lits: append([]lit(nil), c.lits...)}
-		n.clauses = append(n.clauses, nc)
-		n.attachClause(nc)
+		n.clauses = append(n.clauses, n.copyClause(s, c))
 	}
-	n.learnts = make([]*clause, 0, len(s.learnts))
+	n.learnts = make([]cref, 0, len(s.learnts))
 	for _, c := range s.learnts {
-		nc := &clause{
-			lits:    append([]lit(nil), c.lits...),
-			act:     c.act,
-			lbd:     c.lbd,
-			learned: true,
-		}
-		n.learnts = append(n.learnts, nc)
-		n.attachClause(nc)
+		n.learnts = append(n.learnts, n.copyClause(s, c))
 	}
 	if len(s.guarded) > 0 {
-		n.guarded = make(map[int32][]*clause, len(s.guarded))
-		for sel, cs := range s.guarded {
-			ncs := make([]*clause, 0, len(cs))
+		sels := make([]int32, 0, len(s.guarded))
+		for sel := range s.guarded {
+			sels = append(sels, sel)
+		}
+		slices.Sort(sels)
+		n.guarded = make(map[int32][]cref, len(s.guarded))
+		for _, sel := range sels {
+			cs := s.guarded[sel]
+			ncs := make([]cref, 0, len(cs))
 			for _, c := range cs {
-				nc := &clause{lits: append([]lit(nil), c.lits...)}
-				ncs = append(ncs, nc)
-				n.attachClause(nc)
+				ncs = append(ncs, n.copyClause(s, c))
 			}
 			n.guarded[sel] = ncs
 		}
@@ -759,7 +786,7 @@ func (s *Solver) Clone() *Solver {
 	n.xorWatches = make([][]*xorClause, s.numVars)
 	n.xors = make([]*xorClause, 0, len(s.xors))
 	for i, x := range s.xors {
-		nx := &xorClause{vars: append([]int32(nil), x.vars...), rhs: x.rhs, w: x.w}
+		nx := &xorClause{vars: append([]int32(nil), x.vars...), rhs: x.rhs, w: x.w, idx: x.idx}
 		n.xors = append(n.xors, nx)
 		if i < absorbed {
 			continue
@@ -773,4 +800,13 @@ func (s *Solver) Clone() *Solver {
 		n.order.insert(int32(v))
 	}
 	return n
+}
+
+// copyClause appends clause c of solver from, header and all, to s's
+// arena, attaches it and returns its cref in s.
+func (s *Solver) copyClause(from *Solver, c cref) cref {
+	nc := cref(len(s.ca) + clauseHdr)
+	s.ca = append(s.ca, from.ca[c-clauseHdr:c+1+cref(from.ca[c])]...)
+	s.attachClause(nc)
+	return nc
 }
