@@ -3,12 +3,12 @@ GO ?= go
 # The one benchmark-regression guard (see internal/benchdiff). BENCH_RUN
 # runs every guarded suite into one `go test -bench`-format stream:
 #   1. the solver benchmarks — GF(2) presolve on/off, the cube-split
-#      portfolio, the incremental session against fresh solvers, in-search
-#      Gauss against level-0 reduction, cost-model dispatch against
-#      always-SAT, two goroutines on one SessionOracle's warm session
-#      pool, one goroutine's forensic queries on one warm session —
-#      where -benchtime=1x -count=5 keeps the workloads bounded while
-#      still giving a median;
+#      portfolio, the incremental session against fresh solvers, the
+#      sessions' in-search Gauss on the m=512 planted cells, cost-model
+#      dispatch against always-SAT, two goroutines on one
+#      SessionOracle's warm session pool, one goroutine's forensic
+#      queries on one warm session — where -benchtime=1x -count=5
+#      keeps the workloads bounded while still giving a median;
 #   2. the feature-extraction, decode-route, store-query, store-seal and
 #      stream-frame microbenchmarks;
 #   3. the tprload per-class mean latencies.
@@ -82,10 +82,13 @@ dispatch-check:
 
 # gauss-check is the in-search Gauss CI job: vet and the XOR/Gauss test
 # surface under the race detector, including the 4-way differential
-# parity hammer.
+# parity hammer, plus the production mode: every session runs the
+# propagator, so the root TestSessionWarmPinnedSearch pins its search
+# (its first 16 queries under -race).
 gauss-check:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -run 'Gauss|Xor|Parity' ./internal/sat/ ./internal/reconstruct/
+	$(GO) test -race -count=1 -run '^TestSessionWarmPinnedSearch$$' .
 
 # metrics-smoke exercises the observability contract end to end: a
 # selfcheck run dumps a -metrics snapshot, metricscheck validates the

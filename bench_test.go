@@ -452,19 +452,18 @@ func BenchmarkSessionQueries(b *testing.B) {
 
 // BenchmarkSessionQueriesGauss is the in-search Gauss headline: the
 // unconstrained m=512 witness cells — the planted Table 1 entries for
-// k = 3, 4, 8, queried through a session with NO suspicion window, the
-// ROADMAP's named worst regime, where the 256-wide parity rows used to
-// burn 17-43k conflicts per cell because a row only propagates once a
-// single literal is left. The insearch side keeps the reduced GF(2)
-// matrix live across decision levels (in-search Gaussian elimination,
-// rebuilt from the RREF basis at restarts); the level0 side is the PR6
-// behavior, reducing only before search. The planted entries are
+// k = 3, 4, 8, queried through a fresh session with NO suspicion
+// window, the regime where 256-wide parity rows only propagate once a
+// single literal is left unless the reduced GF(2) matrix stays live
+// across decision levels, as every session's does (rebuilt from the
+// RREF basis at each solve and restart). The planted entries are
 // deterministic, so the summed conflict count is a stable
-// machine-independent effort metric — BENCH.json (make bench-check)
-// pins the propagation win, not just the wall clock. (A burst-entry
-// variant of this workload is heavy-tail-dominated: per-query conflicts
-// span 300-74k on identical configurations, so its 16-query mean cannot
-// separate the modes.)
+// machine-independent effort metric that BENCH.json (make bench-check)
+// pins next to the wall clock; gprops and gconfl report the
+// propagator's implications and conflicts. The level-0-only comparison
+// lives in internal/sat's 4-way parity hammer. (A burst-entry variant
+// of this workload is heavy-tail-dominated: per-query conflicts span
+// 300-74k on identical configurations, so a 16-query mean says little.)
 func BenchmarkSessionQueriesGauss(b *testing.B) {
 	const m = 512
 	ks := []int{3, 4, 8}
@@ -472,43 +471,34 @@ func BenchmarkSessionQueriesGauss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name     string
-		insearch bool
-	}{{"insearch", true}, {"level0", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var conflicts, gprops, gconfl int64
-			for i := 0; i < b.N; i++ {
-				for _, k := range ks {
-					reg := obs.NewRegistry()
-					sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{
-						MaxK: k, InSearchGauss: mode.insearch, Obs: reg,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					entry := core.Log(enc, bench.PlantedSignal(m, k))
-					sigs, _, err := sess.Query(entry, nil, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(sigs) == 0 {
-						b.Fatal("no witness")
-					}
-					snap := reg.Snapshot().Counters
-					conflicts += snap[sat.MetricConflicts]
-					gprops += snap[sat.MetricGaussInSearchProps]
-					gconfl += snap[sat.MetricGaussInSearchConflicts]
-					if testing.Verbose() {
-						b.Logf("k=%d: %d conflicts", k, snap[sat.MetricConflicts])
-					}
-				}
+	var conflicts, gprops, gconfl int64
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			reg := obs.NewRegistry()
+			sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k, Obs: reg})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts")
-			b.ReportMetric(float64(gprops)/float64(b.N), "gprops")
-			b.ReportMetric(float64(gconfl)/float64(b.N), "gconfl")
-		})
+			entry := core.Log(enc, bench.PlantedSignal(m, k))
+			sigs, _, err := sess.Query(entry, nil, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(sigs) == 0 {
+				b.Fatal("no witness")
+			}
+			snap := reg.Snapshot().Counters
+			conflicts += snap[sat.MetricConflicts]
+			gprops += snap[sat.MetricGaussInSearchProps]
+			gconfl += snap[sat.MetricGaussInSearchConflicts]
+			if testing.Verbose() {
+				b.Logf("k=%d: %d conflicts", k, snap[sat.MetricConflicts])
+			}
+		}
 	}
+	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts")
+	b.ReportMetric(float64(gprops)/float64(b.N), "gprops")
+	b.ReportMetric(float64(gconfl)/float64(b.N), "gconfl")
 }
 
 // forensicQuery is one query of the forensic-witness shape: a single
@@ -632,18 +622,20 @@ func BenchmarkSessionWarm(b *testing.B) {
 
 // TestSessionWarmPinnedSearch pins the solver's search on the
 // BenchmarkSessionWarm sequence: the summed conflicts, decisions,
-// propagations and XOR propagations after 16 and after all warmQueries
-// queries are deterministic, so a change to the solver's data
-// structures that claims to keep the search as it was must reproduce
-// them exactly. The race detector slows the solver about 14x, so a
-// -race run stops at the first checkpoint.
+// propagations and in-search Gauss implications and conflicts after 16
+// and after all warmQueries queries are deterministic, so a change to
+// the solver's data structures that claims to keep the search as it was
+// must reproduce them exactly. The in-search matrix absorbs every
+// parity row, so no row is left to clause-watched XOR propagation and
+// its counter must stay 0. The race detector slows the solver about
+// 14x, so a -race run stops at the first checkpoint.
 func TestSessionWarmPinnedSearch(t *testing.T) {
 	checkpoints := []struct {
-		after                                        int
-		conflicts, decisions, propagations, xorProps int64
+		after                                                      int
+		conflicts, decisions, propagations, gaussProps, gaussConfl int64
 	}{
-		{16, 13930, 18404, 846114, 39949},
-		{warmQueries, 39962, 52691, 2362361, 110735},
+		{16, 2199, 3187, 176156, 8924, 939},
+		{warmQueries, 18517, 24666, 1285315, 71632, 7687},
 	}
 	if raceEnabled {
 		checkpoints = checkpoints[:1]
@@ -668,7 +660,9 @@ func TestSessionWarmPinnedSearch(t *testing.T) {
 			{sat.MetricConflicts, cp.conflicts},
 			{sat.MetricDecisions, cp.decisions},
 			{sat.MetricPropagations, cp.propagations},
-			{sat.MetricXorProps, cp.xorProps},
+			{sat.MetricGaussInSearchProps, cp.gaussProps},
+			{sat.MetricGaussInSearchConflicts, cp.gaussConfl},
+			{sat.MetricXorProps, 0},
 		} {
 			if got := snap[c.name]; got != c.want {
 				t.Errorf("after %d queries: %s = %d, want %d", done, c.name, got, c.want)

@@ -35,11 +35,10 @@ type oracle struct {
 //
 //   - decode:     algebraic syndrome decoding (internal/decode), k <= 4
 //   - sat:        serial CDCL enumeration (internal/reconstruct)
-//   - sat-inc:    incremental assumption-based session solver, queried
-//     twice against one retained solver (reuse + blocking cleanup)
-//   - sat-inc-gauss: the session solver with in-search Gaussian
-//     elimination — the live-matrix propagator must be bit-exact with
-//     the rest of the field
+//   - sat-inc:    incremental assumption-based session solver with
+//     in-search Gaussian elimination, queried twice against one
+//     retained solver (reuse, blocking cleanup, and the live matrix
+//     carried across SolveAssuming retraction)
 //   - sat-par-N:  cube-split parallel portfolio with N workers
 //   - brute:      GF(2) coset enumeration, nullity-bounded
 //   - exhaustive: 2^m concretization (internal/core), m <= 16
@@ -97,10 +96,11 @@ func buildOracles(workers []int, reg *obs.Registry) []oracle {
 		{
 			// The incremental session path: the same CDCL engine, but
 			// driven through selector assumptions against a retained
-			// solver (uncut parity rows + in-solver Gauss) instead of a
+			// solver (uncut parity rows + in-search Gauss) instead of a
 			// per-entry formula. Querying twice exercises solver reuse —
 			// the second run sees the first run's learned clauses and
-			// must not see its retracted blocking clauses.
+			// must not see its retracted blocking clauses, and its live
+			// matrix must survive that retraction and blocking cleanup.
 			name:    "sat-inc",
 			applies: func(cs CaseSpec) bool { return cs.K <= sessionMaxK },
 			run: func(enc *encoding.Encoding, entry core.LogEntry) ([]core.Signal, error) {
@@ -124,41 +124,6 @@ func buildOracles(workers []int, reg *obs.Registry) []oracle {
 				}
 				if len(again) != len(first) {
 					return nil, fmt.Errorf("session re-query returned %d signals, first run %d", len(again), len(first))
-				}
-				return first, nil
-			},
-		},
-		{
-			// The same session drive with the in-search Gauss propagator:
-			// the live matrix must stay bit-exact with CDCL-only search
-			// across the whole corpus, including the re-query (matrix
-			// state carried across SolveAssuming retraction and blocking
-			// cleanup).
-			name:    "sat-inc-gauss",
-			applies: func(cs CaseSpec) bool { return cs.K <= sessionMaxK },
-			run: func(enc *encoding.Encoding, entry core.LogEntry) ([]core.Signal, error) {
-				sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{
-					MaxK: sessionMaxK, InSearchGauss: true, Obs: reg,
-				})
-				if err != nil {
-					return nil, err
-				}
-				first, exhausted, err := sess.Query(entry, nil, 0)
-				if err != nil {
-					return nil, err
-				}
-				if !exhausted {
-					return nil, fmt.Errorf("in-search session enumeration not exhausted")
-				}
-				again, exhausted, err := sess.Query(entry, nil, 0)
-				if err != nil {
-					return nil, fmt.Errorf("in-search session re-query: %w", err)
-				}
-				if !exhausted {
-					return nil, fmt.Errorf("in-search session re-query not exhausted")
-				}
-				if len(again) != len(first) {
-					return nil, fmt.Errorf("in-search session re-query returned %d signals, first run %d", len(again), len(first))
 				}
 				return first, nil
 			},

@@ -33,11 +33,6 @@ type SessionOptions struct {
 	MaxK int
 	// MaxConflicts bounds solver effort per query; 0 means unlimited.
 	MaxConflicts int64
-	// InSearchGauss keeps the reduced GF(2) matrix live ACROSS
-	// decision levels (CryptoMiniSat-style in-search elimination):
-	// parity implications and conflicts are extracted mid-search
-	// instead of only at level 0.
-	InSearchGauss bool
 	// Obs receives the session metrics and the solver counters; nil is
 	// fully supported.
 	Obs *obs.Registry
@@ -94,8 +89,10 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) (*Session, error) {
 	m, b := enc.M(), enc.B()
 	bld := cnf.NewBuilder(m)
 	bld.S.Obs = opts.Obs
-	bld.S.EnableGauss = true
-	bld.S.EnableGaussInSearch = opts.InSearchGauss
+	// Every session runs in-search Gauss: the reduced parity matrix
+	// stays live across decision levels (the level-0 reduction seeds
+	// it), so parity implications surface mid-search.
+	bld.S.EnableGaussInSearch = true
 	vars := make([]int, m)
 	for i := range vars {
 		vars[i] = i + 1
