@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -215,6 +216,127 @@ func TestGaussInSearchCloneWarm(t *testing.T) {
 		// matrix independently.
 		if got := warm.SolveAssuming(assumps); got != want {
 			t.Fatalf("query %d (%v): origin %v, cold %v", q, assumps, got, want)
+		}
+	}
+}
+
+// TestGaussRebuildReusesStorage checks the in-search matrix rebuild
+// that runs at every solve boundary and restart. Built over the
+// storage of a matrix the search has combined rows in, and again after
+// each of a run of unpropagated level-0 assignments (which turn rows
+// into units or drop them), it must hold exactly the rows a direct
+// reading of the XOR system gives; once built, a rebuild must allocate
+// nothing.
+func TestGaussRebuildReusesStorage(t *testing.T) {
+	const n = 16
+	var props, units int64
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(n)
+		s.EnableGaussInSearch = true
+		for i := 0; i < 10; i++ {
+			var vars []int
+			for v := 1; v <= n; v++ {
+				if rng.Intn(2) == 0 {
+					vars = append(vars, v)
+				}
+			}
+			if len(vars) < 2 {
+				vars = []int{1, 2}
+			}
+			mustAddXor(t, s, vars, rng.Intn(2) == 0)
+		}
+		if s.Solve() != Sat {
+			continue
+		}
+		props += s.Stats.GaussInSearchProps
+		before := s.Stats.GaussUnits
+		model := make([]bool, n+1)
+		for v := 1; v <= n; v++ {
+			model[v] = s.Value(v)
+		}
+		for _, v := range rng.Perm(n) {
+			cols, rows := gaussLayout(s)
+			if !s.gaussBuild() {
+				t.Fatalf("seed %d: rebuild refuted a satisfiable system", seed)
+			}
+			checkGaussRebuild(t, s, cols, rows)
+			if !s.gaussInSearchInit() {
+				t.Fatalf("seed %d: rebuild propagation refuted a satisfiable system", seed)
+			}
+			// Assign one more variable its model value at level 0,
+			// leaving it for the next rebuild to fold in.
+			if s.assigns[v] == valUnassigned {
+				s.uncheckedEnqueue(mkLit(int32(v), !model[v+1]), reason{})
+			}
+		}
+		units += s.Stats.GaussUnits - before
+		if allocs := testing.AllocsPerRun(10, func() { s.gaussInSearchInit() }); allocs != 0 {
+			t.Fatalf("seed %d: rebuild allocates %.0f times", seed, allocs)
+		}
+	}
+	if props == 0 || units == 0 {
+		t.Fatalf("corpus too weak: %d in-search props, %d unit rows", props, units)
+	}
+}
+
+// gaussLayout reads the matrix a rebuild must produce straight from
+// s.xors under the current level-0 assignments: ascending columns over
+// the unassigned variables, and one row per XOR with two or more of
+// them, watching its first two columns.
+func gaussLayout(s *Solver) (cols []int32, rows []gaussRow) {
+	for v := int32(0); v < int32(s.numVars); v++ {
+		for _, x := range s.xors {
+			if slices.Contains(x.vars, v) && s.assigns[v] == valUnassigned {
+				cols = append(cols, v)
+				break
+			}
+		}
+	}
+	for _, x := range s.xors {
+		r := gaussRow{bits: make([]uint64, gaussWords(len(cols))), rhs: x.rhs}
+		var set []int32
+		for _, v := range x.vars {
+			switch s.assigns[v] {
+			case valTrue:
+				r.rhs = !r.rhs
+			case valUnassigned:
+				c, _ := slices.BinarySearch(cols, v)
+				r.bits[c>>6] |= 1 << (uint(c) & 63)
+				set = append(set, int32(c))
+			}
+		}
+		if len(set) >= 2 {
+			r.wc = [2]int32{set[0], set[1]}
+			rows = append(rows, r)
+		}
+	}
+	return cols, rows
+}
+
+// checkGaussRebuild compares the rebuilt matrix with the layout
+// gaussLayout read before the rebuild.
+func checkGaussRebuild(t *testing.T, s *Solver, cols []int32, rows []gaussRow) {
+	t.Helper()
+	g := s.gmat
+	if !slices.Equal(g.cols, cols) {
+		t.Fatalf("columns %v, want %v", g.cols, cols)
+	}
+	if len(g.rows) != len(rows) || g.nEntries != 2*len(rows) {
+		t.Fatalf("%d rows and %d watch entries, want %d rows", len(g.rows), g.nEntries, len(rows))
+	}
+	for ri, want := range rows {
+		r := g.rows[ri]
+		if !slices.Equal(r.bits, want.bits) || r.rhs != want.rhs || r.wc != want.wc || r.resp != 0 {
+			t.Fatalf("row %d: %+v, want %+v", ri, r, want)
+		}
+		if !slices.Contains(g.watch[r.wc[0]], int32(ri)) || !slices.Contains(g.watch[r.wc[1]], int32(ri)) {
+			t.Fatalf("row %d missing from its watch lists", ri)
+		}
+	}
+	for v, ws := range s.xorWatches {
+		if len(ws) != 0 {
+			t.Fatalf("variable %d keeps %d clause watches on absorbed rows", v, len(ws))
 		}
 	}
 }
