@@ -16,9 +16,11 @@
 //
 // The decoder is exact, deterministic, and used as a second
 // independent oracle against the SAT reconstructor, and as the
-// baseline of the "SAT vs algebraic" ablation. It intentionally does
-// NOT support temporal-property pruning — that is the SAT encoding's
-// advantage and exactly the trade-off the ablation exposes.
+// baseline of the "SAT vs algebraic" ablation. It never encodes
+// temporal properties: the reconstruct package's decode oracle
+// filters the candidates ForEach emits with each property's Holds,
+// so pruning saves no decode work (that is the SAT encoding's
+// advantage), only the memory of the candidates that fail.
 package decode
 
 import (
@@ -186,19 +188,32 @@ func (t *wordTable) add(key []uint64, v int32) {
 func (t *wordTable) first(key []uint64) int32 { return t.head[t.slot(key)] }
 
 // Decode returns every signal with exactly entry.K changes whose
-// timestamps XOR to entry.TP, sorted by their Vector().Key(). It
-// returns an error for k > MaxK.
+// timestamps XOR to entry.TP, sorted by Signal.Compare. It returns an
+// error for k > MaxK.
 func (d *Decoder) Decode(entry core.LogEntry) ([]core.Signal, error) {
-	if err := d.check(entry); err != nil {
-		return nil, err
-	}
 	m := d.enc.M()
 	var out []core.Signal
-	d.forEachSet(entry, func(cs []int) {
+	err := d.ForEach(entry, func(cs []int) {
 		out = append(out, core.SignalFromChanges(m, cs...))
 	})
+	if err != nil {
+		return nil, err
+	}
 	slices.SortFunc(out, core.Signal.Compare)
 	return out, nil
+}
+
+// ForEach calls fn with the change set of every signal Decode would
+// return, each exactly once, as strictly increasing indices, in no
+// promised order. The slice is reused across calls; fn must not
+// retain it. It returns an error, and calls fn never, for an entry of
+// the wrong width or with k > MaxK.
+func (d *Decoder) ForEach(entry core.LogEntry, fn func(changes []int)) error {
+	if err := d.check(entry); err != nil {
+		return err
+	}
+	d.forEachSet(entry, fn)
+	return nil
 }
 
 // forEachSet enumerates candidate change sets for the entry, invoking
@@ -270,15 +285,12 @@ func (d *Decoder) forEachSet(entry core.LogEntry, fn func(cs []int)) {
 }
 
 // Count returns the number of weight-k solutions without materializing
-// the signals: candidate sets are counted as forEachSet emits them —
+// the signals: candidate sets are counted as ForEach emits them —
 // no per-candidate bit vector or final sort as in Decode.
 func (d *Decoder) Count(entry core.LogEntry) (int, error) {
-	if err := d.check(entry); err != nil {
-		return 0, err
-	}
 	n := 0
-	d.forEachSet(entry, func([]int) { n++ })
-	return n, nil
+	err := d.ForEach(entry, func([]int) { n++ })
+	return n, err
 }
 
 // Unique reports whether the entry has exactly one reconstruction and

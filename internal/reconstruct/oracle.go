@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/bitvec"
@@ -217,8 +218,9 @@ func (o *satOracle) Check(ctx context.Context, entry core.LogEntry, cons []Const
 
 // decodeOracle wraps internal/decode: meet-in-the-middle syndrome
 // decoding for k <= decode.MaxK. Constraints are applied by concrete
-// filtering (Holds), never encoded, so a constraint without Holds is
-// ErrUnsupported. Requests share the decoder without a lock: it is
+// filtering (Holds) as the decoder emits candidates, never encoded, so
+// a constraint without Holds is ErrUnsupported and only the candidates
+// that hold are kept. Requests share the decoder without a lock: it is
 // safe for concurrent use, its pair index built once on first need.
 type decodeOracle struct {
 	enc *encoding.Encoding
@@ -242,20 +244,22 @@ func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons 
 	if !evaluableAll(cons) {
 		return nil, false, errUnsupportedConstraints("decode")
 	}
-	sigs, err := o.dec.Decode(entry)
+	// Keep only the candidates that hold, then sort: filtering and
+	// sorting commute, so the first limit are the ones a filter over
+	// the sorted Decode list would return.
+	m := o.enc.M()
+	var out []core.Signal
+	err := o.dec.ForEach(entry, func(changes []int) {
+		if s := core.SignalFromChanges(m, changes...); holdsAll(cons, s) {
+			out = append(out, s)
+		}
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	// Decode returns a fresh slice, so filter it in place.
-	out := sigs[:0]
-	for _, s := range sigs {
-		if !holdsAll(cons, s) {
-			continue
-		}
-		out = append(out, s)
-		if limit > 0 && len(out) >= limit && len(out) < len(sigs) {
-			return out, false, nil
-		}
+	slices.SortFunc(out, core.Signal.Compare)
+	if limit > 0 && len(out) > limit {
+		return out[:limit], false, nil
 	}
 	return out, true, nil
 }
