@@ -225,13 +225,46 @@ func forensicSession(t *testing.T, enc *encoding.Encoding, maxK int) (*Solver, [
 	return s, sels, u[m][1:]
 }
 
+// forensicQuery plants a k-change burst inside a random 48-cycle
+// window of the m=128 encoding, guards the window on s as a new guard
+// group, and returns the assumptions that ask forensicSession's solver
+// for a witness: the TP selectors, the ladder bounds and the guard.
+func forensicQuery(t *testing.T, s *Solver, enc *encoding.Encoding, r *rand.Rand, k int, tpSel, ladder []int) []int {
+	t.Helper()
+	const window = 48
+	m := enc.M()
+	from := r.Intn(m - window + 1)
+	changes := r.Perm(window)[:k]
+	for i := range changes {
+		changes[i] += from
+	}
+	entry := core.Log(enc, core.SignalFromChanges(m, changes...))
+	assumps := make([]int, 0, len(tpSel)+3)
+	for j, sel := range tpSel {
+		if entry.TP.Get(j) {
+			assumps = append(assumps, sel)
+		} else {
+			assumps = append(assumps, -sel)
+		}
+	}
+	guard := s.NewVar()
+	for i := 0; i < m; i++ {
+		if i < from || i >= from+window {
+			if err := s.AddGuardedClause(guard, -(i + 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return append(assumps, ladder[k-1], -ladder[k], guard)
+}
+
 // TestArenaInvariantsWarmSession runs forensic-shaped witness queries
 // (a k = 4..8 burst inside a fresh 48-cycle window, each window a new
 // guard group) on one warm solver, checking the arena after every
 // query, until reduceDB and DropGuard have freed enough for at least
 // one relocation to have run.
 func TestArenaInvariantsWarmSession(t *testing.T) {
-	const m, window, queries = 128, 48, 12
+	const m, queries = 128, 12
 	enc, err := encoding.Incremental(m, 16, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -243,30 +276,7 @@ func TestArenaInvariantsWarmSession(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	for q := 0; q < queries; q++ {
-		k := 4 + q%5
-		from := r.Intn(m - window + 1)
-		changes := r.Perm(window)[:k]
-		for i := range changes {
-			changes[i] += from
-		}
-		entry := core.Log(enc, core.SignalFromChanges(m, changes...))
-		assumps := make([]int, 0, len(tpSel)+3)
-		for j, sel := range tpSel {
-			if entry.TP.Get(j) {
-				assumps = append(assumps, sel)
-			} else {
-				assumps = append(assumps, -sel)
-			}
-		}
-		guard := s.NewVar()
-		for i := 0; i < m; i++ {
-			if i < from || i >= from+window {
-				if err := s.AddGuardedClause(guard, -(i + 1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		assumps = append(assumps, ladder[k-1], -ladder[k], guard)
+		assumps := forensicQuery(t, s, enc, r, 4+q%5, tpSel, ladder)
 		n, st, err := s.EnumerateAssuming(assumps, vars, 1, func(map[int]bool) bool { return true })
 		if err != nil || n != 1 || st != Sat {
 			t.Fatalf("query %d: n=%d st=%v err=%v, want one witness", q, n, st, err)

@@ -70,6 +70,13 @@ type gaussMatrix struct {
 	rows  []gaussRow
 	watch [][]int32 // column -> indices of rows watching it
 
+	// unset and vals hold one bit per column, in the rows' layout:
+	// unset marks the columns whose variable is unassigned, vals those
+	// whose variable is true. uncheckedEnqueue and cancelUntil keep them
+	// in step with the trail, so a row scan ANDs a word of the row with
+	// a mask instead of reading s.assigns once per set bit.
+	unset, vals []uint64
+
 	// slab backs every row's bits, words per row in row order; units
 	// collects the unit rows of a rebuild. The rebuild reuses both, and
 	// every list above, at each solve boundary and restart.
@@ -98,6 +105,35 @@ func (g *gaussMatrix) hasCol(ri int, c int32) bool {
 	return g.rows[ri].bits[c>>6]&(1<<(uint(c)&63)) != 0
 }
 
+// isUnset reports whether column c's variable is unassigned.
+func (g *gaussMatrix) isUnset(c int32) bool {
+	return g.unset[c>>6]&(1<<(uint(c)&63)) != 0
+}
+
+// assign records that variable v, if it is a column, took value val.
+func (g *gaussMatrix) assign(v int32, val bool) {
+	if int(v) >= len(g.colOf) || g.colOf[v] == 0 {
+		return
+	}
+	c := g.colOf[v] - 1
+	bit := uint64(1) << (uint(c) & 63)
+	g.unset[c>>6] &^= bit
+	if val {
+		g.vals[c>>6] |= bit
+	}
+}
+
+// unassign records that variable v, if it is a column, lost its value.
+func (g *gaussMatrix) unassign(v int32) {
+	if int(v) >= len(g.colOf) || g.colOf[v] == 0 {
+		return
+	}
+	c := g.colOf[v] - 1
+	bit := uint64(1) << (uint(c) & 63)
+	g.unset[c>>6] |= bit
+	g.vals[c>>6] &^= bit
+}
+
 // clone deep-copies the matrix into storage of its own; no mutable
 // state or rebuild buffer is shared.
 func (g *gaussMatrix) clone() *gaussMatrix {
@@ -109,6 +145,8 @@ func (g *gaussMatrix) clone() *gaussMatrix {
 		words:     g.words,
 		rows:      make([]gaussRow, len(g.rows)),
 		watch:     make([][]int32, len(g.watch)),
+		unset:     append([]uint64(nil), g.unset...),
+		vals:      append([]uint64(nil), g.vals...),
 		nEntries:  g.nEntries,
 		slab:      make([]uint64, len(g.rows)*g.words),
 	}
@@ -187,8 +225,9 @@ func (s *Solver) gaussInSearchInit() bool {
 // propagates nothing. It returns false when a row reads 0 = 1.
 //
 // It allocates nothing once the solver has built a matrix: it reuses
-// the previous matrix's column maps, row slab, watch lists and units
-// buffer, and truncates the clause-watch XOR lists in place.
+// the previous matrix's column maps, column masks, row slab, watch
+// lists and units buffer, and truncates the clause-watch XOR lists in
+// place.
 func (s *Solver) gaussBuild() bool {
 	g := s.gmat
 	s.gmat = nil
@@ -227,6 +266,17 @@ func (s *Solver) gaussBuild() bool {
 	g.cols = cols
 	g.colOf = colOf
 	g.words = words
+	// Every column is unassigned at level 0: unset starts full over the
+	// columns, and vals empty.
+	g.unset = slices.Grow(g.unset[:0], words)[:words]
+	for w := range g.unset {
+		g.unset[w] = ^uint64(0)
+	}
+	if tail := len(cols) & 63; tail != 0 {
+		g.unset[words-1] = 1<<tail - 1
+	}
+	g.vals = slices.Grow(g.vals[:0], words)[:words]
+	clear(g.vals)
 	g.slab = slices.Grow(g.slab[:0], len(s.xors)*words)[:len(s.xors)*words]
 	clear(g.slab)
 	// Rows hold slices of the slab; clearing the whole backing array
@@ -361,7 +411,7 @@ func (s *Solver) gaussUpdateRow(ri, widx int) (confl *conflictInfo, keep bool) {
 
 	// Look for an unassigned replacement column distinct from the
 	// other watch.
-	if rep := g.findUnassigned(s, ri, other, -1); rep >= 0 {
+	if rep := g.findUnassigned(ri, other); rep >= 0 {
 		r.wc[widx] = rep
 		g.watch[rep] = append(g.watch[rep], int32(ri))
 		g.nEntries++
@@ -378,15 +428,14 @@ func (s *Solver) gaussUpdateRow(ri, widx int) (confl *conflictInfo, keep bool) {
 	// assigned. The other watch only implies its variable if it is
 	// actually still IN the row — an empty (cancelled) row keeps its
 	// old watch columns without containing them.
-	otherVar := g.cols[other]
-	if s.assigns[otherVar] == valUnassigned && g.hasCol(ri, other) {
-		want := g.rowParity(s, ri, other) != r.rhs
-		implied := mkLit(otherVar, !want)
+	if g.isUnset(other) && g.hasCol(ri, other) {
+		want := g.rowParity(ri, other) != r.rhs
+		implied := mkLit(g.cols[other], !want)
 		s.Stats.GaussInSearchProps++
 		s.gaussImplied(ri, implied)
 		return nil, true
 	}
-	if g.rowParity(s, ri, -1) != r.rhs {
+	if g.rowParity(ri, -1) != r.rhs {
 		s.Stats.GaussInSearchConflicts++
 		return s.gaussConflict(ri), true
 	}
@@ -441,10 +490,10 @@ func (s *Solver) gaussFixRow(ri int) *conflictInfo {
 	r := &g.rows[ri]
 
 	bcol := r.wc[r.resp]
-	if g.hasCol(ri, bcol) && s.assigns[g.cols[bcol]] == valUnassigned {
+	if g.hasCol(ri, bcol) && g.isUnset(bcol) {
 		// Pivot alive. Find one more unassigned column and the row is
 		// watch-satisfied with no parity work.
-		if rep := g.findUnassigned(s, ri, bcol, -1); rep >= 0 {
+		if rep := g.findUnassigned(ri, bcol); rep >= 0 {
 			if r.resp == 0 {
 				g.setWatches(ri, bcol, rep)
 			} else {
@@ -456,40 +505,21 @@ func (s *Solver) gaussFixRow(ri int) *conflictInfo {
 		return s.gaussImply(ri, bcol)
 	}
 
-	// Pivot gone or assigned: general scan. Collect up to two
-	// unassigned columns and the two highest-level set columns for the
-	// fully-assigned case.
+	// Pivot gone or assigned: general scan for the first two
+	// unassigned columns; two are all we need.
 	var un [2]int32
 	nUn := 0
-	hi, hi2 := int32(-1), int32(-1)
-	var hiLvl, hi2Lvl int32 = -1, -1
 	any := false
 	for w, word := range r.bits {
-		for word != 0 {
-			c := int32(w<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-			any = true
-			v := g.cols[c]
-			if s.assigns[v] == valUnassigned {
-				if nUn < 2 {
-					un[nUn] = c
-				}
-				nUn++
-				if nUn == 2 {
-					// Two unassigned columns are all we need.
-					goto scanned
-				}
-				continue
-			}
-			if lvl := s.level[v]; lvl > hiLvl {
-				hi2, hi2Lvl = hi, hiLvl
-				hi, hiLvl = c, lvl
-			} else if lvl > hi2Lvl {
-				hi2, hi2Lvl = c, lvl
-			}
+		any = any || word != 0
+		for word &= g.unset[w]; word != 0 && nUn < 2; word &= word - 1 {
+			un[nUn] = int32(w<<6 + bits.TrailingZeros64(word))
+			nUn++
+		}
+		if nUn == 2 {
+			break
 		}
 	}
-scanned:
 	if !any {
 		// The row cancelled to empty: its partner was a duplicate. The
 		// build starts from a linearly independent basis, but level-0
@@ -521,11 +551,25 @@ scanned:
 	case 1:
 		return s.gaussImply(ri, un[0])
 	default:
+		// Fully assigned: watch the two highest-level columns.
+		hi, hi2 := int32(-1), int32(-1)
+		var hiLvl, hi2Lvl int32 = -1, -1
+		for w, word := range r.bits {
+			for ; word != 0; word &= word - 1 {
+				c := int32(w<<6 + bits.TrailingZeros64(word))
+				if lvl := s.level[g.cols[c]]; lvl > hiLvl {
+					hi2, hi2Lvl = hi, hiLvl
+					hi, hiLvl = c, lvl
+				} else if lvl > hi2Lvl {
+					hi2, hi2Lvl = c, lvl
+				}
+			}
+		}
 		if hi2 < 0 {
 			hi2 = hi // single-column row
 		}
 		g.setWatches(ri, hi, hi2)
-		if g.rowParity(s, ri, -1) != r.rhs {
+		if g.rowParity(ri, -1) != r.rhs {
 			s.Stats.GaussInSearchConflicts++
 			return s.gaussConflict(ri)
 		}
@@ -563,7 +607,7 @@ func (s *Solver) gaussImply(ri int, ucol int32) *conflictInfo {
 		g.setWatches(ri, secondCol, ucol)
 	}
 	impliedVar := g.cols[ucol]
-	want := g.rowParity(s, ri, ucol) != r.rhs
+	want := g.rowParity(ri, ucol) != r.rhs
 	implied := mkLit(impliedVar, !want)
 	s.Stats.GaussInSearchProps++
 	s.gaussImplied(ri, implied)
@@ -589,17 +633,11 @@ func (g *gaussMatrix) setWatches(ri int, a, b int32) {
 }
 
 // findUnassigned returns the first set column of row ri whose variable
-// is unassigned, skipping columns skip1 and skip2 (-1 = none), or -1.
-func (g *gaussMatrix) findUnassigned(s *Solver, ri int, skip1, skip2 int32) int32 {
-	r := &g.rows[ri]
-	for w, word := range r.bits {
-		for word != 0 {
-			c := int32(w<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-			if c == skip1 || c == skip2 {
-				continue
-			}
-			if s.assigns[g.cols[c]] == valUnassigned {
+// is unassigned, skipping column skip, or -1.
+func (g *gaussMatrix) findUnassigned(ri int, skip int32) int32 {
+	for w, word := range g.rows[ri].bits {
+		for word &= g.unset[w]; word != 0; word &= word - 1 {
+			if c := int32(w<<6 + bits.TrailingZeros64(word)); c != skip {
 				return c
 			}
 		}
@@ -607,23 +645,18 @@ func (g *gaussMatrix) findUnassigned(s *Solver, ri int, skip1, skip2 int32) int3
 	return -1
 }
 
-// rowParity computes the XOR of the assigned values over row ri's set
-// columns, skipping column skip (-1 = none).
-func (g *gaussMatrix) rowParity(s *Solver, ri int, skip int32) bool {
-	parity := false
+// rowParity computes the XOR of the true columns of row ri, skipping
+// column skip (-1 = none).
+func (g *gaussMatrix) rowParity(ri int, skip int32) bool {
+	n := 0
 	for w, word := range g.rows[ri].bits {
-		for word != 0 {
-			c := int32(w<<6 + bits.TrailingZeros64(word))
-			word &= word - 1
-			if c == skip {
-				continue
-			}
-			if s.assigns[g.cols[c]] == valTrue {
-				parity = !parity
-			}
+		word &= g.vals[w]
+		if w == int(skip>>6) {
+			word &^= 1 << (uint(skip) & 63)
 		}
+		n += bits.OnesCount64(word)
 	}
-	return parity
+	return n&1 == 1
 }
 
 // gaussImplied materializes the clausal reason for an implication of

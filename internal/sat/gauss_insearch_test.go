@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/encoding"
 	"repro/internal/gf2"
 	"repro/internal/obs"
 )
@@ -225,7 +226,8 @@ func TestGaussInSearchCloneWarm(t *testing.T) {
 // storage of a matrix the search has combined rows in, and again after
 // each of a run of unpropagated level-0 assignments (which turn rows
 // into units or drop them), it must hold exactly the rows a direct
-// reading of the XOR system gives; once built, a rebuild must allocate
+// reading of the XOR system gives, and column masks that match the
+// assignment; once built, a rebuild, masks included, must allocate
 // nothing.
 func TestGaussRebuildReusesStorage(t *testing.T) {
 	const n = 16
@@ -261,9 +263,11 @@ func TestGaussRebuildReusesStorage(t *testing.T) {
 				t.Fatalf("seed %d: rebuild refuted a satisfiable system", seed)
 			}
 			checkGaussRebuild(t, s, cols, rows)
+			checkGaussMasks(t, s, "rebuild")
 			if !s.gaussInSearchInit() {
 				t.Fatalf("seed %d: rebuild propagation refuted a satisfiable system", seed)
 			}
+			checkGaussMasks(t, s, "rebuild propagation")
 			// Assign one more variable its model value at level 0,
 			// leaving it for the next rebuild to fold in.
 			if s.assigns[v] == valUnassigned {
@@ -630,4 +634,126 @@ func FuzzXorSystem(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkGaussMasks recomputes the matrix's column masks from s.assigns
+// and fails when either differs from the one the solver keeps.
+func checkGaussMasks(t *testing.T, s *Solver, when string) {
+	t.Helper()
+	g := s.gmat
+	if g == nil {
+		t.Fatalf("%s: no in-search matrix", when)
+	}
+	unset := make([]uint64, g.words)
+	vals := make([]uint64, g.words)
+	for c, v := range g.cols {
+		bit := uint64(1) << (uint(c) & 63)
+		switch s.assigns[v] {
+		case valUnassigned:
+			unset[c>>6] |= bit
+		case valTrue:
+			vals[c>>6] |= bit
+		}
+	}
+	if !slices.Equal(g.unset, unset) || !slices.Equal(g.vals, vals) {
+		t.Fatalf("%s at level %d: masks unset %x vals %x, assigns give %x and %x",
+			when, s.decisionLevel(), g.unset, g.vals, unset, vals)
+	}
+}
+
+// TestGaussColumnMasksTrackTrail checks the in-search matrix's column
+// masks against a recomputation from s.assigns on a forensic-shaped
+// solver: after every propagation and every backjump of a search that
+// steps through the solver's own propagate, analyze and cancelUntil,
+// after a SolveAssuming retraction, after a restart rebuild, and on a
+// Clone, before and after the clone solves.
+func TestGaussColumnMasksTrackTrail(t *testing.T) {
+	enc, err := encoding.Incremental(128, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, tpSel, ladder := forensicSession(t, enc, 16)
+	s.EnableGaussInSearch = true
+	r := rand.New(rand.NewSource(3))
+	if st := s.SolveAssuming(forensicQuery(t, s, enc, r, 4, tpSel, ladder)); st != Sat {
+		t.Fatalf("first query: %v, want Sat", st)
+	}
+	checkGaussMasks(t, s, "SolveAssuming retraction")
+
+	var props, backjumps int
+	for q := 0; q < 3; q++ {
+		assumps := forensicQuery(t, s, enc, r, 5+q, tpSel, ladder)
+		lits := make([]lit, len(assumps))
+		for i, a := range assumps {
+			lits[i] = extToLit(a)
+		}
+		// The restart rebuild, as solveWith runs it at every restart.
+		if !s.gaussInSearchInit() {
+			t.Fatal("rebuild refuted a satisfiable system")
+		}
+		checkGaussMasks(t, s, "restart rebuild")
+		// One query by hand, step for step as search runs it, with the
+		// assumptions planted as the first decisions.
+		for {
+			confl := s.propagate()
+			props++
+			checkGaussMasks(t, s, "propagation")
+			if confl != nil {
+				maxL := 0
+				for _, l := range confl.lits {
+					maxL = max(maxL, int(s.level[l.varIdx()]))
+				}
+				if maxL < s.decisionLevel() {
+					s.cancelUntil(maxL)
+					checkGaussMasks(t, s, "drop to the conflict level")
+				}
+				if s.decisionLevel() == 0 {
+					t.Fatal("query refuted the formula")
+				}
+				learnt, bt := s.analyze(confl)
+				s.cancelUntil(bt)
+				backjumps++
+				checkGaussMasks(t, s, "backjump")
+				if len(learnt) == 1 {
+					s.uncheckedEnqueue(learnt[0], reason{})
+				} else {
+					c := s.allocClause(learnt, true, s.computeLBD(learnt))
+					s.learnts = append(s.learnts, c)
+					s.attachClause(c)
+					s.uncheckedEnqueue(learnt[0], reason{kind: reasonClause, ref: uint32(c)})
+				}
+				continue
+			}
+			if dl := s.decisionLevel(); dl < len(lits) {
+				s.trailLim = append(s.trailLim, len(s.trail))
+				switch s.valueLit(lits[dl]) {
+				case valFalse:
+					t.Fatalf("query %d: assumption %d refuted", q, dl)
+				case valUnassigned:
+					s.uncheckedEnqueue(lits[dl], reason{})
+				}
+				continue
+			}
+			next, ok := s.pickBranchLit()
+			if !ok {
+				break // a witness
+			}
+			s.trailLim = append(s.trailLim, len(s.trail))
+			s.uncheckedEnqueue(next, reason{})
+		}
+		s.cancelUntil(0)
+		checkGaussMasks(t, s, "retraction to level 0")
+	}
+	t.Logf("%d propagations, %d backjumps, %d in-search Gauss implications", props, backjumps, s.Stats.GaussInSearchProps)
+	if backjumps < 10 {
+		t.Fatalf("%d backjumps in %d propagations: the queries are too easy to exercise the masks", backjumps, props)
+	}
+
+	c := s.Clone()
+	checkGaussMasks(t, c, "Clone")
+	if st := c.SolveAssuming(forensicQuery(t, c, enc, r, 6, tpSel, ladder)); st != Sat {
+		t.Fatalf("clone query: %v, want Sat", st)
+	}
+	checkGaussMasks(t, c, "clone's SolveAssuming retraction")
+	checkGaussMasks(t, s, "original after Clone")
 }

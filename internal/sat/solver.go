@@ -520,6 +520,9 @@ func (s *Solver) uncheckedEnqueue(l lit, from reason) {
 	s.level[v] = int32(s.decisionLevel())
 	s.reasons[v] = from
 	s.trail = append(s.trail, l)
+	if s.gmat != nil {
+		s.gmat.assign(v, !l.negated())
+	}
 }
 
 // cancelUntil backtracks to the given decision level.
@@ -527,10 +530,14 @@ func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
 	}
+	g := s.gmat
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
 		v := s.trail[i].varIdx()
 		s.polarity[v] = s.trail[i].negated()
 		s.assigns[v] = valUnassigned
+		if g != nil {
+			g.unassign(v)
+		}
 		if s.reasons[v].kind == reasonGauss {
 			s.gaussReasons[v] = s.gaussReasons[v][:0]
 		}
