@@ -9,12 +9,13 @@ GO ?= go
 #      SessionOracle's warm session pool, one goroutine's forensic
 #      queries on one warm session — where -benchtime=1x -count=5
 #      keeps the workloads bounded while still giving a median;
-#   2. the feature-extraction, decode-route, store-query, store-seal and
-#      stream-frame microbenchmarks;
+#   2. the feature-extraction, decode-route (stream-ingest and windowed
+#      forensic-witness k = 4), store-query, store-seal and stream-frame
+#      microbenchmarks;
 #   3. the tprload per-class mean latencies.
 BENCH_RUN = { \
 	$(GO) test -run='^$$' -bench='^Benchmark(PresolveOnOff|ParallelWorkers|SessionQueries|SessionQueriesGauss|SessionOracleConcurrent|SessionWarm|Dispatch)$$' -count=5 -benchtime=1x . && \
-	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|StoreQuery|StoreSeal|StreamFrame)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ ./internal/service/ && \
+	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|DecodeRouteWindowed|StoreQuery|StoreSeal|StreamFrame)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ ./internal/service/ && \
 	$(GO) run ./cmd/tprload -self -bench -count 5; \
 }
 
@@ -24,8 +25,8 @@ BENCH_RUN = { \
 # the full test suite under the race detector, and a single-pass run
 # of the Figure 4 benchmark as an end-to-end smoke test plus the
 # warm-session solver benchmark and the feature-extraction,
-# decode-route, store-query, store-seal and stream-frame
-# microbenchmarks.
+# decode-route (plain and windowed), store-query, store-seal and
+# stream-frame microbenchmarks.
 check: fmt vet build race bench-smoke
 
 fmt:
@@ -48,7 +49,7 @@ race:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench='^Benchmark(Figure4|SessionWarm)$$' -benchtime=1x .
-	$(GO) test -run=NONE -bench='^BenchmarkFeatures$$' -benchtime=1x ./internal/reconstruct/
+	$(GO) test -run=NONE -bench='^Benchmark(Features|DecodeRouteWindowed)$$' -benchtime=1x ./internal/reconstruct/
 	$(GO) test -run=NONE -bench='^BenchmarkDecodeRoute$$' -benchtime=1x ./internal/decode/
 	$(GO) test -run=NONE -bench='^Benchmark(StoreQuery|StoreSeal)$$' -benchtime=1x ./internal/logstore/
 	$(GO) test -run=NONE -bench='^BenchmarkStreamFrame$$' -benchtime=1x ./internal/service/

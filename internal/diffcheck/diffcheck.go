@@ -15,6 +15,11 @@
 // into a self-contained repro (CaseSpec) that Replay re-runs without
 // the rest of the corpus.
 //
+// Cases with k <= 4 also run a constrained leg under a window drawn
+// from the case seed: the dispatcher, which must answer them on the
+// decode route, the serial SAT path, which encodes the window, and the
+// decoder's candidates filtered by the window's Holds must agree.
+//
 // The companion fault injector (fault.go) corrupts stored logs — TP bit
 // flips, k off-by-one, dropped / duplicated / reordered entries, width
 // mismatches, truncated serializations — and asserts every layer
@@ -202,8 +207,10 @@ func (d *Divergence) Error() string {
 type Report struct {
 	// Cases is the number of (encoding, entry) cases exercised.
 	Cases int
-	// Comparisons counts oracle-pair set comparisons performed.
-	Comparisons int
+	// Comparisons counts oracle-pair set comparisons performed;
+	// WindowComparisons counts those of them made under a case's window
+	// constraint (see runWindowCase).
+	Comparisons, WindowComparisons int
 	// PerOracle counts how many cases each oracle ran on.
 	PerOracle map[string]int
 	// TruthMisses counts cases where an oracle's solution set did not
@@ -217,8 +224,8 @@ type Report struct {
 // Summary renders a one-paragraph human-readable report.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "diffcheck: %d cases, %d oracle-pair comparisons, %d divergences, %d truth misses\n",
-		r.Cases, r.Comparisons, len(r.Divergences), r.TruthMisses)
+	fmt.Fprintf(&b, "diffcheck: %d cases, %d oracle-pair comparisons (%d under a window), %d divergences, %d truth misses\n",
+		r.Cases, r.Comparisons, r.WindowComparisons, len(r.Divergences), r.TruthMisses)
 	names := make([]string, 0, len(r.PerOracle))
 	for n := range r.PerOracle {
 		names = append(names, n)
@@ -267,6 +274,9 @@ func Run(cfg Config) (*Report, error) {
 		if err := runCase(rep, oracles, cs, enc, entry, truth); err != nil {
 			return nil, fmt.Errorf("diffcheck: case %d: %w", n, err)
 		}
+		if err := runWindowCase(rep, cs, enc, entry, truth, cfg.Obs); err != nil {
+			return nil, fmt.Errorf("diffcheck: case %d: %w", n, err)
+		}
 		rep.Cases++
 	}
 	return rep, nil
@@ -291,17 +301,22 @@ func Replay(cs CaseSpec, workers []int) (*Report, error) {
 	if err := runCase(rep, buildOracles(workers, nil), cs, enc, entry, truth); err != nil {
 		return nil, err
 	}
+	if err := runWindowCase(rep, cs, enc, entry, truth, nil); err != nil {
+		return nil, err
+	}
 	rep.Cases = 1
 	return rep, nil
+}
+
+// result is one oracle's answer to a case as a canonical set.
+type result struct {
+	name string
+	set  map[string]core.Signal // canonical key -> candidate
 }
 
 // runCase pushes one case through every applicable oracle and compares
 // all pairs of canonical solution sets.
 func runCase(rep *Report, oracles []oracle, cs CaseSpec, enc *encoding.Encoding, entry core.LogEntry, truth core.Signal) error {
-	type result struct {
-		name string
-		set  map[string]core.Signal // canonical key -> candidate
-	}
 	var results []result
 	for _, o := range oracles {
 		if !o.applies(cs) {
@@ -311,32 +326,46 @@ func runCase(rep *Report, oracles []oracle, cs CaseSpec, enc *encoding.Encoding,
 		if err != nil {
 			return fmt.Errorf("oracle %s on [%s]: %w", o.name, cs, err)
 		}
-		set := make(map[string]core.Signal, len(sigs))
-		for _, s := range sigs {
-			set[s.Vector().Key()] = s
-		}
-		if len(set) != len(sigs) {
-			rep.Divergences = append(rep.Divergences, &Divergence{
-				Case: cs, A: o.name, B: o.name,
-				OnlyA: []string{"duplicate signals in result"},
-			})
-		}
-		if _, ok := set[truth.Vector().Key()]; !ok {
-			rep.TruthMisses++
-			rep.Divergences = append(rep.Divergences, &Divergence{
-				Case: cs, A: o.name, B: "truth",
-				OnlyB: []string{fmt.Sprint(truth.Changes())},
-			})
-		}
 		rep.PerOracle[o.name]++
-		results = append(results, result{name: o.name, set: set})
+		results = append(results, collect(rep, cs, o.name, sigs, truth, true))
 	}
-	// All pairs: with <= 6 oracles and key-set compares this is cheap
-	// and catches a faulty pair even if both disagree with the rest in
-	// the same direction.
+	rep.Comparisons += comparePairs(rep, cs, results)
+	return nil
+}
+
+// collect canonicalizes one oracle's answer, reporting duplicate
+// signals and, when the planted signal is a candidate (wantTruth), its
+// absence.
+func collect(rep *Report, cs CaseSpec, name string, sigs []core.Signal, truth core.Signal, wantTruth bool) result {
+	set := make(map[string]core.Signal, len(sigs))
+	for _, s := range sigs {
+		set[s.Vector().Key()] = s
+	}
+	if len(set) != len(sigs) {
+		rep.Divergences = append(rep.Divergences, &Divergence{
+			Case: cs, A: name, B: name,
+			OnlyA: []string{"duplicate signals in result"},
+		})
+	}
+	if _, ok := set[truth.Vector().Key()]; wantTruth && !ok {
+		rep.TruthMisses++
+		rep.Divergences = append(rep.Divergences, &Divergence{
+			Case: cs, A: name, B: "truth",
+			OnlyB: []string{fmt.Sprint(truth.Changes())},
+		})
+	}
+	return result{name: name, set: set}
+}
+
+// comparePairs compares every pair of results, reports each
+// disagreement, and returns the number of comparisons. All pairs: with
+// <= 6 oracles and key-set compares this is cheap and catches a faulty
+// pair even if both disagree with the rest in the same direction.
+func comparePairs(rep *Report, cs CaseSpec, results []result) int {
+	n := 0
 	for i := 0; i < len(results); i++ {
 		for j := i + 1; j < len(results); j++ {
-			rep.Comparisons++
+			n++
 			onlyA := diffSets(results[i].set, results[j].set)
 			onlyB := diffSets(results[j].set, results[i].set)
 			if len(onlyA) > 0 || len(onlyB) > 0 {
@@ -347,7 +376,7 @@ func runCase(rep *Report, oracles []oracle, cs CaseSpec, enc *encoding.Encoding,
 			}
 		}
 	}
-	return nil
+	return n
 }
 
 // diffSets lists the candidates present in a but not b, rendered as

@@ -23,6 +23,10 @@ func TestRunSmallCorpusAgrees(t *testing.T) {
 	if rep.Comparisons == 0 {
 		t.Error("no oracle-pair comparisons ran")
 	}
+	// Every k <= 4 case adds three comparisons under its window.
+	if rep.WindowComparisons == 0 || rep.WindowComparisons%3 != 0 {
+		t.Errorf("%d comparisons under a window, want a positive multiple of 3", rep.WindowComparisons)
+	}
 	// Every oracle family must have participated: the sweep includes
 	// small m (exhaustive), k <= 4 (decode), and everything runs sat.
 	for _, name := range []string{"decode", "sat", "sat-inc", "sat-par-2", "brute", "exhaustive", "dispatch"} {

@@ -3,11 +3,13 @@ package diffcheck
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/decode"
 	"repro/internal/encoding"
 	"repro/internal/obs"
+	"repro/internal/properties"
 	"repro/internal/reconstruct"
 	"repro/internal/sat"
 )
@@ -208,4 +210,78 @@ func buildOracles(workers []int, reg *obs.Registry) []oracle {
 		})
 	}
 	return oracles
+}
+
+// windowFor draws the window of a case's constrained leg from its
+// encoding seed, so Replay regenerates it: half the trace at a random
+// offset, which holds the planted signal in some cases and not others.
+func windowFor(cs CaseSpec) properties.Window {
+	w := max(cs.M/2, 1)
+	lo := rand.New(rand.NewSource(cs.EncSeed)).Intn(cs.M - w + 1)
+	return properties.Window{Lo: lo, Hi: lo + w}
+}
+
+// runWindowCase is the constrained leg of a case with k <= decode.MaxK.
+// Under the case's window three answers must agree: the dispatcher's,
+// which must come from the decode route or from the linear algebra
+// that precedes it, the serial SAT oracle's, which encodes the window,
+// and the decoder's candidates filtered by Holds.
+func runWindowCase(rep *Report, cs CaseSpec, enc *encoding.Encoding, entry core.LogEntry, truth core.Signal, reg *obs.Registry) error {
+	if cs.K > decode.MaxK {
+		return nil
+	}
+	win := windowFor(cs)
+	cons := []reconstruct.Constraint{win}
+	name := func(oracle string) string { return oracle + "+" + win.String() }
+
+	disp, err := reconstruct.NewDispatcher(enc, reconstruct.DispatchOptions{Workers: 2, Obs: reg})
+	if err != nil {
+		return err
+	}
+	routed, exhausted, dec, err := disp.EnumerateRouted(context.Background(), entry, cons, 0)
+	if err != nil {
+		return fmt.Errorf("oracle %s on [%s]: %w", name("dispatch"), cs, err)
+	}
+	if !exhausted {
+		return fmt.Errorf("oracle %s on [%s]: enumeration not exhausted", name("dispatch"), cs)
+	}
+	switch dec.Route {
+	case reconstruct.RouteDecode, reconstruct.RoutePinned, reconstruct.RouteRefuted:
+	default:
+		return fmt.Errorf("oracle %s on [%s]: routed to %s, want decode", name("dispatch"), cs, dec.Route)
+	}
+
+	r, err := reconstruct.New(enc, entry, cons, reconstruct.Options{Obs: reg})
+	if err != nil {
+		return fmt.Errorf("oracle %s on [%s]: %w", name("sat"), cs, err)
+	}
+	solved, exhausted, err := r.EnumerateStrict(0)
+	if err != nil {
+		return fmt.Errorf("oracle %s on [%s]: %w", name("sat"), cs, err)
+	}
+	if !exhausted {
+		return fmt.Errorf("oracle %s on [%s]: enumeration not exhausted", name("sat"), cs)
+	}
+
+	decoded, err := decode.New(enc).Decode(entry)
+	if err != nil {
+		return fmt.Errorf("oracle %s on [%s]: %w", name("decode"), cs, err)
+	}
+	var filtered []core.Signal
+	for _, s := range decoded {
+		if win.Holds(s) {
+			filtered = append(filtered, s)
+		}
+	}
+
+	inWindow := win.Holds(truth)
+	results := []result{
+		collect(rep, cs, name("dispatch"), routed, truth, inWindow),
+		collect(rep, cs, name("sat"), solved, truth, inWindow),
+		collect(rep, cs, name("decode"), filtered, truth, inWindow),
+	}
+	n := comparePairs(rep, cs, results)
+	rep.Comparisons += n
+	rep.WindowComparisons += n
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decode"
 	"repro/internal/encoding"
+	"repro/internal/properties"
 )
 
 // streamEntries draws n log entries with the benchmark's stream-ingest
@@ -32,6 +33,29 @@ func streamEntries(tb testing.TB, n int) (*encoding.Encoding, []core.LogEntry) {
 		entries[i] = core.Log(enc, core.SignalFromChanges(enc.M(), r.Perm(enc.M())[:k]...))
 	}
 	return enc, entries
+}
+
+// windowedEntries draws n requests with the benchmark's
+// forensic-witness shape at k = 4: on the m=128, b=16 incremental LI-4
+// encoding, a 4-change burst inside a random 48-cycle window, asked
+// with that window as its constraint.
+func windowedEntries(tb testing.TB, n int) (*encoding.Encoding, []core.LogEntry, [][]Constraint) {
+	tb.Helper()
+	const window = 48
+	enc := mustEnc(tb, 128, 16, 4)
+	r := rand.New(rand.NewSource(1))
+	entries := make([]core.LogEntry, n)
+	cons := make([][]Constraint, n)
+	for i := range entries {
+		lo := r.Intn(enc.M() - window + 1)
+		changes := r.Perm(window)[:4]
+		for j := range changes {
+			changes[j] += lo
+		}
+		entries[i] = core.Log(enc, core.SignalFromChanges(enc.M(), changes...))
+		cons[i] = []Constraint{properties.Window{Lo: lo, Hi: lo + window}}
+	}
+	return enc, entries, cons
 }
 
 // streamDispatcher builds a dispatcher with timeprintd's options.
@@ -59,9 +83,33 @@ func BenchmarkFeatures(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeRouteWindowed measures one routed forensic-witness
+// request at k = 4: feature extraction, the decode route's full k = 4
+// walk and its Holds filter under the request's 48-cycle window, for
+// one witness. Its allocation count is pinned by TestDecodeRouteAllocs.
+func BenchmarkDecodeRouteWindowed(b *testing.B) {
+	enc, entries, cons := windowedEntries(b, 64)
+	disp := streamDispatcher(b, enc)
+	ctx := context.Background()
+	for i, e := range entries { // builds the decoder and its pair index
+		if _, _, dec, err := disp.EnumerateRouted(ctx, e, cons[i], 1); err != nil || dec.Route != RouteDecode {
+			b.Fatalf("request %d: route %q, err %v; want %s", i, dec.Route, err, RouteDecode)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(entries)
+		if _, _, _, err := disp.EnumerateRouted(ctx, entries[j], cons[j], 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestDecodeRouteAllocs pins allocation ceilings, the measured count
 // plus a little headroom, for feature extraction and for routed decode
-// requests at k = 1, 2 and 3 on the stream-ingest geometry. Allocation
+// requests at k = 1, 2 and 3 on the stream-ingest geometry, and at
+// k = 4 under a window on the forensic-witness one. Allocation
 // counts are deterministic, so the ceilings guard the cost where wall
 // clock is too noisy to. Before the encoding shared one parity matrix
 // and the decoder probed byte-keyed indexes, Features took 186
@@ -92,6 +140,25 @@ func TestDecodeRouteAllocs(t *testing.T) {
 		if got > c.ceiling {
 			t.Errorf("routed k=%d request: %.0f allocs, ceiling %.0f", c.k, got, c.ceiling)
 		}
+	}
+
+	// A windowed k = 4 request materializes and tests every candidate
+	// of the k = 4 walk, about two allocations each; the mean over
+	// BenchmarkDecodeRouteWindowed's requests measured 552.3.
+	enc, entries, cons := windowedEntries(t, 64)
+	disp = streamDispatcher(t, enc)
+	for i, e := range entries {
+		if _, _, dec, err := disp.EnumerateRouted(ctx, e, cons[i], 1); err != nil || dec.Route != RouteDecode {
+			t.Fatalf("windowed request %d: route %q, err %v; want %s", i, dec.Route, err, RouteDecode)
+		}
+	}
+	got := testing.AllocsPerRun(5, func() {
+		for i, e := range entries {
+			_, _, _, _ = disp.EnumerateRouted(ctx, e, cons[i], 1)
+		}
+	}) / float64(len(entries))
+	if got > 600 {
+		t.Errorf("windowed k=4 request: %.1f allocs, ceiling 600", got)
 	}
 }
 
