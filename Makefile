@@ -38,8 +38,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# build also compiles the benchmark (benchmark/), a module of its own
+# that builds against the exported types of internal/, so `make check`
+# catches a change that breaks it.
 build:
 	$(GO) build ./...
+	cd benchmark && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...
@@ -91,10 +95,6 @@ gauss-check:
 	$(GO) test -race -count=1 -run 'Gauss|Xor|Parity' ./internal/sat/ ./internal/reconstruct/
 	$(GO) test -race -count=1 -run '^TestSessionWarmPinnedSearch$$' .
 
-# metrics-smoke exercises the observability contract end to end: a
-# selfcheck run dumps a -metrics snapshot, metricscheck validates the
-# JSON schema and the key instrument names, and `timeprint stats`
-# renders it. CI runs this as its own job.
 # timeprintd builds the streaming reconstruction daemon; service-smoke
 # runs its self-contained end-to-end smoke test (wire ingest, solve,
 # cache hit, count, compare, /metrics counter contract) plus the
@@ -144,6 +144,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzXorSystem -fuzztime=10s ./internal/sat/
 	$(GO) test -run='^$$' -fuzz=FuzzSegment -fuzztime=10s ./internal/logstore/
 
+# metrics-smoke exercises the observability contract end to end: a
+# selfcheck run dumps a -metrics snapshot, metricscheck validates the
+# JSON schema and the key instrument names, and `timeprint stats`
+# renders it. CI runs this as its own job.
 metrics-smoke:
 	$(GO) run ./cmd/timeprint selfcheck -cases 40 -metrics /tmp/timeprint-metrics.json
 	$(GO) run ./cmd/metricscheck -in /tmp/timeprint-metrics.json \

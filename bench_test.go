@@ -413,10 +413,7 @@ func BenchmarkSessionQueries(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		for i := 0; i < b.N; i++ {
-			sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k, Obs: reg})
-			if err != nil {
-				b.Fatal(err)
-			}
+			sess := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k, Obs: reg})
 			for _, e := range entries {
 				sigs, _, err := sess.Query(e, props, 1)
 				if err != nil {
@@ -475,10 +472,7 @@ func BenchmarkSessionQueriesGauss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range ks {
 			reg := obs.NewRegistry()
-			sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k, Obs: reg})
-			if err != nil {
-				b.Fatal(err)
-			}
+			sess := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: k, Obs: reg})
 			entry := core.Log(enc, bench.PlantedSignal(m, k))
 			sigs, _, err := sess.Query(entry, nil, 1)
 			if err != nil {
@@ -569,10 +563,7 @@ func BenchmarkSessionOracleConcurrent(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		o, err := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		o := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{})
 		b.StartTimer()
 		var wg sync.WaitGroup
 		errs := make([]error, goroutines)
@@ -608,10 +599,7 @@ func BenchmarkSessionWarm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		o, err := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{Obs: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
+		o := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{Obs: reg})
 		b.StartTimer()
 		if err := runForensic(ctx, o, queries); err != nil {
 			b.Fatal(err)
@@ -642,10 +630,7 @@ func TestSessionWarmPinnedSearch(t *testing.T) {
 	}
 	enc, queries := forensicQueries(t, warmQueries)
 	reg := obs.NewRegistry()
-	o, err := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := reconstruct.NewSessionOracle(enc, reconstruct.SessionOptions{Obs: reg})
 	done := 0
 	for _, cp := range checkpoints {
 		if err := runForensic(context.Background(), o, queries[done:cp.after]); err != nil {

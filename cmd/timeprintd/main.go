@@ -62,18 +62,14 @@ func main() {
 	maxTimeout := fs.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
 	maxConflicts := fs.Int64("max-conflicts", 0, "server-side solver conflict budget per solve (0 = unlimited)")
 	drain := fs.Duration("drain", 15*time.Second, "graceful-drain budget after SIGTERM")
-	sessionMaxK := fs.Int("session-maxk", 16, "largest change count the per-session incremental solver encodes; larger k falls back to one-shot solves")
 	oracle := fs.String("oracle", "auto", "reconstruction backend: auto (cost-model routing), sat, sat-inc, decode or brute")
 	storeDir := fs.String("store-dir", "", "durable log store directory: ingested wire logs are persisted here and served back via /v1/logs and /v1/query (empty disables)")
 	storeSegBytes := fs.Int64("store-segment-bytes", 0, "log store segment size before rotation (0 = default)")
 	storeMaxSegments := fs.Int("store-max-segments", 0, "retention: drop oldest sealed segments beyond this many (0 = keep everything)")
 	smoke := fs.Bool("smoke", false, "run an end-to-end smoke test against an in-process server and exit")
 	_ = fs.Parse(os.Args[1:])
-	// The daemon runs every solve on one worker, so a pinned cube-split
-	// portfolio would silently be serial SAT: refuse it rather than
-	// report a route that never runs.
-	if !reconstruct.KnownOracle(*oracle) || *oracle == reconstruct.RouteParallel {
-		fmt.Fprintf(os.Stderr, "timeprintd: unsupported -oracle %q (want auto|sat|sat-inc|decode|brute)\n", *oracle)
+	if err := service.CheckOracle(*oracle); err != nil {
+		fmt.Fprintf(os.Stderr, "timeprintd: -oracle: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -90,7 +86,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		MaxConflicts:   *maxConflicts,
 		DrainTimeout:   *drain,
-		SessionMaxK:    *sessionMaxK,
 		Oracle:         *oracle,
 		Obs:            reg,
 	}

@@ -106,10 +106,7 @@ func buildOracles(workers []int, reg *obs.Registry) []oracle {
 			name:    "sat-inc",
 			applies: func(cs CaseSpec) bool { return cs.K <= sessionMaxK },
 			run: func(enc *encoding.Encoding, entry core.LogEntry) ([]core.Signal, error) {
-				sess, err := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: sessionMaxK, Obs: reg})
-				if err != nil {
-					return nil, err
-				}
+				sess := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: sessionMaxK, Obs: reg})
 				first, exhausted, err := sess.Query(entry, nil, 0)
 				if err != nil {
 					return nil, err

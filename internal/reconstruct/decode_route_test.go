@@ -162,10 +162,11 @@ func TestDecodeRouteAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeOracleConcurrent hammers one fresh decode oracle from eight
-// goroutines. Each starts on a k >= 3 entry, so the first calls race to
-// build the pair index; under -race this shows the decoder needs no
-// lock. Every answer must equal a serial decode.
+// TestDecodeOracleConcurrent hammers one fresh decode oracle and one
+// fresh shared decode.Decoder from eight goroutines. Each starts on a
+// k >= 3 entry, so the first calls race to build the pair indexes;
+// under -race this shows the decoder needs no lock. Every answer must
+// equal a serial decode.
 func TestDecodeOracleConcurrent(t *testing.T) {
 	enc := mustEnc(t, 48, 12, 4)
 	r := rand.New(rand.NewSource(23))
@@ -186,6 +187,7 @@ func TestDecodeOracleConcurrent(t *testing.T) {
 	}
 
 	o := NewDecodeOracle(enc)
+	dec := decode.New(enc)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -201,10 +203,10 @@ func TestDecodeOracleConcurrent(t *testing.T) {
 						g, e.K, len(got), exhausted, err, len(want[i]))
 					return
 				}
-				cnt, exhausted, err := o.Count(ctx, e, nil, 0)
-				if err != nil || !exhausted || cnt != len(want[i]) {
-					t.Errorf("goroutine %d, k=%d: Count = %d (exhausted %v, err %v), want %d",
-						g, e.K, cnt, exhausted, err, len(want[i]))
+				cnt, err := dec.Count(e)
+				if err != nil || cnt != len(want[i]) {
+					t.Errorf("goroutine %d, k=%d: Count = %d (err %v), want %d",
+						g, e.K, cnt, err, len(want[i]))
 					return
 				}
 			}

@@ -61,9 +61,6 @@ type DispatchOptions struct {
 	// SessionMaxK bounds the incremental session's cardinality ladder
 	// (default 16).
 	SessionMaxK int
-	// MaxNullity caps the brute route's 2^nullity coset walk
-	// (default 16 — beyond that SAT search is the better bet).
-	MaxNullity int
 	// MaxConflicts bounds SAT effort per solve; 0 means unlimited.
 	MaxConflicts int64
 	// Obs receives the dispatch counters/spans and flows into every
@@ -78,12 +75,9 @@ func (o DispatchOptions) sessionMaxK() int {
 	return o.SessionMaxK
 }
 
-func (o DispatchOptions) maxNullity() int {
-	if o.MaxNullity <= 0 {
-		return 16
-	}
-	return o.MaxNullity
-}
+// maxNullity caps the brute route's 2^nullity coset walk: beyond it
+// SAT search is the better bet.
+const maxNullity = 16
 
 // Features are the per-request instance measurements the routing
 // function consumes. They come from one GF(2) elimination of [A | TP]
@@ -135,7 +129,7 @@ type Decision struct {
 //
 // Soundness of the cheap routes is cross-checked continuously: the
 // dispatcher runs as its own oracle in the diffcheck corpus.
-func Route(f Features, opts DispatchOptions) string {
+func Route(f Features) string {
 	switch {
 	case !f.Consistent || !f.KFeasible:
 		return RouteRefuted
@@ -143,7 +137,7 @@ func Route(f Features, opts DispatchOptions) string {
 		return RoutePinned
 	case f.K <= decode.MaxK && f.Evaluable:
 		return RouteDecode
-	case f.Nullity <= opts.maxNullity() && f.Evaluable:
+	case f.Nullity <= maxNullity && f.Evaluable:
 		return RouteBrute
 	case f.SessionOK:
 		return RouteSession
@@ -155,31 +149,26 @@ func Route(f Features, opts DispatchOptions) string {
 }
 
 // Dispatcher routes each request to the cheapest sound backend and is
-// itself an Oracle (Name "dispatch"), so it can be cross-checked
-// against the engines it routes between and stacked behind the same
-// service plumbing. Backends are built lazily and shared across
-// requests — the decoder's pair index and the session's warm solver
-// amortize the way they do in the service. A Dispatcher is safe for
-// concurrent use.
+// itself an Oracle, so it can be cross-checked against the engines it
+// routes between and stacked behind the same service plumbing. The
+// backends are shared across requests — the decoder's pair index and
+// the session's warm solver amortize the way they do in the service.
+// A Dispatcher is safe for concurrent use.
 type Dispatcher struct {
 	enc  *encoding.Encoding
 	opts DispatchOptions
 
-	satOnce  sync.Once
-	satO     Oracle
-	parOnce  sync.Once
-	parO     Oracle
-	decOnce  sync.Once
-	decO     Oracle
-	bruOnce  sync.Once
-	bruO     Oracle
+	sat, par, decode, brute Oracle
+
+	// The session prototype is the one costly backend (the A-structure
+	// encoding), so it is built on the first request routed to it.
 	sessOnce sync.Once
-	sessO    *SessionOracle
-	sessErr  error
+	sess     *SessionOracle
 }
 
 // NewDispatcher builds a cost-model router for enc. It fails only on
-// an unknown Force name; backends are constructed on first use.
+// an unknown Force name. The cheap backends are built here (the
+// decoder's pair index stays lazy); the session on first use.
 func NewDispatcher(enc *encoding.Encoding, opts DispatchOptions) (*Dispatcher, error) {
 	if !KnownOracle(opts.Force) {
 		return nil, fmt.Errorf("reconstruct: unknown oracle %q (want auto|%s|%s|%s|%s|%s)",
@@ -188,45 +177,26 @@ func NewDispatcher(enc *encoding.Encoding, opts DispatchOptions) (*Dispatcher, e
 	if opts.Force == "auto" {
 		opts.Force = ""
 	}
-	return &Dispatcher{enc: enc, opts: opts}, nil
+	solve := Options{MaxConflicts: opts.MaxConflicts, Obs: opts.Obs}
+	return &Dispatcher{
+		enc:    enc,
+		opts:   opts,
+		sat:    NewSATOracle(enc, solve),
+		par:    NewParallelSATOracle(enc, opts.Workers, solve),
+		decode: NewDecodeOracle(enc),
+		brute:  NewBruteOracle(enc, maxNullity),
+	}, nil
 }
 
-func (d *Dispatcher) Name() string { return "dispatch" }
-
-// solveOptions are the one-shot SAT options every CNF backend shares.
-func (d *Dispatcher) solveOptions() Options {
-	return Options{MaxConflicts: d.opts.MaxConflicts, Obs: d.opts.Obs}
-}
-
-func (d *Dispatcher) sat() Oracle {
-	d.satOnce.Do(func() { d.satO = NewSATOracle(d.enc, d.solveOptions()) })
-	return d.satO
-}
-
-func (d *Dispatcher) par() Oracle {
-	d.parOnce.Do(func() { d.parO = NewParallelSATOracle(d.enc, d.opts.Workers, d.solveOptions()) })
-	return d.parO
-}
-
-func (d *Dispatcher) decode() Oracle {
-	d.decOnce.Do(func() { d.decO = NewDecodeOracle(d.enc) })
-	return d.decO
-}
-
-func (d *Dispatcher) brute() Oracle {
-	d.bruOnce.Do(func() { d.bruO = NewBruteOracle(d.enc, d.opts.maxNullity()) })
-	return d.bruO
-}
-
-func (d *Dispatcher) session() (*SessionOracle, error) {
+func (d *Dispatcher) session() *SessionOracle {
 	d.sessOnce.Do(func() {
-		d.sessO, d.sessErr = NewSessionOracle(d.enc, SessionOptions{
+		d.sess = NewSessionOracle(d.enc, SessionOptions{
 			MaxK:         d.opts.sessionMaxK(),
 			MaxConflicts: d.opts.MaxConflicts,
 			Obs:          d.opts.Obs,
 		})
 	})
-	return d.sessO, d.sessErr
+	return d.sess
 }
 
 // Features measures one request. It returns the typed shape errors
@@ -259,18 +229,18 @@ func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features,
 }
 
 // oracleFor maps a route to its backend.
-func (d *Dispatcher) oracleFor(route string) (Oracle, error) {
+func (d *Dispatcher) oracleFor(route string) Oracle {
 	switch route {
 	case RoutePinned, RouteBrute:
-		return d.brute(), nil
+		return d.brute
 	case RouteDecode:
-		return d.decode(), nil
+		return d.decode
 	case RouteSession:
 		return d.session()
 	case RouteParallel:
-		return d.par(), nil
+		return d.par
 	default:
-		return d.sat(), nil
+		return d.sat
 	}
 }
 
@@ -284,7 +254,7 @@ func (d *Dispatcher) EnumerateRouted(ctx context.Context, entry core.LogEntry, c
 	}
 	route := d.opts.Force
 	if route == "" {
-		route = Route(f, d.opts)
+		route = Route(f)
 	}
 	dec := Decision{Chosen: route, Route: route, Features: f}
 	d.opts.Obs.Counter(MetricDispatchChosenPrefix + route).Inc()
@@ -293,18 +263,13 @@ func (d *Dispatcher) EnumerateRouted(ctx context.Context, entry core.LogEntry, c
 		return nil, true, dec, nil
 	}
 
-	var sigs []core.Signal
-	var exhausted bool
-	o, err := d.oracleFor(route)
-	if err == nil {
-		sigs, exhausted, err = o.Enumerate(ctx, entry, cons, limit)
-	}
+	sigs, exhausted, err := d.oracleFor(route).Enumerate(ctx, entry, cons, limit)
 	if err != nil && (errors.Is(err, ErrUnsupported) || !isRequestError(err)) && route != RouteSAT {
-		// Mispredict (or a backend that failed to build): serial SAT is
-		// always sound — re-run there and count the fallback.
+		// Mispredict: serial SAT is always sound — re-run there and
+		// count the fallback.
 		d.opts.Obs.Counter(MetricDispatchFallback).Inc()
 		dec.Route, dec.FellBack = RouteSAT, true
-		sigs, exhausted, err = d.sat().Enumerate(ctx, entry, cons, limit)
+		sigs, exhausted, err = d.sat.Enumerate(ctx, entry, cons, limit)
 	}
 	return sigs, exhausted, dec, err
 }
@@ -321,16 +286,4 @@ func isRequestError(err error) bool {
 func (d *Dispatcher) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
 	sigs, exhausted, _, err := d.EnumerateRouted(ctx, entry, cons, limit)
 	return sigs, exhausted, err
-}
-
-func (d *Dispatcher) First(ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	return firstVia(d, ctx, entry, cons)
-}
-
-func (d *Dispatcher) Count(ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	return countVia(d, ctx, entry, cons, max)
-}
-
-func (d *Dispatcher) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	return checkVia(d, ctx, entry, cons)
 }

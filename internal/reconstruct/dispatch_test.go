@@ -26,26 +26,26 @@ func TestRouteTable(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(f *Features)
-		opts DispatchOptions
 		want string
 	}{
-		{"inconsistent TP refutes", func(f *Features) { f.Consistent = false }, DispatchOptions{}, RouteRefuted},
-		{"infeasible k refutes", func(f *Features) { f.KFeasible = false }, DispatchOptions{}, RouteRefuted},
-		{"refuted beats pinned", func(f *Features) { f.Consistent = false; f.Nullity = 0 }, DispatchOptions{}, RouteRefuted},
-		{"nullity 0 is pinned", func(f *Features) { f.Nullity = 0; f.Rank = 64 }, DispatchOptions{}, RoutePinned},
-		{"small k with evaluable props decodes", func(f *Features) { f.K = 4 }, DispatchOptions{}, RouteDecode},
-		{"small k with a non-evaluable constraint skips decode", func(f *Features) { f.K = 4; f.Evaluable = false; f.SessionOK = true }, DispatchOptions{}, RouteSession},
-		{"small nullity goes brute", func(f *Features) { f.Nullity = 12 }, DispatchOptions{}, RouteBrute},
-		{"brute needs evaluable props", func(f *Features) { f.Nullity = 12; f.Evaluable = false; f.SessionOK = true }, DispatchOptions{}, RouteSession},
-		{"nullity budget is tunable", func(f *Features) { f.Nullity = 12 }, DispatchOptions{MaxNullity: 8}, RouteSAT},
-		{"session-eligible reuses the warm solver", func(f *Features) { f.SessionOK = true }, DispatchOptions{}, RouteSession},
-		{"workers split cubes", func(f *Features) { f.Workers = 4 }, DispatchOptions{}, RouteParallel},
-		{"residual is serial SAT", func(*Features) {}, DispatchOptions{}, RouteSAT},
+		{"inconsistent TP refutes", func(f *Features) { f.Consistent = false }, RouteRefuted},
+		{"infeasible k refutes", func(f *Features) { f.KFeasible = false }, RouteRefuted},
+		{"refuted beats pinned", func(f *Features) { f.Consistent = false; f.Nullity = 0 }, RouteRefuted},
+		{"nullity 0 is pinned", func(f *Features) { f.Nullity = 0; f.Rank = 64 }, RoutePinned},
+		{"small k with evaluable props decodes", func(f *Features) { f.K = 4 }, RouteDecode},
+		{"small k with a non-evaluable constraint skips decode", func(f *Features) { f.K = 4; f.Evaluable = false; f.SessionOK = true }, RouteSession},
+		{"small nullity goes brute", func(f *Features) { f.Nullity = 12 }, RouteBrute},
+		{"brute needs evaluable props", func(f *Features) { f.Nullity = 12; f.Evaluable = false; f.SessionOK = true }, RouteSession},
+		{"nullity 16 is the last brute walk", func(f *Features) { f.Nullity = 16 }, RouteBrute},
+		{"nullity 17 is past the brute budget", func(f *Features) { f.Nullity = 17 }, RouteSAT},
+		{"session-eligible reuses the warm solver", func(f *Features) { f.SessionOK = true }, RouteSession},
+		{"workers split cubes", func(f *Features) { f.Workers = 4 }, RouteParallel},
+		{"residual is serial SAT", func(*Features) {}, RouteSAT},
 	}
 	for _, tc := range cases {
 		f := base
 		tc.mut(&f)
-		if got := Route(f, tc.opts); got != tc.want {
+		if got := Route(f); got != tc.want {
 			t.Errorf("%s: Route = %s, want %s (features %+v)", tc.name, got, tc.want, f)
 		}
 	}

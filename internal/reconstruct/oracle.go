@@ -22,11 +22,12 @@ import (
 // treats it as "pick another backend", never as a request failure.
 var ErrUnsupported = errors.New("reconstruct: oracle does not support this request")
 
-// Oracle is one sound Signal Reconstruction backend. All five engines
-// in the repository — algebraic decode, serial SAT, cube-split
-// parallel SAT, the incremental session solver and GF(2) brute force —
-// implement it, as does the cost-model Dispatcher that routes between
-// them.
+// Oracle is one sound Signal Reconstruction backend: it answers the
+// paper's one question of a log entry, every x with A·x = TP and
+// |x| = k under the given constraints. All five engines in the
+// repository — algebraic decode, serial SAT, cube-split parallel SAT,
+// the incremental session solver and GF(2) brute force — implement it,
+// as does the cost-model Dispatcher that routes between them.
 //
 // The error contract is typed and uniform across implementations:
 //
@@ -44,19 +45,8 @@ var ErrUnsupported = errors.New("reconstruct: oracle does not support this reque
 // space was covered; implementations fail closed — a truncated search
 // always carries an explaining error. ctx must be non-nil.
 type Oracle interface {
-	// Name identifies the backend in reports and metrics.
-	Name() string
-	// First finds one candidate signal. Status Unsat proves none
-	// exists; Unknown carries a budget/interrupt error.
-	First(ctx context.Context, entry core.LogEntry, constraints []Constraint) (core.Signal, sat.Status, error)
 	// Enumerate finds up to limit candidates (limit <= 0: all).
 	Enumerate(ctx context.Context, entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error)
-	// Count counts candidates up to max (max <= 0: all); exhausted
-	// reports whether the count is the complete total.
-	Count(ctx context.Context, entry core.LogEntry, constraints []Constraint, max int) (int, bool, error)
-	// Check decides whether any candidate exists (the safety-property
-	// query): Sat, Unsat, or Unknown with a budget/interrupt error.
-	Check(ctx context.Context, entry core.LogEntry, constraints []Constraint) (sat.Status, error)
 }
 
 // Oracle/dispatch metric names.
@@ -128,33 +118,6 @@ func errUnsupportedConstraints(name string) error {
 	return fmt.Errorf("%s cannot evaluate a constraint without Holds: %w", name, ErrUnsupported)
 }
 
-// firstVia derives First from Enumerate(limit=1): every strict
-// enumeration either finds a model, proves exhaustion, or errors.
-func firstVia(o Oracle, ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	sigs, exhausted, err := o.Enumerate(ctx, entry, cons, 1)
-	switch {
-	case len(sigs) > 0:
-		return sigs[0], sat.Sat, nil
-	case err != nil:
-		return core.Signal{}, sat.Unknown, err
-	case exhausted:
-		return core.Signal{}, sat.Unsat, nil
-	}
-	return core.Signal{}, sat.Unknown, fmt.Errorf("reconstruct: %s enumeration incomplete without error", o.Name())
-}
-
-// countVia derives Count from Enumerate.
-func countVia(o Oracle, ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	sigs, exhausted, err := o.Enumerate(ctx, entry, cons, max)
-	return len(sigs), exhausted, err
-}
-
-// checkVia derives Check from First.
-func checkVia(o Oracle, ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	_, st, err := o.First(ctx, entry, cons)
-	return st, err
-}
-
 // --- serial / parallel SAT ---
 
 // satOracle is the one-shot CNF backend: each request builds a fresh
@@ -182,13 +145,6 @@ func NewParallelSATOracle(enc *encoding.Encoding, workers int, opts Options) Ora
 	return &satOracle{enc: enc, opts: opts, workers: workers}
 }
 
-func (o *satOracle) Name() string {
-	if o.workers != 1 {
-		return "sat-par"
-	}
-	return "sat"
-}
-
 func (o *satOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
 	r, err := New(o.enc, entry, cons, o.opts)
 	if err != nil {
@@ -200,18 +156,6 @@ func (o *satOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []C
 		return r.EnumerateParallelStrict(limit, o.workers)
 	}
 	return r.EnumerateWithin(ctx.Done(), limit)
-}
-
-func (o *satOracle) First(ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	return firstVia(o, ctx, entry, cons)
-}
-
-func (o *satOracle) Count(ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	return countVia(o, ctx, entry, cons, max)
-}
-
-func (o *satOracle) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	return checkVia(o, ctx, entry, cons)
 }
 
 // --- algebraic decode ---
@@ -231,8 +175,6 @@ type decodeOracle struct {
 func NewDecodeOracle(enc *encoding.Encoding) Oracle {
 	return &decodeOracle{enc: enc, dec: decode.New(enc)}
 }
-
-func (o *decodeOracle) Name() string { return "decode" }
 
 func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
 	if err := validateShape(o.enc, entry); err != nil {
@@ -264,29 +206,6 @@ func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons 
 	return out, true, nil
 }
 
-func (o *decodeOracle) First(ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	return firstVia(o, ctx, entry, cons)
-}
-
-func (o *decodeOracle) Count(ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	// The unconstrained count has a dedicated non-materializing path.
-	if len(cons) == 0 && max <= 0 {
-		if err := validateShape(o.enc, entry); err != nil {
-			return 0, false, err
-		}
-		if entry.K > decode.MaxK {
-			return 0, false, fmt.Errorf("decode handles k <= %d, got %d: %w", decode.MaxK, entry.K, ErrUnsupported)
-		}
-		n, err := o.dec.Count(entry)
-		return n, err == nil, err
-	}
-	return countVia(o, ctx, entry, cons, max)
-}
-
-func (o *decodeOracle) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	return checkVia(o, ctx, entry, cons)
-}
-
 // --- GF(2) brute force ---
 
 // bruteOracle solves by linear algebra alone: Gaussian elimination
@@ -308,8 +227,6 @@ func NewBruteOracle(enc *encoding.Encoding, maxNullity int) Oracle {
 	}
 	return &bruteOracle{enc: enc, maxNullity: maxNullity}
 }
-
-func (o *bruteOracle) Name() string { return "brute" }
 
 func (o *bruteOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
 	if err := validateShape(o.enc, entry); err != nil {
@@ -358,18 +275,6 @@ func (o *bruteOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons [
 	return out, !truncated, nil
 }
 
-func (o *bruteOracle) First(ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	return firstVia(o, ctx, entry, cons)
-}
-
-func (o *bruteOracle) Count(ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	return countVia(o, ctx, entry, cons, max)
-}
-
-func (o *bruteOracle) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	return checkVia(o, ctx, entry, cons)
-}
-
 // --- incremental session ---
 
 // SessionOracle adapts reconstruct.Session to the Oracle interface
@@ -400,21 +305,10 @@ const maxSessionGrowth = 2
 // enc. Construction pays the one-off A-structure encoding (uncut XOR
 // rows, cardinality ladder); every query after that is an assumption
 // solve.
-func NewSessionOracle(enc *encoding.Encoding, opts SessionOptions) (*SessionOracle, error) {
-	proto, err := NewSession(enc, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &SessionOracle{proto: proto, free: []*Session{proto.Clone()}, obs: opts.Obs}, nil
+func NewSessionOracle(enc *encoding.Encoding, opts SessionOptions) *SessionOracle {
+	proto := NewSession(enc, opts)
+	return &SessionOracle{proto: proto, free: []*Session{proto.Clone()}, obs: opts.Obs}
 }
-
-func (o *SessionOracle) Name() string { return "sat-inc" }
-
-// Supports reports whether a change count fits the session ladder.
-func (o *SessionOracle) Supports(k int) bool { return o.proto.Supports(k) }
-
-// TPWidth reports the encoded timeprint width.
-func (o *SessionOracle) TPWidth() int { return o.proto.TPWidth() }
 
 func (o *SessionOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
 	sess, release, err := o.acquire(entry)
@@ -424,24 +318,6 @@ func (o *SessionOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons
 	defer release()
 	sigs, exhausted, err := sess.EnumerateWithin(ctx.Done(), entry, cons, limit)
 	return sigs, exhausted, o.mapErr(err)
-}
-
-func (o *SessionOracle) First(ctx context.Context, entry core.LogEntry, cons []Constraint) (core.Signal, sat.Status, error) {
-	return firstVia(o, ctx, entry, cons)
-}
-
-func (o *SessionOracle) Count(ctx context.Context, entry core.LogEntry, cons []Constraint, max int) (int, bool, error) {
-	return countVia(o, ctx, entry, cons, max)
-}
-
-func (o *SessionOracle) Check(ctx context.Context, entry core.LogEntry, cons []Constraint) (sat.Status, error) {
-	sess, release, err := o.acquire(entry)
-	if err != nil {
-		return sat.Unknown, err
-	}
-	defer release()
-	st, err := sess.Check(entry, cons)
-	return st, o.mapErr(err)
 }
 
 // acquire validates the entry against the session's fixed shape and

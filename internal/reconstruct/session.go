@@ -84,7 +84,7 @@ type Session struct {
 }
 
 // NewSession builds the session-invariant encoding for enc.
-func NewSession(enc *encoding.Encoding, opts SessionOptions) (*Session, error) {
+func NewSession(enc *encoding.Encoding, opts SessionOptions) *Session {
 	defer opts.Obs.StartSpan(SpanSessionBuild).End()
 	m, b := enc.M(), enc.B()
 	bld := cnf.NewBuilder(m)
@@ -129,14 +129,11 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) (*Session, error) {
 
 	bld.S.MaxConflicts = opts.MaxConflicts
 	opts.Obs.Counter(MetricSessionBuilds).Inc()
-	return s, nil
+	return s
 }
 
 // MaxK reports the largest change count the session can query.
 func (s *Session) MaxK() int { return s.maxK }
-
-// TPWidth reports the encoded timeprint width b.
-func (s *Session) TPWidth() int { return s.enc.B() }
 
 // Supports reports whether a change count is queryable on this
 // session.
@@ -204,23 +201,6 @@ func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) (_ 
 // on incomplete outcomes, and core.ErrKRange when k is outside the
 // session's ladder (callers fall back to a one-shot Reconstructor).
 func (s *Session) Query(entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error) {
-	return s.query(entry, constraints, limit)
-}
-
-// EnumerateWithin is Query with cooperative cancellation: closing done
-// interrupts the solver at its next conflict or decision. The
-// interrupt is cleared on return, so a fired deadline does not poison
-// the retained session solver for later queries.
-func (s *Session) EnumerateWithin(done <-chan struct{}, entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error) {
-	stop := s.bld.S.InterruptOnDone(done)
-	defer func() {
-		stop()
-		s.bld.S.ClearInterrupt()
-	}()
-	return s.query(entry, constraints, limit)
-}
-
-func (s *Session) query(entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error) {
 	defer s.obs.StartSpan(SpanSessionQuery).End()
 	assumps, err := s.assumptions(entry, constraints)
 	if err != nil {
@@ -236,15 +216,17 @@ func (s *Session) query(entry core.LogEntry, constraints []Constraint, limit int
 	return out, st == sat.Unsat, err
 }
 
-// Check reports whether any candidate exists for the entry under the
-// constraints — the safety-property query, incrementally.
-func (s *Session) Check(entry core.LogEntry, constraints []Constraint) (sat.Status, error) {
-	assumps, err := s.assumptions(entry, constraints)
-	if err != nil {
-		return sat.Unknown, err
-	}
-	s.obs.Counter(MetricSessionQueries).Inc()
-	return s.bld.S.SolveAssuming(assumps), nil
+// EnumerateWithin is Query with cooperative cancellation: closing done
+// interrupts the solver at its next conflict or decision. The
+// interrupt is cleared on return, so a fired deadline does not poison
+// the retained session solver for later queries.
+func (s *Session) EnumerateWithin(done <-chan struct{}, entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error) {
+	stop := s.bld.S.InterruptOnDone(done)
+	defer func() {
+		stop()
+		s.bld.S.ClearInterrupt()
+	}()
+	return s.Query(entry, constraints, limit)
 }
 
 // numVars reports the session solver's variable count. It grows by

@@ -35,10 +35,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		m := 10 + r.Intn(7)
 		enc := mustEnc(t, m, 9+r.Intn(3), 4)
-		sess, err := NewSession(enc, SessionOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := NewSession(enc, SessionOptions{})
 		for q := 0; q < 12; q++ {
 			entry := core.Log(enc, randomEntry(r, m, enc))
 			got, exhausted, err := sess.Query(entry, nil, 0)
@@ -79,10 +76,7 @@ func TestSessionProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	m := 14
 	enc := mustEnc(t, m, 10, 4)
-	sess, err := NewSession(enc, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := NewSession(enc, SessionOptions{})
 	cons := []Constraint{properties.Window{Lo: 2, Hi: 11}, properties.QuietBefore{D: 2}}
 	for q := 0; q < 10; q++ {
 		entry := core.Log(enc, randomEntry(r, m, enc))
@@ -123,10 +117,7 @@ func TestSessionProperties(t *testing.T) {
 func TestSessionKBounds(t *testing.T) {
 	m := 12
 	enc := mustEnc(t, m, 9, 4)
-	sess, err := NewSession(enc, SessionOptions{MaxK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := NewSession(enc, SessionOptions{MaxK: 3})
 	if sess.MaxK() != 3 || !sess.Supports(3) || sess.Supports(4) {
 		t.Fatalf("MaxK=%d Supports(3)=%v Supports(4)=%v", sess.MaxK(), sess.Supports(3), sess.Supports(4))
 	}
@@ -165,10 +156,7 @@ func TestSessionCloneIndependence(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	m := 13
 	enc := mustEnc(t, m, 10, 4)
-	sess, err := NewSession(enc, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := NewSession(enc, SessionOptions{})
 	// Warm the original.
 	for q := 0; q < 4; q++ {
 		entry := core.Log(enc, randomEntry(r, m, enc))
@@ -194,42 +182,13 @@ func TestSessionCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestSessionCheck exercises the incremental safety-property query.
-func TestSessionCheck(t *testing.T) {
-	m := 12
-	enc := mustEnc(t, m, 9, 4)
-	sess, err := NewSession(enc, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := core.SignalFromChanges(m, 3, 7)
-	entry := core.Log(enc, truth)
-	st, err := sess.Check(entry, nil)
-	if err != nil || st != sat.Sat {
-		t.Fatalf("Check: %v, %v", st, err)
-	}
-	// QuietBefore(m) forbids all changes, contradicting k=2.
-	st, err = sess.Check(entry, []Constraint{properties.QuietBefore{D: m}})
-	if err != nil || st != sat.Unsat {
-		t.Fatalf("Check with contradiction: %v, %v", st, err)
-	}
-	// And the contradiction must not stick.
-	st, err = sess.Check(entry, nil)
-	if err != nil || st != sat.Sat {
-		t.Fatalf("Check after contradiction: %v, %v", st, err)
-	}
-}
-
 // TestSessionInterruptRecovers: a fired deadline interrupts the query
 // but must not poison the session for the next one. The binary
 // encoding at m=64 is ambiguous enough that the exhaustive enumeration
 // cannot finish before the pre-closed done channel interrupts it.
 func TestSessionInterruptRecovers(t *testing.T) {
 	enc := encoding.Binary(64)
-	sess, err := NewSession(enc, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := NewSession(enc, SessionOptions{})
 	truth := core.SignalFromChanges(64, 3, 9, 17, 30, 41, 50)
 	entry := core.Log(enc, truth)
 	done := make(chan struct{})
@@ -258,10 +217,7 @@ func TestSessionSeparatesEqualSizeCandidateSets(t *testing.T) {
 	enc := mustEnc(t, 16, 9, 4)
 	truth := core.SignalFromChanges(16, 3, 7)
 	entry := core.Log(enc, truth)
-	sess, err := NewSession(enc, SessionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := NewSession(enc, SessionOptions{})
 	with := properties.OneOfSignals{Candidates: []core.Signal{truth, core.SignalFromChanges(16, 1, 2)}}
 	without := properties.OneOfSignals{Candidates: []core.Signal{core.SignalFromChanges(16, 4, 9), core.SignalFromChanges(16, 5, 6)}}
 	for _, tc := range []struct {
@@ -287,10 +243,7 @@ func TestSessionOracleRetiresOvergrownSession(t *testing.T) {
 	const m = 16
 	enc := mustEnc(t, m, 9, 4)
 	reg := obs.NewRegistry()
-	o, err := NewSessionOracle(enc, SessionOptions{MaxK: 3, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := NewSessionOracle(enc, SessionOptions{MaxK: 3, Obs: reg})
 	brute := NewBruteOracle(enc, 0)
 	r := rand.New(rand.NewSource(53))
 	ctx := context.Background()
@@ -357,10 +310,7 @@ func TestSessionOracleConcurrentPool(t *testing.T) {
 	const m, goroutines, perG = 24, 4, 12
 	enc := mustEnc(t, m, 11, 4)
 	reg := obs.NewRegistry()
-	o, err := NewSessionOracle(enc, SessionOptions{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := NewSessionOracle(enc, SessionOptions{Obs: reg})
 	ref := NewSATOracle(enc, Options{})
 	r := rand.New(rand.NewSource(59))
 	ctx := context.Background()

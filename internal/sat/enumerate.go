@@ -40,45 +40,7 @@ var (
 // per-model allocation churn: fn must copy any values it wants to keep
 // and must not retain the map beyond the call.
 func (s *Solver) EnumerateModels(projection []int, limit int, fn func(model map[int]bool) bool) (int, Status, error) {
-	models := s.Obs.Counter(MetricEnumModels)
-	count := 0
-	model := make(map[int]bool, len(projection))
-	blocking := make([]int, 0, len(projection))
-	for {
-		st := s.Solve()
-		if st != Sat {
-			if st == Unknown {
-				if s.Interrupted() {
-					return count, Unknown, fmt.Errorf("sat: enumeration stopped after %d models: %w", count, ErrInterrupted)
-				}
-				return count, Unknown, fmt.Errorf("sat: enumeration stopped after %d models: %w", count, ErrBudget)
-			}
-			return count, st, nil
-		}
-		clear(model)
-		blocking = blocking[:0]
-		for _, v := range projection {
-			val := s.Value(v)
-			model[v] = val
-			if val {
-				blocking = append(blocking, -v)
-			} else {
-				blocking = append(blocking, v)
-			}
-		}
-		count++
-		models.Inc()
-		if !fn(model) {
-			return count, Sat, nil
-		}
-		if limit > 0 && count >= limit {
-			return count, Sat, nil
-		}
-		if err := s.AddClause(blocking...); err != nil {
-			// Empty projection: blocking impossible; treat as exhausted.
-			return count, Unsat, nil
-		}
-	}
+	return s.enumerate(nil, 0, projection, limit, fn)
 }
 
 // EnumerateAssuming enumerates models under the given assumption
@@ -91,7 +53,6 @@ func (s *Solver) EnumerateModels(projection []int, limit int, fn func(model map[
 // "exhausted under these assumptions", not that the formula is
 // unsatisfiable.
 func (s *Solver) EnumerateAssuming(assumptions []int, projection []int, limit int, fn func(model map[int]bool) bool) (int, Status, error) {
-	models := s.Obs.Counter(MetricEnumModels)
 	sel := s.acquireSelector()
 	defer func() {
 		s.DropGuard(sel)
@@ -100,12 +61,25 @@ func (s *Solver) EnumerateAssuming(assumptions []int, projection []int, limit in
 	assumps := make([]int, 0, len(assumptions)+1)
 	assumps = append(assumps, assumptions...)
 	assumps = append(assumps, sel)
+	return s.enumerate(assumps, sel, projection, limit, fn)
+}
 
+// enumerate is the model loop EnumerateModels and EnumerateAssuming
+// share. With sel == 0 it solves without assumptions and blocks each
+// model with a plain clause; otherwise it solves under assumps and
+// guards each blocking clause by sel.
+func (s *Solver) enumerate(assumps []int, sel int, projection []int, limit int, fn func(model map[int]bool) bool) (int, Status, error) {
+	models := s.Obs.Counter(MetricEnumModels)
 	count := 0
 	model := make(map[int]bool, len(projection))
 	blocking := make([]int, 0, len(projection))
 	for {
-		st := s.SolveAssuming(assumps)
+		var st Status
+		if sel == 0 {
+			st = s.Solve()
+		} else {
+			st = s.SolveAssuming(assumps)
+		}
 		if st != Sat {
 			if st == Unknown {
 				if s.Interrupted() {
@@ -134,10 +108,17 @@ func (s *Solver) EnumerateAssuming(assumptions []int, projection []int, limit in
 		if limit > 0 && count >= limit {
 			return count, Sat, nil
 		}
-		// Block this projection under the guard. An empty or level-0
-		// falsified projection degenerates to the unit ¬sel, which ends
-		// the enumeration on the next solve.
-		if err := s.AddGuardedClause(sel, blocking...); err != nil {
+		// An empty projection cannot be blocked: treat it as exhausted.
+		// Under a guard an empty or level-0 falsified projection
+		// degenerates to the unit ¬sel, which ends the enumeration on the
+		// next solve.
+		var err error
+		if sel == 0 {
+			err = s.AddClause(blocking...)
+		} else {
+			err = s.AddGuardedClause(sel, blocking...)
+		}
+		if err != nil {
 			return count, Unsat, nil
 		}
 	}

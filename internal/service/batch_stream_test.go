@@ -129,7 +129,7 @@ func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 		tp, k := tpFor(t, enc, m, a, a+1, a+3)
 		qs = append(qs, query{tp, k})
 	}
-	// Queries past the session ladder (k > SessionMaxK): the session
+	// Queries past the session ladder (k > 16): the session
 	// oracle refuses them before taking a solver, so they are the
 	// fallback leg of the accounting.
 	for i := 0; i < 4; i++ {

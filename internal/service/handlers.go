@@ -230,7 +230,6 @@ func (s *Server) dispatchOptions() reconstruct.DispatchOptions {
 	return reconstruct.DispatchOptions{
 		Force:        s.cfg.Oracle,
 		Workers:      1,
-		SessionMaxK:  s.cfg.SessionMaxK,
 		MaxConflicts: s.cfg.MaxConflicts,
 		Obs:          s.obs,
 	}

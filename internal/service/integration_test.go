@@ -59,6 +59,24 @@ func startServer(t testing.TB, cfg Config, solveDelay time.Duration) (*Server, s
 	return srv, "http://" + addr.String(), reg
 }
 
+// TestStartRejectsInvalidOracle: a name the dispatcher does not know,
+// and the cube-split portfolio the one-worker service would run as
+// serial SAT, fail Start instead of every request.
+func TestStartRejectsInvalidOracle(t *testing.T) {
+	for _, name := range []string{"cvc5", "sat-par"} {
+		srv := New(Config{Oracle: name})
+		if addr, err := srv.Start(); err == nil {
+			t.Errorf("Start with Oracle %q bound %v, want an error", name, addr)
+			_ = srv.Shutdown(context.Background())
+		}
+	}
+	for _, name := range []string{"", "auto", "sat", "sat-inc", "decode", "brute"} {
+		if err := CheckOracle(name); err != nil {
+			t.Errorf("CheckOracle(%q) = %v", name, err)
+		}
+	}
+}
+
 func postWire(base string, wire []byte, query string) (*http.Response, map[string]any, error) {
 	resp, err := http.Post(base+"/v1/reconstruct?"+query, "application/octet-stream", bytes.NewReader(wire))
 	if err != nil {

@@ -159,10 +159,6 @@ type Config struct {
 	// MaxSessions bounds the session table (default 256); least
 	// recently used sessions are evicted beyond it.
 	MaxSessions int
-	// SessionMaxK caps the change counts the incremental per-session
-	// solver encodes its cardinality ladder for (default 16); entries
-	// with larger k fall back to a one-shot instance.
-	SessionMaxK int
 	// MaxBatchJobs bounds the jobs one /v1/batch request may carry
 	// (default 256); BatchParallelism bounds how many of a batch's
 	// entries solve concurrently (default Workers). Note the whole
@@ -180,7 +176,8 @@ type Config struct {
 	// Oracle pins every solve to one reconstruction backend ("sat",
 	// "sat-inc", "decode", "brute"). "" or "auto" (the
 	// default) lets the dispatcher's cost model route each request to
-	// the cheapest sound backend.
+	// the cheapest sound backend. Start rejects any other name (see
+	// CheckOracle).
 	Oracle string
 	// Store, when non-nil, is the durable log store (internal/logstore)
 	// the server tees ingested wire logs into and serves GET /v1/logs
@@ -191,6 +188,17 @@ type Config struct {
 	// Obs receives the service metrics; nil disables instrumentation
 	// (every layer below tolerates that).
 	Obs *obs.Registry
+}
+
+// CheckOracle reports whether name is a valid Config.Oracle. Every
+// solve runs on one worker, so a pinned cube-split portfolio ("sat-par")
+// would silently be serial SAT: it is refused rather than reported as
+// a route that never runs.
+func CheckOracle(name string) error {
+	if !reconstruct.KnownOracle(name) || name == reconstruct.RouteParallel {
+		return fmt.Errorf("unsupported oracle %q (want auto|sat|sat-inc|decode|brute)", name)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -220,9 +228,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.SessionMaxK <= 0 {
-		c.SessionMaxK = 16
 	}
 	if c.MaxBatchJobs <= 0 {
 		c.MaxBatchJobs = 256
@@ -311,8 +316,12 @@ func (s *Server) Handler() http.Handler { return s.http.Handler }
 // Start binds the listener(s) and serves in a background goroutine. It
 // returns the bound HTTP address once the server is accepting
 // connections; when Config.StreamAddr is set the streaming-ingest TCP
-// listener is bound too (see StreamAddr for its bound address).
+// listener is bound too (see StreamAddr for its bound address). An
+// invalid Config.Oracle fails here, before anything is bound.
 func (s *Server) Start() (net.Addr, error) {
+	if err := CheckOracle(s.cfg.Oracle); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("service: listen %s: %w", s.cfg.Addr, err)

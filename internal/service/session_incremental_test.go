@@ -47,10 +47,16 @@ func TestIncrementalSessionCounters(t *testing.T) {
 }
 
 // A change count beyond the session ladder falls back to the one-shot
-// path and still answers correctly.
+// path and still answers correctly. k = 17 is one past the default
+// ladder of 16; at m = 18 there are only C(18, 17) = 18 weight-17
+// signals, so the exhaustive one-shot enumeration stays cheap.
 func TestIncrementalFallbackOnLargeK(t *testing.T) {
-	_, base, reg := startServer(t, Config{SessionMaxK: 2, Oracle: "sat-inc"}, 0)
-	wire, _ := testLog(t, 16, 9, 2, 5, 9) // k = 3 > SessionMaxK
+	_, base, reg := startServer(t, Config{Oracle: "sat-inc"}, 0)
+	changes := make([]int, 17)
+	for i := range changes {
+		changes[i] = i
+	}
+	wire, _ := testLog(t, 18, 9, changes...) // k = 17 > the ladder's 16
 	resp, body, err := postWire(base, wire, "scheme=incremental&depth=4&limit=-1")
 	if err != nil {
 		t.Fatal(err)

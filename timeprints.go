@@ -70,9 +70,10 @@ type (
 	// Options bounds a reconstruction's solver effort (MaxConflicts)
 	// and names its metrics registry (Obs).
 	Options = reconstruct.Options
-	// Oracle is the uniform interface over every reconstruction
-	// backend (SAT, algebraic decode, GF(2) brute force, exhaustive
-	// concretization, incremental session, and the dispatcher).
+	// Oracle is the one-method interface over every reconstruction
+	// backend (serial and parallel SAT, algebraic decode, GF(2) brute
+	// force, the incremental session, and the dispatcher): Enumerate
+	// the candidate signals of one log entry.
 	Oracle = reconstruct.Oracle
 	// Dispatcher routes each request to the cheapest sound backend
 	// using instance features (m, k, rank, property guardability).
