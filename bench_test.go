@@ -697,6 +697,16 @@ func BenchmarkDispatch(b *testing.B) {
 				}
 				dispatchers[e] = d
 			}
+			// Set-up stays out of the timed loop: the dispatchers above and
+			// the decoder's O(m²) pair index, which the first decode-routed
+			// request (mix[1], incremental k=3) builds lazily.
+			for _, req := range mix[:2] {
+				if _, _, err := dispatchers[req.enc].Enumerate(context.Background(), req.entry, nil, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			setupConflicts := reg.Counter(sat.MetricConflicts).Value()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, req := range mix {
 					sigs, exhausted, err := dispatchers[req.enc].Enumerate(context.Background(), req.entry, nil, 0)
@@ -708,7 +718,8 @@ func BenchmarkDispatch(b *testing.B) {
 					}
 				}
 			}
-			reportConflicts(b, reg)
+			b.StopTimer()
+			b.ReportMetric(float64(reg.Counter(sat.MetricConflicts).Value()-setupConflicts)/float64(b.N), "conflicts")
 		})
 	}
 }

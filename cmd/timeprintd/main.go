@@ -247,24 +247,29 @@ func runSmoke(cfg service.Config, reg *obs.Registry) error {
 		return fmt.Errorf("repeat request was not served from cache: %v", r0)
 	}
 
-	// A property-bearing request: under auto-routing this takes the
-	// incremental SAT session (k=3 is too small for brute force at this
-	// nullity and the property bars the algebraic decoder), so it also
-	// proves solver instrumentation flows through the registry.
-	propTarget := target + "&properties=mingap(1)"
-	withProp, err := post(propTarget, "application/octet-stream", wire.Bytes())
+	// A property-bearing request that only the incremental SAT session
+	// can take under auto-routing: k=5 is past the algebraic decoder and
+	// the nullity past brute force. So it also proves solver
+	// instrumentation flows through the registry.
+	propTruth := core.SignalFromChanges(m, 5, 6, 20, 25, 30)
+	var propWire bytes.Buffer
+	if err := core.WriteLog(&propWire, m, b, []core.LogEntry{core.Log(enc, propTruth)}); err != nil {
+		return err
+	}
+	propTarget := target + "&properties=window(0,32)"
+	withProp, err := post(propTarget, "application/octet-stream", propWire.Bytes())
 	if err != nil {
 		return err
 	}
 	r0 = withProp["results"].([]any)[0].(map[string]any)
 	found = false
 	for _, c := range r0["candidates"].([]any) {
-		if c.(string) == truth.String() {
+		if c.(string) == propTruth.String() {
 			found = true
 		}
 	}
 	if !found {
-		return fmt.Errorf("true signal %s not among property-constrained candidates %v", truth, r0["candidates"])
+		return fmt.Errorf("true signal %s not among property-constrained candidates %v", propTruth, r0["candidates"])
 	}
 
 	// Count through the JSON job-spec path.
@@ -325,9 +330,9 @@ func runSmoke(cfg service.Config, reg *obs.Registry) error {
 			return fmt.Errorf("counter %s = %d, want %d (snapshot %v)", counter, got, want, snap.Counters)
 		}
 	}
-	// Routing contract under the default auto oracle: the two plain
-	// k=3 queries go to the algebraic decoder, the property-bearing one
-	// to the incremental session, and nothing mispredicts.
+	// Routing contract under the default auto oracle: the two k=3
+	// queries go to the algebraic decoder, the windowed k=5 one to the
+	// incremental session, and nothing mispredicts.
 	if cfg.Oracle == "" || cfg.Oracle == "auto" {
 		if got := snap.Counters[reconstruct.MetricDispatchChosenPrefix+"decode"]; got != 2 {
 			return fmt.Errorf("dispatch chose decode %d times, want 2 (snapshot %v)", got, snap.Counters)

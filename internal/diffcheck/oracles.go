@@ -21,7 +21,8 @@ const exhaustiveMaxM = 16
 const bruteMaxNullity = 22
 
 // sessionMaxK is the cardinality-ladder width built for the
-// incremental-session oracle; corpus change counts stay well under it.
+// incremental-session oracle; a larger k is answered on a guarded
+// exactly-k group.
 const sessionMaxK = 16
 
 // oracle is one independent Signal Reconstruction implementation. run
@@ -104,7 +105,7 @@ func buildOracles(workers []int, reg *obs.Registry) []oracle {
 			// must not see its retracted blocking clauses, and its live
 			// matrix must survive that retraction and blocking cleanup.
 			name:    "sat-inc",
-			applies: func(cs CaseSpec) bool { return cs.K <= sessionMaxK },
+			applies: func(CaseSpec) bool { return true },
 			run: func(enc *encoding.Encoding, entry core.LogEntry) ([]core.Signal, error) {
 				sess := reconstruct.NewSession(enc, reconstruct.SessionOptions{MaxK: sessionMaxK, Obs: reg})
 				first, exhausted, err := sess.Query(entry, nil, 0)

@@ -55,10 +55,11 @@ type Never struct{}
 // Holds is false on every signal.
 func (Never) Holds(core.Signal) bool { return false }
 
+func (Never) Validate(int) error { return nil }
+
 // Apply emits the empty clause.
-func (Never) Apply(b *cnf.Builder, vars []int) error {
+func (Never) Apply(b *cnf.Builder, vars []int) {
 	b.AddClause()
-	return nil
 }
 
 func (Never) String() string { return "Never" }
@@ -79,11 +80,10 @@ func (p ChangeOutside) Holds(s core.Signal) bool {
 	return false
 }
 
+func (p ChangeOutside) Validate(m int) error { return Window(p).Validate(m) }
+
 // Apply emits the disjunction of all out-of-window change variables.
-func (p ChangeOutside) Apply(b *cnf.Builder, vars []int) error {
-	if p.Lo < 0 || p.Hi > len(vars) || p.Lo > p.Hi {
-		return fmt.Errorf("window [%d,%d) outside [0,%d]", p.Lo, p.Hi, len(vars))
-	}
+func (p ChangeOutside) Apply(b *cnf.Builder, vars []int) {
 	var clause []int
 	for i, v := range vars {
 		if i < p.Lo || i >= p.Hi {
@@ -91,7 +91,6 @@ func (p ChangeOutside) Apply(b *cnf.Builder, vars []int) error {
 		}
 	}
 	b.AddClause(clause...) // empty when the window covers everything
-	return nil
 }
 
 func (p ChangeOutside) String() string { return fmt.Sprintf("ChangeOutside[%d,%d)", p.Lo, p.Hi) }

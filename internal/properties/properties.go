@@ -26,15 +26,34 @@ import (
 
 // Property is a temporal property of a trace-cycle signal: it can be
 // evaluated on a concrete signal and compiled to clauses over the
-// change variables (vars[i] ⇔ "change in clock-cycle i").
+// change variables (vars[i] ⇔ "change in clock-cycle i"). Every
+// reconstruction backend takes it (reconstruct.Constraint).
 type Property interface {
 	// Holds evaluates the property on a concrete signal.
 	Holds(s core.Signal) bool
-	// Apply compiles the property into the builder; reconstruct.New
-	// calls this through its Constraint interface.
-	Apply(b *cnf.Builder, vars []int) error
+	// Validate reports whether the property is well-formed over a
+	// trace-cycle of m clock-cycles.
+	Validate(m int) error
+	// Apply compiles a property that passed Validate(len(vars)) into
+	// the builder. It emits plain clauses only, never AddXor, so a
+	// session solver can guard them under a selector literal.
+	Apply(b *cnf.Builder, vars []int)
 	// String names the property.
 	String() string
+}
+
+// check is the Validate verdict of a fit condition: nil when ok,
+// otherwise the formatted reason. Its arguments are boxed only on
+// failure, so a passing check allocates nothing.
+func check(ok bool, format string, args ...int) error {
+	if ok {
+		return nil
+	}
+	boxed := make([]any, len(args))
+	for i, a := range args {
+		boxed[i] = a
+	}
+	return fmt.Errorf(format, boxed...)
 }
 
 // P2 is the paper's P2: at least one adjacent pair of change cycles
@@ -52,12 +71,14 @@ func (P2) Holds(s core.Signal) bool {
 	return false
 }
 
+func (P2) Validate(int) error { return nil }
+
 // Apply introduces one auxiliary variable per adjacent pair (p_i →
 // x_i ∧ x_{i+1}) and requires some p_i to hold.
-func (P2) Apply(b *cnf.Builder, vars []int) error {
+func (P2) Apply(b *cnf.Builder, vars []int) {
 	if len(vars) < 2 {
 		b.AddClause() // no pair can exist
-		return nil
+		return
 	}
 	pairLits := make([]int, 0, len(vars)-1)
 	for i := 0; i+1 < len(vars); i++ {
@@ -67,7 +88,6 @@ func (P2) Apply(b *cnf.Builder, vars []int) error {
 		pairLits = append(pairLits, p)
 	}
 	b.AddClause(pairLits...)
-	return nil
 }
 
 func (P2) String() string { return "P2(adjacent-pair-exists)" }
@@ -91,14 +111,14 @@ func (p Dk) Holds(s core.Signal) bool {
 	return n >= p.K
 }
 
+func (p Dk) Validate(m int) error {
+	return check(p.D >= 0 && p.D <= m, "deadline %d outside [0,%d]", p.D, m)
+}
+
 // Apply emits an at-least-K cardinality constraint over the pre-
 // deadline change variables.
-func (p Dk) Apply(b *cnf.Builder, vars []int) error {
-	if p.D < 0 || p.D > len(vars) {
-		return fmt.Errorf("deadline %d outside [0,%d]", p.D, len(vars))
-	}
+func (p Dk) Apply(b *cnf.Builder, vars []int) {
 	b.AtLeastK(vars[:p.D], p.K)
-	return nil
 }
 
 func (p Dk) String() string { return fmt.Sprintf("Dk(>=%d before %d)", p.K, p.D) }
@@ -129,13 +149,15 @@ func (PairedChanges) Holds(s core.Signal) bool {
 	return true
 }
 
+func (PairedChanges) Validate(int) error { return nil }
+
 // Apply encodes the shape with two clause families: no three
 // consecutive changes, and every change has an adjacent change.
-func (PairedChanges) Apply(b *cnf.Builder, vars []int) error {
+func (PairedChanges) Apply(b *cnf.Builder, vars []int) {
 	m := len(vars)
 	if m == 1 {
 		b.AddClause(-vars[0]) // a single cycle can never host a pair
-		return nil
+		return
 	}
 	for i := 0; i+2 < m; i++ {
 		b.AddClause(-vars[i], -vars[i+1], -vars[i+2])
@@ -145,7 +167,6 @@ func (PairedChanges) Apply(b *cnf.Builder, vars []int) error {
 		b.AddClause(-vars[i], vars[i-1], vars[i+1])
 	}
 	b.AddClause(-vars[m-1], vars[m-2])
-	return nil
 }
 
 func (PairedChanges) String() string { return "PairedChanges" }
@@ -166,17 +187,17 @@ func (w Window) Holds(s core.Signal) bool {
 	return true
 }
 
+func (w Window) Validate(m int) error {
+	return check(0 <= w.Lo && w.Lo <= w.Hi && w.Hi <= m, "window [%d,%d) outside [0,%d]", w.Lo, w.Hi, m)
+}
+
 // Apply forces change variables outside the window to 0.
-func (w Window) Apply(b *cnf.Builder, vars []int) error {
-	if w.Lo < 0 || w.Hi > len(vars) || w.Lo > w.Hi {
-		return fmt.Errorf("window [%d,%d) outside [0,%d]", w.Lo, w.Hi, len(vars))
-	}
+func (w Window) Apply(b *cnf.Builder, vars []int) {
 	for i, v := range vars {
 		if i < w.Lo || i >= w.Hi {
 			b.AddClause(-v)
 		}
 	}
-	return nil
 }
 
 func (w Window) String() string { return fmt.Sprintf("Window[%d,%d)", w.Lo, w.Hi) }
@@ -194,13 +215,13 @@ func (p ChangeBefore) Holds(s core.Signal) bool {
 	return len(cs) > 0 && cs[0] < p.D
 }
 
+func (p ChangeBefore) Validate(m int) error {
+	return check(p.D > 0 && p.D <= m, "deadline %d outside (0,%d]", p.D, m)
+}
+
 // Apply emits the disjunction of the pre-deadline change variables.
-func (p ChangeBefore) Apply(b *cnf.Builder, vars []int) error {
-	if p.D <= 0 || p.D > len(vars) {
-		return fmt.Errorf("deadline %d outside (0,%d]", p.D, len(vars))
-	}
+func (p ChangeBefore) Apply(b *cnf.Builder, vars []int) {
 	b.AddClause(vars[:p.D]...)
-	return nil
 }
 
 func (p ChangeBefore) String() string { return fmt.Sprintf("ChangeBefore(%d)", p.D) }
@@ -217,15 +238,15 @@ func (p QuietBefore) Holds(s core.Signal) bool {
 	return len(cs) == 0 || cs[0] >= p.D
 }
 
+func (p QuietBefore) Validate(m int) error {
+	return check(p.D >= 0 && p.D <= m, "deadline %d outside [0,%d]", p.D, m)
+}
+
 // Apply forces the pre-D change variables to 0.
-func (p QuietBefore) Apply(b *cnf.Builder, vars []int) error {
-	if p.D < 0 || p.D > len(vars) {
-		return fmt.Errorf("deadline %d outside [0,%d]", p.D, len(vars))
-	}
+func (p QuietBefore) Apply(b *cnf.Builder, vars []int) {
 	for _, v := range vars[:p.D] {
 		b.AddClause(-v)
 	}
-	return nil
 }
 
 func (p QuietBefore) String() string { return fmt.Sprintf("QuietBefore(%d)", p.D) }
@@ -247,17 +268,15 @@ func (p MinGap) Holds(s core.Signal) bool {
 	return true
 }
 
+func (p MinGap) Validate(int) error { return check(p.Gap >= 1, "gap %d must be >= 1", p.Gap) }
+
 // Apply forbids any two changes closer than Gap.
-func (p MinGap) Apply(b *cnf.Builder, vars []int) error {
-	if p.Gap < 1 {
-		return fmt.Errorf("gap %d must be >= 1", p.Gap)
-	}
+func (p MinGap) Apply(b *cnf.Builder, vars []int) {
 	for i := range vars {
 		for d := 1; d < p.Gap && i+d < len(vars); d++ {
 			b.AddClause(-vars[i], -vars[i+d])
 		}
 	}
-	return nil
 }
 
 func (p MinGap) String() string { return fmt.Sprintf("MinGap(%d)", p.Gap) }
@@ -276,23 +295,26 @@ func (p ExactChanges) Holds(s core.Signal) bool {
 	return s.Equal(want)
 }
 
-// Apply emits one unit clause per cycle.
-func (p ExactChanges) Apply(b *cnf.Builder, vars []int) error {
-	set := map[int]bool{}
+// Validate requires every change inside the trace-cycle.
+func (p ExactChanges) Validate(m int) error {
 	for _, c := range p.Changes {
-		if c < 0 || c >= len(vars) {
-			return fmt.Errorf("change %d outside [0,%d)", c, len(vars))
+		if c < 0 || c >= m {
+			return fmt.Errorf("change %d outside [0,%d)", c, m)
 		}
-		set[c] = true
 	}
+	return nil
+}
+
+// Apply emits one unit clause per cycle.
+func (p ExactChanges) Apply(b *cnf.Builder, vars []int) {
+	want := core.SignalFromChanges(len(vars), p.Changes...)
 	for i, v := range vars {
-		if set[i] {
+		if want.Changed(i) {
 			b.AddClause(v)
 		} else {
 			b.AddClause(-v)
 		}
 	}
-	return nil
 }
 
 // String lists the changes, so two different change sets never share
@@ -328,6 +350,16 @@ func (p OneOfSignals) Holds(s core.Signal) bool {
 	return false
 }
 
+// Validate requires every candidate to span the trace-cycle.
+func (p OneOfSignals) Validate(m int) error {
+	for j, cand := range p.Candidates {
+		if cand.M() != m {
+			return fmt.Errorf("candidate %d has length %d, want %d", j, cand.M(), m)
+		}
+	}
+	return nil
+}
+
 // Apply introduces a selector variable per candidate, with clauses in
 // proportion to the candidates' changes rather than m per candidate:
 //
@@ -338,10 +370,10 @@ func (p OneOfSignals) Holds(s core.Signal) bool {
 // The selected candidate forces its own changes, and no other position
 // can change because no selected candidate supports it, so the signal
 // equals the selected candidate whatever k is.
-func (p OneOfSignals) Apply(b *cnf.Builder, vars []int) error {
+func (p OneOfSignals) Apply(b *cnf.Builder, vars []int) {
 	if len(p.Candidates) == 0 {
 		b.AddClause()
-		return nil
+		return
 	}
 	sels := make([]int, len(p.Candidates))
 	support := make([][]int, len(vars)) // support[i]: -v_i, then the selectors changing at i
@@ -349,9 +381,6 @@ func (p OneOfSignals) Apply(b *cnf.Builder, vars []int) error {
 		support[i] = []int{-v}
 	}
 	for j, cand := range p.Candidates {
-		if cand.M() != len(vars) {
-			return fmt.Errorf("candidate %d has length %d, want %d", j, cand.M(), len(vars))
-		}
 		sels[j] = b.NewVar()
 		for _, i := range cand.Changes() {
 			b.AddClause(-sels[j], vars[i])
@@ -363,7 +392,6 @@ func (p OneOfSignals) Apply(b *cnf.Builder, vars []int) error {
 	}
 	b.AddClause(sels...)
 	b.AtMostK(sels, 1)
-	return nil
 }
 
 // String is Name (or "OneOfSignals(n)" when unnamed) followed by a
@@ -420,14 +448,21 @@ func (a All) Holds(s core.Signal) bool {
 	return true
 }
 
-// Apply compiles every conjunct.
-func (a All) Apply(b *cnf.Builder, vars []int) error {
+// Validate requires every conjunct to fit.
+func (a All) Validate(m int) error {
 	for _, p := range a {
-		if err := p.Apply(b, vars); err != nil {
+		if err := p.Validate(m); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Apply compiles every conjunct.
+func (a All) Apply(b *cnf.Builder, vars []int) {
+	for _, p := range a {
+		p.Apply(b, vars)
+	}
 }
 
 func (a All) String() string {

@@ -20,9 +20,10 @@ func enumerateUnder(t *testing.T, p Property, m int) map[string]bool {
 	for i := range vars {
 		vars[i] = i + 1
 	}
-	if err := p.Apply(b, vars); err != nil {
+	if err := p.Validate(m); err != nil {
 		t.Fatalf("%s: %v", p, err)
 	}
+	p.Apply(b, vars)
 	out := map[string]bool{}
 	_, st, _ := b.S.EnumerateModels(vars, 0, func(model map[int]bool) bool {
 		v := bitvec.New(m)
@@ -89,8 +90,7 @@ func TestDkCompilation(t *testing.T) {
 }
 
 func TestDkValidation(t *testing.T) {
-	b := cnf.NewBuilder(4)
-	if err := (Dk{D: 5, K: 1}).Apply(b, []int{1, 2, 3, 4}); err == nil {
+	if err := (Dk{D: 5, K: 1}).Validate(4); err == nil {
 		t.Error("D > m accepted")
 	}
 }
@@ -132,11 +132,10 @@ func TestWindowCompilation(t *testing.T) {
 }
 
 func TestWindowValidation(t *testing.T) {
-	b := cnf.NewBuilder(4)
-	if err := (Window{Lo: 3, Hi: 2}).Apply(b, []int{1, 2, 3, 4}); err == nil {
+	if err := (Window{Lo: 3, Hi: 2}).Validate(4); err == nil {
 		t.Error("inverted window accepted")
 	}
-	if err := (Window{Lo: 0, Hi: 5}).Apply(b, []int{1, 2, 3, 4}); err == nil {
+	if err := (Window{Lo: 0, Hi: 5}).Validate(4); err == nil {
 		t.Error("overlong window accepted")
 	}
 }
@@ -397,4 +396,39 @@ func TestPropertiesPruneReconstruction(t *testing.T) {
 // shared with the TCL tests).
 func vecFromMask(mask uint64, m int) bitvec.Vector {
 	return bitvec.FromUint(mask, m)
+}
+
+// TestValidateFitsTraceCycle pins Validate for every property: each
+// fits a 10-cycle trace-cycle and its ill-fitting twin does not, and a
+// conjunction fails when any conjunct does.
+func TestValidateFitsTraceCycle(t *testing.T) {
+	const m = 10
+	sig := core.SignalFromChanges(m, 2)
+	cases := []struct{ ok, bad Property }{
+		{P2{}, nil},
+		{PairedChanges{}, nil},
+		{Never{}, nil},
+		{Dk{D: 10, K: 1}, Dk{D: 11, K: 1}},
+		{Window{Lo: 0, Hi: 10}, Window{Lo: 0, Hi: 11}},
+		{ChangeOutside{Lo: 2, Hi: 4}, ChangeOutside{Lo: -1, Hi: 4}},
+		{ChangeBefore{D: 1}, ChangeBefore{D: 0}},
+		{QuietBefore{D: 0}, QuietBefore{D: 11}},
+		{MinGap{Gap: 1}, MinGap{Gap: 0}},
+		{MaxGap{Gap: 1}, MaxGap{Gap: 0}},
+		{Response{L: 1, U: 1}, Response{L: 2, U: 1}},
+		{Periodic{Period: 1, Jitter: 0}, Periodic{Period: 0, Jitter: 0}},
+		{CountBetween{Lo: 0, Hi: 10, Min: 1, Max: -1}, CountBetween{Lo: 4, Hi: 3}},
+		{FirstChangeIn{Lo: 0, Hi: 1}, FirstChangeIn{Lo: 1, Hi: 1}},
+		{ExactChanges{Changes: []int{0, 9}}, ExactChanges{Changes: []int{10}}},
+		{OneOfSignals{Candidates: []core.Signal{sig}}, OneOfSignals{Candidates: []core.Signal{core.SignalFromChanges(m+1, 2)}}},
+		{All{P2{}, Window{Lo: 0, Hi: 10}}, All{P2{}, Window{Lo: 0, Hi: 11}}},
+	}
+	for _, tc := range cases {
+		if err := tc.ok.Validate(m); err != nil {
+			t.Errorf("%s: %v", tc.ok, err)
+		}
+		if tc.bad != nil && tc.bad.Validate(m) == nil {
+			t.Errorf("%s accepted at m=%d", tc.bad, m)
+		}
+	}
 }

@@ -48,11 +48,12 @@ func (p Response) Holds(s core.Signal) bool {
 	return true
 }
 
+func (p Response) Validate(int) error {
+	return check(p.L >= 1 && p.U >= p.L, "response window [%d,%d] invalid", p.L, p.U)
+}
+
 // Apply compiles x_i → (x_{i+L} ∨ … ∨ x_{i+U}) for in-window i.
-func (p Response) Apply(b *cnf.Builder, vars []int) error {
-	if p.L < 1 || p.U < p.L {
-		return fmt.Errorf("response window [%d,%d] invalid", p.L, p.U)
-	}
+func (p Response) Apply(b *cnf.Builder, vars []int) {
 	m := len(vars)
 	for i := 0; i+p.U < m; i++ {
 		clause := make([]int, 0, p.U-p.L+2)
@@ -62,7 +63,6 @@ func (p Response) Apply(b *cnf.Builder, vars []int) error {
 		}
 		b.AddClause(clause...)
 	}
-	return nil
 }
 
 func (p Response) String() string { return fmt.Sprintf("Response[%d,%d]", p.L, p.U) }
@@ -94,17 +94,17 @@ func (p Periodic) Holds(s core.Signal) bool {
 	return true
 }
 
+func (p Periodic) Validate(int) error {
+	return check(p.Period >= 1 && p.Jitter >= 0, "periodic(%d,%d) invalid", p.Period, p.Jitter)
+}
+
 // Apply forbids changes at disallowed cycles.
-func (p Periodic) Apply(b *cnf.Builder, vars []int) error {
-	if p.Period < 1 || p.Jitter < 0 {
-		return fmt.Errorf("periodic(%d,%d) invalid", p.Period, p.Jitter)
-	}
+func (p Periodic) Apply(b *cnf.Builder, vars []int) {
 	for i, v := range vars {
 		if !p.allowed(i) {
 			b.AddClause(-v)
 		}
 	}
-	return nil
 }
 
 func (p Periodic) String() string { return fmt.Sprintf("Periodic(%d±%d)", p.Period, p.Jitter) }
@@ -128,12 +128,11 @@ func (p MaxGap) Holds(s core.Signal) bool {
 	return true
 }
 
+func (p MaxGap) Validate(int) error { return check(p.Gap >= 1, "max gap %d invalid", p.Gap) }
+
 // Apply uses a suffix-quiet chain: sq_c ⟺ no change strictly after c;
 // then x_i → (∨_{j ∈ (i, i+Gap]} x_j) ∨ sq_{i+Gap}.
-func (p MaxGap) Apply(b *cnf.Builder, vars []int) error {
-	if p.Gap < 1 {
-		return fmt.Errorf("max gap %d invalid", p.Gap)
-	}
+func (p MaxGap) Apply(b *cnf.Builder, vars []int) {
 	m := len(vars)
 	// sq[c] for c in [0, m-1]; sq[m-1] is trivially true.
 	sq := make([]int, m)
@@ -160,7 +159,6 @@ func (p MaxGap) Apply(b *cnf.Builder, vars []int) error {
 		clause = append(clause, sq[hi])
 		b.AddClause(clause...)
 	}
-	return nil
 }
 
 func (p MaxGap) String() string { return fmt.Sprintf("MaxGap(%d)", p.Gap) }
@@ -186,17 +184,17 @@ func (p CountBetween) Holds(s core.Signal) bool {
 	return p.Max < 0 || n <= p.Max
 }
 
+func (p CountBetween) Validate(m int) error {
+	return check(0 <= p.Lo && p.Lo <= p.Hi && p.Hi <= m, "count window [%d,%d) invalid", p.Lo, p.Hi)
+}
+
 // Apply emits windowed cardinality constraints.
-func (p CountBetween) Apply(b *cnf.Builder, vars []int) error {
-	if p.Lo < 0 || p.Hi > len(vars) || p.Lo > p.Hi {
-		return fmt.Errorf("count window [%d,%d) invalid", p.Lo, p.Hi)
-	}
+func (p CountBetween) Apply(b *cnf.Builder, vars []int) {
 	window := vars[p.Lo:p.Hi]
 	b.AtLeastK(window, p.Min)
 	if p.Max >= 0 {
 		b.AtMostK(window, p.Max)
 	}
-	return nil
 }
 
 func (p CountBetween) String() string {
@@ -219,16 +217,16 @@ func (p FirstChangeIn) Holds(s core.Signal) bool {
 	return cs[0] >= p.Lo && cs[0] < p.Hi
 }
 
+func (p FirstChangeIn) Validate(m int) error {
+	return check(0 <= p.Lo && p.Lo < p.Hi && p.Hi <= m, "first-change window [%d,%d) invalid", p.Lo, p.Hi)
+}
+
 // Apply forbids changes before Lo, requires one in [Lo, Hi).
-func (p FirstChangeIn) Apply(b *cnf.Builder, vars []int) error {
-	if p.Lo < 0 || p.Hi > len(vars) || p.Lo >= p.Hi {
-		return fmt.Errorf("first-change window [%d,%d) invalid", p.Lo, p.Hi)
-	}
+func (p FirstChangeIn) Apply(b *cnf.Builder, vars []int) {
 	for _, v := range vars[:p.Lo] {
 		b.AddClause(-v)
 	}
 	b.AddClause(vars[p.Lo:p.Hi]...)
-	return nil
 }
 
 func (p FirstChangeIn) String() string { return fmt.Sprintf("FirstChangeIn[%d,%d)", p.Lo, p.Hi) }

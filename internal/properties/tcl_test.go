@@ -3,7 +3,6 @@ package properties
 import (
 	"testing"
 
-	"repro/internal/cnf"
 	"repro/internal/core"
 )
 
@@ -36,11 +35,10 @@ func TestResponseSemantics(t *testing.T) {
 }
 
 func TestResponseValidation(t *testing.T) {
-	b := cnf.NewBuilder(4)
-	if err := (Response{L: 0, U: 2}).Apply(b, []int{1, 2, 3, 4}); err == nil {
+	if err := (Response{L: 0, U: 2}).Validate(4); err == nil {
 		t.Error("L=0 accepted")
 	}
-	if err := (Response{L: 3, U: 2}).Apply(b, []int{1, 2, 3, 4}); err == nil {
+	if err := (Response{L: 3, U: 2}).Validate(4); err == nil {
 		t.Error("U<L accepted")
 	}
 }

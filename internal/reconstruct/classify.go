@@ -62,8 +62,8 @@ type NegatableProperty struct {
 // each polarity is activated as a guarded clause group (CheckUnder) —
 // instead of paying for two full instances. A solver budget or
 // interrupt expiring mid-check yields Undecided with a nil error;
-// structural failures (malformed entry, a constraint that fails to
-// encode) propagate as errors.
+// structural failures (malformed entry, a constraint that does not fit
+// the encoding) propagate as errors.
 func Classify(enc *encoding.Encoding, entry core.LogEntry, p NegatableProperty, opts Options) (Verdict, error) {
 	if p.Prop == nil || p.Negation == nil {
 		return Inconclusive, fmt.Errorf("reconstruct: Classify needs both the property and its negation")
@@ -72,24 +72,11 @@ func Classify(enc *encoding.Encoding, entry core.LogEntry, p NegatableProperty, 
 	if err != nil {
 		return Inconclusive, err
 	}
-	check := func(c Constraint) (sat.Status, error) {
-		st, err := rec.CheckUnder(c)
-		if err != nil && errors.Is(err, ErrUnsupported) {
-			// The constraint emits clauses that cannot be selector-guarded
-			// (XOR): pay for a dedicated instance, the pre-sharing path.
-			one, nerr := New(enc, entry, []Constraint{c}, opts)
-			if nerr != nil {
-				return sat.Unknown, nerr
-			}
-			return one.Check(), nil
-		}
-		return st, err
-	}
-	satisfiers, err := check(p.Prop)
+	satisfiers, err := rec.CheckUnder(p.Prop)
 	if err != nil {
 		return classifyError(err)
 	}
-	violators, err := check(p.Negation)
+	violators, err := rec.CheckUnder(p.Negation)
 	if err != nil {
 		return classifyError(err)
 	}
@@ -110,7 +97,7 @@ func Classify(enc *encoding.Encoding, entry core.LogEntry, p NegatableProperty, 
 // classifyError distinguishes resource exhaustion from structural
 // failure: a budget or interrupt mid-check means the verdict is merely
 // Undecided (not an error — callers can retry with a larger budget),
-// while anything else (bad entry shape, unencodable constraint)
+// while anything else (bad entry shape, ill-fitting constraint)
 // propagates.
 func classifyError(err error) (Verdict, error) {
 	if errors.Is(err, sat.ErrBudget) || errors.Is(err, sat.ErrInterrupted) {

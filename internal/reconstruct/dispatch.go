@@ -10,7 +10,6 @@ import (
 	"repro/internal/decode"
 	"repro/internal/encoding"
 	"repro/internal/obs"
-	"repro/internal/sat"
 )
 
 // Routes the dispatcher can pick. Every route except the two
@@ -25,16 +24,18 @@ const (
 	// RoutePinned: the parity system has full rank (nullity 0), so the
 	// coset is a single point — read it off the echelon form.
 	RoutePinned = "pinned"
-	// RouteDecode: algebraic syndrome decoding, k <= decode.MaxK and
-	// every constraint evaluable (filtered by Holds).
+	// RouteDecode: algebraic syndrome decoding, k <= decode.MaxK,
+	// constraints filtered by Holds.
 	RouteDecode = "decode"
 	// RouteBrute: GF(2) coset enumeration, nullity within the budget.
 	RouteBrute = "brute"
-	// RouteSession: the incremental assumption-based session solver.
+	// RouteSession: the incremental assumption-based session solver,
+	// the residual of the cost model: it answers every request.
 	RouteSession = "sat-inc"
-	// RouteParallel: cube-split parallel one-shot SAT.
+	// RouteParallel: cube-split parallel one-shot SAT, by Force only.
 	RouteParallel = "sat-par"
-	// RouteSAT: serial one-shot SAT — the always-sound residual.
+	// RouteSAT: serial one-shot SAT, the always-sound reference; it
+	// answers by Force and after a forced backend's ErrUnsupported.
 	RouteSAT = "sat"
 )
 
@@ -55,11 +56,11 @@ type DispatchOptions struct {
 	// cost-model routing. A forced backend that cannot express a
 	// request still falls back to serial SAT (and counts a fallback).
 	Force string
-	// Workers > 1 enables the cube-split parallel route for requests
-	// that fall through to one-shot SAT.
+	// Workers sizes the cube-split parallel backend a Force of
+	// "sat-par" uses (<= 0: GOMAXPROCS).
 	Workers int
-	// SessionMaxK bounds the incremental session's cardinality ladder
-	// (default 16).
+	// SessionMaxK sizes the incremental session's cardinality ladder
+	// (default 16); it does not cap k.
 	SessionMaxK int
 	// MaxConflicts bounds SAT effort per solve; 0 means unlimited.
 	MaxConflicts int64
@@ -80,9 +81,8 @@ func (o DispatchOptions) sessionMaxK() int {
 const maxNullity = 16
 
 // Features are the per-request instance measurements the routing
-// function consumes. They come from one GF(2) elimination of [A | TP]
-// — the same O(b²·m/64) pass the presolve does — plus constraint
-// introspection; no SAT work.
+// function consumes. They come from one GF(2) elimination of [A | TP],
+// the same O(b²·m/64) pass the presolve does; no SAT work.
 type Features struct {
 	// M, B, K: instance geometry and requested change count.
 	M, B, K int
@@ -96,14 +96,6 @@ type Features struct {
 	// KFeasible is false when k contradicts the fixed positions. Either
 	// refutes the request with zero search.
 	Consistent, KFeasible bool
-	// Evaluable reports whether every constraint can be checked
-	// concretely (Holds), which the non-SAT backends need.
-	Evaluable bool
-	// SessionOK reports whether the incremental session route could
-	// express the request (k within the ladder).
-	SessionOK bool
-	// Workers mirrors DispatchOptions.Workers for the routing table.
-	Workers int
 }
 
 // Decision records how a request was routed.
@@ -124,8 +116,9 @@ type Decision struct {
 //	refuted/pinned  O(b²·m/64) elimination, zero search
 //	decode          O(m²) pair index walk, k <= 4, constraints by Holds
 //	brute           O(2^nullity · m/64) coset walk, constraints by Holds
-//	sat-inc         assumption solve on a warm learned-clause DB
-//	sat-par / sat   one-shot CNF build + CDCL search
+//	sat-inc         assumption solve on a warm learned-clause DB, any k
+//
+// The one-shot SAT backends (sat-par, sat) answer only by Force.
 //
 // Soundness of the cheap routes is cross-checked continuously: the
 // dispatcher runs as its own oracle in the diffcheck corpus.
@@ -135,16 +128,12 @@ func Route(f Features) string {
 		return RouteRefuted
 	case f.Nullity == 0:
 		return RoutePinned
-	case f.K <= decode.MaxK && f.Evaluable:
+	case f.K <= decode.MaxK:
 		return RouteDecode
-	case f.Nullity <= maxNullity && f.Evaluable:
+	case f.Nullity <= maxNullity:
 		return RouteBrute
-	case f.SessionOK:
-		return RouteSession
-	case f.Workers > 1:
-		return RouteParallel
 	default:
-		return RouteSAT
+		return RouteSession
 	}
 }
 
@@ -199,18 +188,15 @@ func (d *Dispatcher) session() *SessionOracle {
 	return d.sess
 }
 
-// Features measures one request. It returns the typed shape errors
-// (core.ErrWidth, core.ErrKRange) for malformed requests.
+// Features measures one request. It returns the typed errors
+// (core.ErrWidth, core.ErrKRange, ErrConstraint) for malformed
+// requests, so every route refuses them alike.
 func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features, error) {
-	if err := validateShape(d.enc, entry); err != nil {
+	if err := validate(d.enc, entry, cons); err != nil {
 		return Features{}, err
 	}
 	m, b := d.enc.M(), d.enc.B()
-	f := Features{
-		M: m, B: b, K: entry.K,
-		Evaluable: evaluableAll(cons),
-		Workers:   d.opts.Workers,
-	}
+	f := Features{M: m, B: b, K: entry.K}
 	ech := d.enc.Matrix().Eliminate(entry.TP)
 	f.Rank, f.Nullity, f.Consistent = ech.Rank, m-ech.Rank, ech.Consistent
 	if f.Consistent {
@@ -224,7 +210,6 @@ func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features,
 		}
 		f.KFeasible = kFeasible(entry.K, m, f.Fixed, f.ForcedTrue)
 	}
-	f.SessionOK = entry.K <= min(d.opts.sessionMaxK(), m)
 	return f, nil
 }
 
@@ -244,8 +229,8 @@ func (d *Dispatcher) oracleFor(route string) Oracle {
 	}
 }
 
-// EnumerateRouted is Enumerate plus the routing Decision — the service
-// layer consumes it to keep its per-route counters.
+// EnumerateRouted is Enumerate plus the routing Decision, for callers
+// that report or check how a request was routed.
 func (d *Dispatcher) EnumerateRouted(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, Decision, error) {
 	defer d.opts.Obs.StartSpan(SpanDispatch).End()
 	f, err := d.Features(entry, cons)
@@ -264,22 +249,14 @@ func (d *Dispatcher) EnumerateRouted(ctx context.Context, entry core.LogEntry, c
 	}
 
 	sigs, exhausted, err := d.oracleFor(route).Enumerate(ctx, entry, cons, limit)
-	if err != nil && (errors.Is(err, ErrUnsupported) || !isRequestError(err)) && route != RouteSAT {
-		// Mispredict: serial SAT is always sound — re-run there and
-		// count the fallback.
+	if errors.Is(err, ErrUnsupported) {
+		// A forced backend could not express the request: serial SAT
+		// is always sound, so re-run there and count the fallback.
 		d.opts.Obs.Counter(MetricDispatchFallback).Inc()
 		dec.Route, dec.FellBack = RouteSAT, true
 		sigs, exhausted, err = d.sat.Enumerate(ctx, entry, cons, limit)
 	}
 	return sigs, exhausted, dec, err
-}
-
-// isRequestError reports whether err is the request's own fault —
-// malformed shape or an incomplete-search outcome — rather than a
-// backend limitation worth a fallback.
-func isRequestError(err error) bool {
-	return errors.Is(err, core.ErrWidth) || errors.Is(err, core.ErrKRange) ||
-		errors.Is(err, sat.ErrBudget) || errors.Is(err, sat.ErrInterrupted)
 }
 
 // Enumerate implements Oracle by cost-model routing.

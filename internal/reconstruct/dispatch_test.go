@@ -3,6 +3,7 @@ package reconstruct
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,7 +22,6 @@ func TestRouteTable(t *testing.T) {
 		M: 64, B: 13, K: 8,
 		Rank: 13, Nullity: 51,
 		Consistent: true, KFeasible: true,
-		Evaluable: true,
 	}
 	cases := []struct {
 		name string
@@ -33,14 +33,11 @@ func TestRouteTable(t *testing.T) {
 		{"refuted beats pinned", func(f *Features) { f.Consistent = false; f.Nullity = 0 }, RouteRefuted},
 		{"nullity 0 is pinned", func(f *Features) { f.Nullity = 0; f.Rank = 64 }, RoutePinned},
 		{"small k with evaluable props decodes", func(f *Features) { f.K = 4 }, RouteDecode},
-		{"small k with a non-evaluable constraint skips decode", func(f *Features) { f.K = 4; f.Evaluable = false; f.SessionOK = true }, RouteSession},
 		{"small nullity goes brute", func(f *Features) { f.Nullity = 12 }, RouteBrute},
-		{"brute needs evaluable props", func(f *Features) { f.Nullity = 12; f.Evaluable = false; f.SessionOK = true }, RouteSession},
 		{"nullity 16 is the last brute walk", func(f *Features) { f.Nullity = 16 }, RouteBrute},
-		{"nullity 17 is past the brute budget", func(f *Features) { f.Nullity = 17 }, RouteSAT},
-		{"session-eligible reuses the warm solver", func(f *Features) { f.SessionOK = true }, RouteSession},
-		{"workers split cubes", func(f *Features) { f.Workers = 4 }, RouteParallel},
-		{"residual is serial SAT", func(*Features) {}, RouteSAT},
+		{"nullity past the brute budget takes the session", func(f *Features) { f.Nullity = 17 }, RouteSession},
+		{"past decode and brute reuses the warm session", func(*Features) {}, RouteSession},
+		{"k past the session ladder stays on the session", func(f *Features) { f.K = 17 }, RouteSession},
 	}
 	for _, tc := range cases {
 		f := base
@@ -166,6 +163,51 @@ func TestDispatchMatchesSerialSAT(t *testing.T) {
 		t.Fatalf("decode-routed limit=1 legs: %d with at most one candidate, %d with more; want both", decodeLegs[true], decodeLegs[false])
 	}
 	t.Logf("decode-routed limit=1 legs: %d with at most one candidate, %d with more", decodeLegs[true], decodeLegs[false])
+
+	// Past the session's 16-wide ladder: the cost model and a dispatcher
+	// forced onto the session both match serial SAT exhaustively, with
+	// and without a window, and neither falls back.
+	for _, g := range []struct{ m, b int }{{18, 9}, {24, 10}} {
+		enc := mustEnc(t, g.m, g.b, 4)
+		reg := obs.NewRegistry()
+		auto, err := NewDispatcher(enc, DispatchOptions{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forced, err := NewDispatcher(enc, DispatchOptions{Force: RouteSession, Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := NewSATOracle(enc, Options{})
+		for k := 17; k <= 20 && k < g.m; k += 3 {
+			changes := make([]int, k)
+			for i := range changes {
+				changes[i] = i
+			}
+			entry := core.Log(enc, core.SignalFromChanges(g.m, changes...))
+			for _, cons := range [][]Constraint{nil, {properties.Window{Lo: 0, Hi: g.m - 1}}} {
+				want, _, err := ref.Enumerate(context.Background(), entry, cons, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range []*Dispatcher{auto, forced} {
+					got, exhausted, dec, err := d.EnumerateRouted(context.Background(), entry, cons, 0)
+					if err != nil || !exhausted {
+						t.Fatalf("m=%d k=%d cons=%v via %s: exhausted=%v err=%v", g.m, k, cons, dec.Route, exhausted, err)
+					}
+					if gk, wk := sigKeys(got), sigKeys(want); !slices.Equal(gk, wk) {
+						t.Fatalf("m=%d k=%d cons=%v via %s: %d candidates, serial SAT %d", g.m, k, cons, dec.Route, len(gk), len(wk))
+					}
+					if d == forced && dec.Route != RouteSession {
+						t.Fatalf("m=%d k=%d: forced session answered on %s", g.m, k, dec.Route)
+					}
+				}
+			}
+		}
+		if n := reg.Snapshot().Counters[MetricDispatchFallback]; n != 0 {
+			t.Fatalf("m=%d: %d fallbacks past the ladder, want 0", g.m, n)
+		}
+	}
 }
 
 // checkWitness runs the limit=1 leg of TestDispatchMatchesSerialSAT

@@ -16,11 +16,17 @@ import (
 )
 
 // ErrUnsupported reports that an oracle cannot express a request it
-// was handed — k beyond the algebraic decoder's range, a nullity past
-// the brute-force budget, a constraint that cannot be selector-guarded
-// on a session solver. It is errors.Is-matchable; the dispatcher
-// treats it as "pick another backend", never as a request failure.
+// was handed: k beyond the algebraic decoder's range, or a nullity past
+// the brute-force budget. Only a forced decode or brute backend meets
+// it, since the cost model never routes such a request there. The
+// dispatcher treats it as "pick another backend", never as a request
+// failure.
 var ErrUnsupported = errors.New("reconstruct: oracle does not support this request")
+
+// ErrConstraint reports a constraint whose Validate fails for the
+// encoding's m, such as a window reaching past cycle m. Like
+// core.ErrWidth and core.ErrKRange it is the request's own fault.
+var ErrConstraint = errors.New("invalid constraint")
 
 // Oracle is one sound Signal Reconstruction backend: it answers the
 // paper's one question of a log entry, every x with A·x = TP and
@@ -31,9 +37,10 @@ var ErrUnsupported = errors.New("reconstruct: oracle does not support this reque
 //
 // The error contract is typed and uniform across implementations:
 //
-//   - core.ErrWidth / core.ErrKRange: the request is malformed for the
-//     encoding (wrong timeprint width, k outside [0, m]). No backend
-//     can answer it.
+//   - core.ErrWidth / core.ErrKRange / ErrConstraint: the request is
+//     malformed for the encoding (wrong timeprint width, k outside
+//     [0, m], a constraint that does not fit m). No backend can answer
+//     it.
 //   - ErrUnsupported: the request is well-formed but outside this
 //     oracle's scope. Another backend (serial SAT always qualifies)
 //     must be used; results accompanying it are meaningless.
@@ -61,9 +68,9 @@ const (
 	MetricOracleSessionClone   = "reconstruct.oracle.session.clone"
 	MetricOracleSessionRetired = "reconstruct.oracle.session.retired"
 	// MetricDispatchChosenPrefix + route counts requests the dispatcher
-	// sent to that route; MetricDispatchFallback counts mispredicts —
-	// requests whose chosen backend returned ErrUnsupported and were
-	// re-run on serial SAT.
+	// sent to that route; MetricDispatchFallback counts requests whose
+	// forced backend returned ErrUnsupported and were re-run on serial
+	// SAT (0 under cost-model routing).
 	MetricDispatchChosenPrefix = "reconstruct.dispatch.chosen."
 	MetricDispatchFallback     = "reconstruct.dispatch.fallback"
 	// SpanDispatch times routed requests end to end (feature
@@ -71,51 +78,31 @@ const (
 	SpanDispatch = "reconstruct.dispatch"
 )
 
-// validateShape applies the width/k-range checks every backend shares.
-func validateShape(enc *encoding.Encoding, entry core.LogEntry) error {
+// validate applies the checks every backend shares: the entry's width
+// and k range, and every constraint's fit over the encoding's m cycles.
+func validate(enc *encoding.Encoding, entry core.LogEntry, cons []Constraint) error {
 	if entry.TP.Width() != enc.B() {
 		return fmt.Errorf("reconstruct: timeprint width %d, want %d: %w", entry.TP.Width(), enc.B(), core.ErrWidth)
 	}
 	if entry.K < 0 || entry.K > enc.M() {
 		return fmt.Errorf("reconstruct: k=%d outside [0,%d]: %w", entry.K, enc.M(), core.ErrKRange)
 	}
+	for _, c := range cons {
+		if err := c.Validate(enc.M()); err != nil {
+			return fmt.Errorf("reconstruct: constraint %s: %v: %w", c, err, ErrConstraint)
+		}
+	}
 	return nil
 }
 
-// holdsEvaluable is the concrete-evaluation side of a constraint:
-// every temporal property (internal/properties) can decide itself
-// against a materialized signal, which lets the non-SAT backends
-// filter candidates without a CNF encoding.
-type holdsEvaluable interface {
-	Holds(core.Signal) bool
-}
-
-// evaluableAll reports whether every constraint supports concrete
-// evaluation.
-func evaluableAll(cons []Constraint) bool {
-	for _, c := range cons {
-		if _, ok := c.(holdsEvaluable); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// holdsAll evaluates all constraints against a signal. Callers must
-// have established evaluableAll first.
+// holdsAll evaluates all constraints against a signal.
 func holdsAll(cons []Constraint, s core.Signal) bool {
 	for _, c := range cons {
-		if !c.(holdsEvaluable).Holds(s) {
+		if !c.Holds(s) {
 			return false
 		}
 	}
 	return true
-}
-
-// errUnsupportedConstraints is the shared refusal for backends that
-// can only filter concretely-evaluable constraints.
-func errUnsupportedConstraints(name string) error {
-	return fmt.Errorf("%s cannot evaluate a constraint without Holds: %w", name, ErrUnsupported)
 }
 
 // --- serial / parallel SAT ---
@@ -163,9 +150,9 @@ func (o *satOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []C
 // decodeOracle wraps internal/decode: meet-in-the-middle syndrome
 // decoding for k <= decode.MaxK. Constraints are applied by concrete
 // filtering (Holds) as the decoder emits candidates, never encoded, so
-// a constraint without Holds is ErrUnsupported and only the candidates
-// that hold are kept. Requests share the decoder without a lock: it is
-// safe for concurrent use, its pair index built once on first need.
+// only the candidates that hold are kept. Requests share the decoder
+// without a lock: it is safe for concurrent use, its pair index built
+// once on first need.
 type decodeOracle struct {
 	enc *encoding.Encoding
 	dec *decode.Decoder
@@ -177,14 +164,11 @@ func NewDecodeOracle(enc *encoding.Encoding) Oracle {
 }
 
 func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	if err := validateShape(o.enc, entry); err != nil {
+	if err := validate(o.enc, entry, cons); err != nil {
 		return nil, false, err
 	}
 	if entry.K > decode.MaxK {
 		return nil, false, fmt.Errorf("decode handles k <= %d, got %d: %w", decode.MaxK, entry.K, ErrUnsupported)
-	}
-	if !evaluableAll(cons) {
-		return nil, false, errUnsupportedConstraints("decode")
 	}
 	// Keep only the candidates that hold, then sort: filtering and
 	// sorting commute, so the first limit are the ones a filter over
@@ -229,11 +213,8 @@ func NewBruteOracle(enc *encoding.Encoding, maxNullity int) Oracle {
 }
 
 func (o *bruteOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	if err := validateShape(o.enc, entry); err != nil {
+	if err := validate(o.enc, entry, cons); err != nil {
 		return nil, false, err
-	}
-	if !evaluableAll(cons) {
-		return nil, false, errUnsupportedConstraints("brute force")
 	}
 	sys, ok := o.enc.Matrix().Solve(entry.TP)
 	if !ok {
@@ -304,31 +285,27 @@ const maxSessionGrowth = 2
 // NewSessionOracle builds the incremental assumption-based backend for
 // enc. Construction pays the one-off A-structure encoding (uncut XOR
 // rows, cardinality ladder); every query after that is an assumption
-// solve.
+// solve, for every k (see Session).
 func NewSessionOracle(enc *encoding.Encoding, opts SessionOptions) *SessionOracle {
 	proto := NewSession(enc, opts)
 	return &SessionOracle{proto: proto, free: []*Session{proto.Clone()}, obs: opts.Obs}
 }
 
 func (o *SessionOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	sess, release, err := o.acquire(entry)
+	sess, release, err := o.acquire(entry, cons)
 	if err != nil {
 		return nil, false, err
 	}
 	defer release()
-	sigs, exhausted, err := sess.EnumerateWithin(ctx.Done(), entry, cons, limit)
-	return sigs, exhausted, o.mapErr(err)
+	return sess.EnumerateWithin(ctx.Done(), entry, cons, limit)
 }
 
-// acquire validates the entry against the session's fixed shape and
+// acquire validates the request against the session's fixed shape and
 // takes a warm session from the pool, cloning the prototype when the
 // pool is empty. The returned func puts the session back.
-func (o *SessionOracle) acquire(entry core.LogEntry) (*Session, func(), error) {
-	if err := validateShape(o.proto.enc, entry); err != nil {
+func (o *SessionOracle) acquire(entry core.LogEntry, cons []Constraint) (*Session, func(), error) {
+	if err := validate(o.proto.enc, entry, cons); err != nil {
 		return nil, nil, err
-	}
-	if !o.proto.Supports(entry.K) {
-		return nil, nil, fmt.Errorf("session ladder caps k at %d, got %d: %w", o.proto.MaxK(), entry.K, ErrUnsupported)
 	}
 	var sess *Session
 	o.mu.Lock()
@@ -357,17 +334,4 @@ func (o *SessionOracle) release(sess *Session) {
 	o.mu.Lock()
 	o.free = append(o.free, sess)
 	o.mu.Unlock()
-}
-
-// mapErr translates session errors to the Oracle contract: budget and
-// interrupt pass through; anything else (a constraint the session
-// cannot selector-guard, e.g. XOR-emitting) becomes ErrUnsupported so
-// the dispatcher falls back to a one-shot instance.
-func (o *SessionOracle) mapErr(err error) error {
-	if err == nil ||
-		errors.Is(err, sat.ErrBudget) || errors.Is(err, sat.ErrInterrupted) ||
-		errors.Is(err, core.ErrWidth) || errors.Is(err, core.ErrKRange) {
-		return err
-	}
-	return fmt.Errorf("%v: %w", err, ErrUnsupported)
 }

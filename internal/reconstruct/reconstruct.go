@@ -26,14 +26,21 @@ import (
 	"repro/internal/sat"
 )
 
-// Constraint adds clauses restricting the candidate signals. vars[i]
-// is the solver variable asserting "the signal changed in clock-cycle
-// i". Temporal properties (internal/properties) implement this
-// interface.
+// Constraint restricts the candidate signals. Every backend takes
+// every constraint: Validate runs before any backend sees the request,
+// the algebraic backends filter their candidates with Holds, and the
+// SAT backends compile it with Apply, where vars[i] is the solver
+// variable asserting "the signal changed in clock-cycle i". Apply emits
+// plain clauses only (never AddXor), so a session can guard them under
+// a selector. Temporal properties (internal/properties) implement it.
 type Constraint interface {
-	// Apply emits the constraint's clauses into the builder.
-	Apply(b *cnf.Builder, vars []int) error
-	// String names the constraint for reports.
+	// Holds evaluates the constraint on a concrete signal.
+	Holds(s core.Signal) bool
+	// Validate reports whether the constraint fits m clock-cycles.
+	Validate(m int) error
+	// Apply emits the clauses of a validated constraint.
+	Apply(b *cnf.Builder, vars []int)
+	// String names the constraint; equal strings mean equal clauses.
 	String() string
 }
 
@@ -113,7 +120,7 @@ type Reconstructor struct {
 // property constraints (may be nil).
 func New(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, opts Options) (*Reconstructor, error) {
 	defer opts.Obs.StartSpan(SpanBuild).End()
-	if err := validateShape(enc, entry); err != nil {
+	if err := validate(enc, entry, constraints); err != nil {
 		return nil, err
 	}
 	m := enc.M()
@@ -144,9 +151,7 @@ func New(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, 
 	bld.ExactlyK(vars, entry.K)
 
 	for _, c := range constraints {
-		if err := c.Apply(bld, vars); err != nil {
-			return nil, fmt.Errorf("reconstruct: constraint %s: %w", c, err)
-		}
+		c.Apply(bld, vars)
 	}
 	return r, nil
 }
@@ -258,25 +263,16 @@ func (r *Reconstructor) Check() sat.Status {
 // asserted by assumption, then retired, so a single Reconstructor —
 // one O(m³)-encoding A-structure build — answers many property checks
 // (Classify asks P and ¬P against the same instance). Unknown carries
-// an error wrapping sat.ErrBudget or sat.ErrInterrupted. A constraint
-// that cannot be selector-guarded (XOR-emitting) returns an error
-// wrapping ErrUnsupported; callers fall back to a dedicated instance.
-func (r *Reconstructor) CheckUnder(c Constraint) (st sat.Status, err error) {
-	sel := r.builder.NewVar()
-	defer func() {
-		if p := recover(); p != nil {
-			r.builder.Guard = 0
-			st = sat.Unknown
-			err = fmt.Errorf("reconstruct: constraint %s cannot be guard-encoded: %v: %w", c, p, ErrUnsupported)
-		}
-	}()
-	r.builder.Guard = sel
-	aerr := c.Apply(r.builder, r.vars)
-	r.builder.Guard = 0
-	if aerr != nil {
-		return sat.Unknown, fmt.Errorf("reconstruct: constraint %s: %w", c, aerr)
+// an error wrapping sat.ErrBudget or sat.ErrInterrupted.
+func (r *Reconstructor) CheckUnder(c Constraint) (sat.Status, error) {
+	if err := validate(r.enc, r.entry, []Constraint{c}); err != nil {
+		return sat.Unknown, err
 	}
-	st = r.builder.S.SolveAssuming([]int{sel})
+	sel := r.builder.NewVar()
+	r.builder.Guard = sel
+	c.Apply(r.builder, r.vars)
+	r.builder.Guard = 0
+	st := r.builder.S.SolveAssuming([]int{sel})
 	// Retire the group: a permanent unit ¬sel deactivates c's clauses
 	// (and any learnts carrying ¬sel) for every later query on this
 	// instance.

@@ -1,7 +1,7 @@
 package reconstruct
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
@@ -25,11 +25,10 @@ const (
 
 // SessionOptions tune a reconstruction session.
 type SessionOptions struct {
-	// MaxK bounds the change counts the session can query: the
-	// cardinality ladder is built min(m, MaxK+1) wide once, and every
-	// k ≤ min(MaxK, m) becomes two assumption literals. 0 means the
-	// default of 16; queries beyond the bound are rejected (callers
-	// fall back to a one-shot Reconstructor).
+	// MaxK sizes the cardinality ladder: it is built min(m, MaxK+1)
+	// wide once, and every k ≤ min(MaxK, m) becomes two assumption
+	// literals. A larger k is still answered, on a guarded exactly-k
+	// group (see Session). 0 means the default of 16.
 	MaxK int
 	// MaxConflicts bounds solver effort per query; 0 means unlimited.
 	MaxConflicts int64
@@ -57,7 +56,9 @@ func (o SessionOptions) maxK(m int) int {
 // query with sat.Solver.SolveAssuming: TP bits, the k-bounds and any
 // property constraints are assumption literals, so learned clauses and
 // branching heuristics accumulate across queries instead of being
-// rebuilt and discarded per entry.
+// rebuilt and discarded per entry. A k past the ladder is encoded once
+// per session as a guarded exactly-k counter, keyed and re-armed by
+// assumption like a property.
 //
 // A Session is not safe for concurrent use; Clone gives an independent
 // copy (sharing nothing mutable) for concurrent querying.
@@ -75,9 +76,10 @@ type Session struct {
 	ladder []int
 	maxK   int
 
-	// props maps a constraint's String() to the selector guarding its
-	// clauses; properties are encoded once on first use and re-armed by
-	// assumption on later queries.
+	// props maps a constraint's String(), or the exactly-k key of a k
+	// past the ladder, to the selector guarding its clauses; each group
+	// is encoded once on first use and re-armed by assumption on later
+	// queries.
 	props map[string]int
 
 	obs *obs.Registry
@@ -132,22 +134,12 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) *Session {
 	return s
 }
 
-// MaxK reports the largest change count the session can query.
-func (s *Session) MaxK() int { return s.maxK }
-
-// Supports reports whether a change count is queryable on this
-// session.
-func (s *Session) Supports(k int) bool { return k >= 0 && k <= s.maxK }
-
 // assumptions renders a log entry plus property constraints as the
-// query's assumption literals, registering unseen properties as
-// guarded clause groups.
-func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) (_ []int, err error) {
-	if err := validateShape(s.enc, entry); err != nil {
+// query's assumption literals, registering unseen properties (and an
+// unseen k past the ladder) as guarded clause groups.
+func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) ([]int, error) {
+	if err := validate(s.enc, entry, constraints); err != nil {
 		return nil, err
-	}
-	if !s.Supports(entry.K) {
-		return nil, fmt.Errorf("reconstruct: session ladder caps k at %d, got %d: %w", s.maxK, entry.K, core.ErrKRange)
 	}
 
 	assumps := make([]int, 0, len(s.tpSel)+2+len(constraints))
@@ -158,39 +150,35 @@ func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) (_ 
 			assumps = append(assumps, -sel)
 		}
 	}
+	// Past the ladder, its top rung ("at least maxK+1") still holds and
+	// the exactly-k group pins the count.
 	if entry.K >= 1 {
-		assumps = append(assumps, s.ladder[entry.K-1])
+		assumps = append(assumps, s.ladder[min(entry.K, len(s.ladder))-1])
 	}
 	if entry.K < len(s.ladder) {
 		assumps = append(assumps, -s.ladder[entry.K])
 	}
-
-	// Properties: encode each unseen constraint once under a fresh
-	// guard, then (re)activate by assumption. A constraint that emits
-	// XOR clauses cannot be guarded — cnf.Builder panics — so surface
-	// that as an error and let the caller fall back to one-shot mode.
-	defer func() {
-		if r := recover(); r != nil {
-			s.bld.Guard = 0
-			err = fmt.Errorf("reconstruct: session cannot encode constraint: %v", r)
-		}
-	}()
+	if entry.K > s.maxK {
+		assumps = append(assumps, s.guarded("ExactlyK("+strconv.Itoa(entry.K)+")", func() { s.bld.ExactlyK(s.vars, entry.K) }))
+	}
 	for _, c := range constraints {
-		key := c.String()
-		sel, ok := s.props[key]
-		if !ok {
-			sel = s.bld.NewVar()
-			s.bld.Guard = sel
-			applyErr := c.Apply(s.bld, s.vars)
-			s.bld.Guard = 0
-			if applyErr != nil {
-				return nil, fmt.Errorf("reconstruct: constraint %s: %w", c, applyErr)
-			}
-			s.props[key] = sel
-		}
-		assumps = append(assumps, sel)
+		assumps = append(assumps, s.guarded(c.String(), func() { c.Apply(s.bld, s.vars) }))
 	}
 	return assumps, nil
+}
+
+// guarded returns the selector of the clause group named key, emitting
+// the group under a fresh selector on first use.
+func (s *Session) guarded(key string, emit func()) int {
+	sel, ok := s.props[key]
+	if !ok {
+		sel = s.bld.NewVar()
+		s.bld.Guard = sel
+		emit()
+		s.bld.Guard = 0
+		s.props[key] = sel
+	}
+	return sel
 }
 
 // Query enumerates up to limit candidate signals for one log entry
@@ -198,8 +186,7 @@ func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) (_ 
 // the signals and whether the candidate space was exhausted; the
 // session solver is left reusable — blocking clauses are retracted
 // with the query. The error wraps sat.ErrBudget or sat.ErrInterrupted
-// on incomplete outcomes, and core.ErrKRange when k is outside the
-// session's ladder (callers fall back to a one-shot Reconstructor).
+// on incomplete outcomes.
 func (s *Session) Query(entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error) {
 	defer s.obs.StartSpan(SpanSessionQuery).End()
 	assumps, err := s.assumptions(entry, constraints)
@@ -231,7 +218,7 @@ func (s *Session) EnumerateWithin(done <-chan struct{}, entry core.LogEntry, con
 
 // numVars reports the session solver's variable count. It grows by
 // one retired selector per enumeration and by one guard (plus any
-// auxiliary variables) per distinct property.
+// auxiliary variables) per distinct property or k past the ladder.
 func (s *Session) numVars() int { return s.bld.S.NumVars() }
 
 // Stats exposes the underlying solver counters.

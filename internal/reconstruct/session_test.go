@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,20 +112,34 @@ func TestSessionProperties(t *testing.T) {
 	}
 }
 
-// TestSessionKBounds: k beyond the ladder is rejected with ErrKRange
-// (the service falls back to one-shot mode on that signal), k within
-// works.
+// TestSessionKBounds: k within the ladder and k beyond it are both
+// answered, the latter on a guarded exactly-k group that matches a
+// one-shot instance, is encoded once, and is re-armed on later queries.
 func TestSessionKBounds(t *testing.T) {
 	m := 12
 	enc := mustEnc(t, m, 9, 4)
 	sess := NewSession(enc, SessionOptions{MaxK: 3})
-	if sess.MaxK() != 3 || !sess.Supports(3) || sess.Supports(4) {
-		t.Fatalf("MaxK=%d Supports(3)=%v Supports(4)=%v", sess.MaxK(), sess.Supports(3), sess.Supports(4))
-	}
 	truth := core.SignalFromChanges(m, 1, 4, 6, 9)
 	entry := core.Log(enc, truth) // k = 4 > MaxK
-	if _, _, err := sess.Query(entry, nil, 0); err == nil {
-		t.Fatal("k beyond ladder accepted")
+	rec, err := New(enc, entry, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := rec.EnumerateStrict(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < 2; q++ {
+		got, exhausted, err := sess.Query(entry, nil, 0)
+		if err != nil || !exhausted {
+			t.Fatalf("k=4 query %d: exhausted=%v err=%v", q, exhausted, err)
+		}
+		if gk, wk := sigKeys(got), sigKeys(want); !slices.Equal(gk, wk) {
+			t.Fatalf("k=4 query %d: session %v, one-shot %v", q, gk, wk)
+		}
+		if len(sess.props) != 1 {
+			t.Fatalf("k=4 query %d: %d guarded groups, want the one exactly-k group", q, len(sess.props))
+		}
 	}
 	truth = core.SignalFromChanges(m, 1, 4, 6)
 	entry = core.Log(enc, truth)

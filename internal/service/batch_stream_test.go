@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/obs"
+	"repro/internal/reconstruct"
 )
 
 // postBatch sends a JSON batch body and decodes the typed response.
@@ -102,18 +103,20 @@ func TestBatchMixedJobsAndPerJobErrors(t *testing.T) {
 	}
 }
 
-// TestSessionOracleRaceReuseCloneFallback hammers one spec with
-// concurrent unary and batch traffic under a pinned "sat-inc" oracle
-// and asserts the session pool's accounting closes: every executed
-// solve either ran on a pooled warm session, cloned a new session
-// because the pool was empty, or fell past the session's k ladder to
-// the serial engine — reuse + clone + fallback must sum to the solve
-// count exactly. The pool grows only when empty, and admission caps
-// concurrent solves at Workers on the unary and batch paths alike, so
-// at most Workers sessions are ever cloned. Run under -race this also
-// shakes out data races between the session's lazy encoding build,
-// the pool hand-off, and the batch worker pool.
-func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
+// TestSessionOracleRaceReuseClone hammers one spec with concurrent
+// unary and batch traffic under a pinned "sat-inc" oracle and asserts
+// the session pool's accounting closes: every executed solve either
+// ran on a pooled warm session or cloned a new session because the
+// pool was empty — reuse + clone must sum to the solve count exactly,
+// including the queries past the session's 16-wide ladder. The pool
+// grows only when empty, and admission caps concurrent solves at
+// Workers on the unary and batch paths alike, so at most Workers
+// sessions are cloned, plus one per session retired for outgrowing
+// the pool's ceiling (a k past the ladder adds a whole cardinality
+// group). Run under -race this also shakes out data races between the
+// session's lazy encoding build, the pool hand-off, and the batch
+// worker pool.
+func TestSessionOracleRaceReuseClone(t *testing.T) {
 	const m, b = 32, 12
 	enc, err := encoding.Incremental(m, b, 4)
 	if err != nil {
@@ -129,9 +132,8 @@ func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 		tp, k := tpFor(t, enc, m, a, a+1, a+3)
 		qs = append(qs, query{tp, k})
 	}
-	// Queries past the session ladder (k > 16): the session
-	// oracle refuses them before taking a solver, so they are the
-	// fallback leg of the accounting.
+	// Queries past the session ladder (k > 16), answered on the
+	// session by a guarded exactly-k group.
 	for i := 0; i < 4; i++ {
 		changes := make([]int, 20)
 		for c := range changes {
@@ -140,7 +142,7 @@ func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 		sort.Ints(changes)
 		tp, k := tpFor(t, enc, m, changes...)
 		if k <= 16 {
-			t.Fatalf("fallback query %d has k=%d, want > 16", i, k)
+			t.Fatalf("large-k query %d has k=%d, want > 16", i, k)
 		}
 		qs = append(qs, query{tp, k})
 	}
@@ -192,16 +194,18 @@ func TestSessionOracleRaceReuseCloneFallback(t *testing.T) {
 	solves := snap.Counters[MetricSolves]
 	reuse := snap.Counters[MetricSessionReuse]
 	clone := snap.Counters[MetricSessionClone]
-	fallback := snap.Counters[MetricSessionFallback]
-	if solves == 0 || reuse == 0 || fallback == 0 {
-		t.Fatalf("degenerate run: solves=%d reuse=%d clone=%d fallback=%d", solves, reuse, clone, fallback)
+	retired := snap.Counters[reconstruct.MetricOracleSessionRetired]
+	if solves == 0 || reuse == 0 {
+		t.Fatalf("degenerate run: solves=%d reuse=%d clone=%d", solves, reuse, clone)
 	}
-	if reuse+clone+fallback != solves {
-		t.Fatalf("accounting leak: reuse(%d) + clone(%d) + fallback(%d) = %d, want solves=%d",
-			reuse, clone, fallback, reuse+clone+fallback, solves)
+	if reuse+clone != solves {
+		t.Fatalf("accounting leak: reuse(%d) + clone(%d) = %d, want solves=%d", reuse, clone, reuse+clone, solves)
 	}
-	if clone > workers {
-		t.Fatalf("clone = %d > Workers = %d: the session pool outgrew admission's concurrency bound", clone, workers)
+	if clone > workers+retired {
+		t.Fatalf("clone = %d > Workers (%d) + retired (%d): the session pool outgrew admission's concurrency bound", clone, workers, retired)
+	}
+	if fb := snap.Counters[reconstruct.MetricDispatchFallback]; fb != 0 {
+		t.Fatalf("fallbacks = %d, want 0", fb)
 	}
 }
 

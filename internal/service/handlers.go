@@ -208,15 +208,9 @@ func (s *Server) solve(ctx context.Context, sess *session, entry core.LogEntry, 
 	if err != nil {
 		return solveResult{}, badRequest("encoding: %v", err)
 	}
-	sigs, exhausted, dec, err := disp.EnumerateRouted(ctx, entry, opts.constraints, limit)
-	if dec.Chosen == reconstruct.RouteSession && dec.FellBack {
-		// A solve routed to the incremental session that it could not
-		// express (constraint the session cannot guard) and re-ran on
-		// one-shot SAT.
-		s.obs.Counter(MetricSessionFallback).Inc()
-	}
+	sigs, exhausted, err := disp.Enumerate(ctx, entry, opts.constraints, limit)
 	if err != nil {
-		if errors.Is(err, core.ErrWidth) || errors.Is(err, core.ErrKRange) {
+		if errors.Is(err, core.ErrWidth) || errors.Is(err, core.ErrKRange) || errors.Is(err, reconstruct.ErrConstraint) {
 			return solveResult{}, badRequest("%v", err)
 		}
 		return solveResult{}, s.solveError(ctx, err)

@@ -90,12 +90,9 @@ const (
 	// prototype and kept. Admission caps concurrent solves at Workers,
 	// so clone stays at or below Workers per spec unless sessions are
 	// retired for growth. The aliases keep the service's documented
-	// names stable. MetricSessionFallback counts solves routed to the
-	// session that it could not express (unsupported k, constraint the
-	// session cannot guard) and were re-run on one-shot SAT.
-	MetricSessionReuse    = reconstruct.MetricOracleSessionReuse
-	MetricSessionClone    = reconstruct.MetricOracleSessionClone
-	MetricSessionFallback = "service.session.fallback"
+	// names stable.
+	MetricSessionReuse = reconstruct.MetricOracleSessionReuse
+	MetricSessionClone = reconstruct.MetricOracleSessionClone
 	// SpanSolve times the solve path (queue wait excluded); SpanRequest
 	// times whole requests including queueing and serialization.
 	SpanSolve   = "service.solve"

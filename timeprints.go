@@ -76,12 +76,13 @@ type (
 	// the candidate signals of one log entry.
 	Oracle = reconstruct.Oracle
 	// Dispatcher routes each request to the cheapest sound backend
-	// using instance features (m, k, rank, property guardability).
+	// using instance features (m, k, rank, nullity).
 	Dispatcher = reconstruct.Dispatcher
 	// DispatchOptions tunes the dispatcher's cost model.
 	DispatchOptions = reconstruct.DispatchOptions
-	// Constraint restricts reconstruction candidates; all Property
-	// values implement it.
+	// Constraint restricts reconstruction candidates. It has the shape
+	// of Property (Holds, Validate, Apply, String), every Property value
+	// implements it, and every backend accepts every constraint.
 	Constraint = reconstruct.Constraint
 	// Property is a temporal property usable both as a concrete
 	// predicate and as a reconstruction constraint.
@@ -198,9 +199,10 @@ func NewDispatcher(enc *Encoding, opts DispatchOptions) (*Dispatcher, error) {
 	return reconstruct.NewDispatcher(enc, opts)
 }
 
-// ErrUnsupported reports that an oracle cannot soundly answer a
-// request (e.g. algebraic decode beyond k=4); the dispatcher uses it
-// to fall back to SAT.
+// ErrUnsupported reports that an oracle cannot express a request
+// (algebraic decode beyond k=4, brute force past its nullity budget).
+// Only a forced backend meets it; the dispatcher then falls back to
+// serial SAT.
 var ErrUnsupported = reconstruct.ErrUnsupported
 
 // NewStore creates an empty timeprint database for one traced signal.
