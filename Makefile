@@ -64,9 +64,10 @@ bench-smoke:
 diffcheck:
 	$(GO) run -race ./cmd/timeprint selfcheck -cases 200 -seed 1 -workers 2,4
 
-# bench-check compares the medians of BENCH_RUN — ns/op plus the
-# deterministic effort counters (summed solver conflicts) — against
-# BENCH.json, after printing the machine the baseline was recorded on
+# bench-check compares the medians of BENCH_RUN — ns/op, the
+# deterministic summed solver conflicts, and B/op and allocs/op, which
+# repeat only to within the few allocations the Go runtime's collector
+# makes in a run — against BENCH.json, after printing the machine the baseline was recorded on
 # and the current one. A row fails when it rose past its suite's
 # threshold (0.30, and 0.75 for the wall-clock HTTP Load* rows; both
 # stored in BENCH.json) or is missing from the run. bench-record

@@ -1,7 +1,9 @@
 // Paper ablations of the Signal Reconstruction encoding (DESIGN.md §5).
 // reconstruct.New builds exactly one encoding: the GF(2)-presolved
 // parity rows of A·x = TP as native XOR clauses cut at length 8, plus
-// the Sinz sequential counter for |x| = k. The instances here replace
+// one Sinz sequential counter for |x| = k (cnf.ExactlyK: a ladder k+1
+// rungs wide with its outputs "≥ k" and "not ≥ k+1" asserted as unit
+// clauses). The instances here replace
 // one part of it with its ablation baseline and are built straight from
 // internal/cnf primitives:
 //
@@ -10,8 +12,8 @@
 //   - Tseitin XOR: each row expanded to plain CNF instead of native XOR
 //     clauses;
 //   - cut length: native rows cut at another length, or not at all;
-//   - binomial cardinality: the naive C(m, k+1)-clause encoding instead
-//     of the sequential counter.
+//   - binomial cardinality: the naive C(m, k+1) + C(m, m−k+1)-clause
+//     encoding instead of the sequential counter.
 package timeprints_test
 
 import (

@@ -6,10 +6,12 @@
 // recorded baseline, BENCH.json, with per-suite relative thresholds.
 //
 // The guarded columns are wall clock (ns/op) and the effort counters
-// conflicts, allocs/op and B/op. Effort counters such as the summed
-// solver conflicts of a planted instance are deterministic, so they pin the search work the
+// conflicts, allocs/op and B/op. The summed solver conflicts of a
+// planted instance are deterministic, so they pin the search work the
 // paper's reconstruction cost rests on independently of the machine's
-// clock. Answer-shape columns a benchmark also reports (candidates,
+// clock. allocs/op and B/op repeat only to within a few allocations:
+// the Go runtime counts what its collector allocates (sudogs at mark
+// termination), so they move with the number of GC cycles in a run. Answer-shape columns a benchmark also reports (candidates,
 // fixed, freed) are pinned by tests, not here.
 //
 // `make bench-record` writes BENCH.json together with a note on the

@@ -1,13 +1,17 @@
 // Package cnf builds CNF(+XOR) formulas on top of the sat solver. Its
 // centerpiece is the compact cardinality encoding the paper relies on:
-// the sequential-counter ("LTSEQ") encoding of Sinz (CP 2005), which
-// expresses "exactly k of m variables" with O(m·k) auxiliary variables
-// and clauses — the naive binomial encoding would need C(m, k+1) +
-// C(m, m−k+1) clauses and is provided only as an ablation baseline.
+// the sequential counter of Sinz (CP 2005), built once as a Ladder
+// whose rungs count the true literals. One width-(k+1) ladder
+// expresses "exactly k of m variables" with m·(k+1) auxiliary
+// variables and O(m·k) clauses, and at-most-k and at-least-k are the
+// same ladder with one unit clause each — the naive binomial encoding
+// would need C(m, k+1) + C(m, m−k+1) clauses and is provided only as an
+// ablation baseline.
 package cnf
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sat"
 )
@@ -149,15 +153,102 @@ func (b *Builder) xorGate(z, a, x int) {
 	b.AddClause(z, a, -x)
 }
 
-// AtMostK constrains at most k of the literals to be true, using the
-// Sinz sequential counter. k < 0 panics; k = 0 forces all literals
-// false; k >= len(lits) adds nothing.
+// Ladder is the Sinz sequential counter (CP 2005) over a fixed list of
+// literals, the one cardinality encoding of the package. It is built
+// one rung at a time: rung j holds one variable per literal, the i-th
+// equivalent to "at least j of the first i+1 literals are true", defined
+// by full equivalences from rung j−1. Nothing is asserted, so a ladder
+// w wide serves every bound up to w, and Widen adds rungs in place:
+//
+//	exactly k  =  Out(k) (k >= 1) and ¬Out(k+1) (k < len(lits))
+//
+// AtMostK, AtLeastK and ExactlyK assert those outputs as unit clauses;
+// an incremental session assumes them instead.
+type Ladder struct {
+	lits  []int
+	rungs [][]int // rungs[j-1][i]: at least j of lits[:i+1] are true
+}
+
+// Ladder returns a width-w ladder over lits; w must be in
+// [1, len(lits)].
+func (b *Builder) Ladder(lits []int, w int) *Ladder {
+	if w < 1 {
+		panic(fmt.Sprintf("cnf: Ladder width %d below 1", w))
+	}
+	l := &Ladder{lits: lits}
+	l.Widen(b, w)
+	return l
+}
+
+// Width reports the number of rungs built.
+func (l *Ladder) Width() int { return len(l.rungs) }
+
+// Out returns the variable equivalent to "at least j of the literals
+// are true", for j in 1..Width().
+func (l *Ladder) Out(j int) int {
+	r := l.rungs[j-1]
+	return r[len(r)-1]
+}
+
+// Widen adds rungs to b's formula until the ladder is w wide; a ladder
+// already w wide is left as it is. w must not exceed len(lits).
+func (l *Ladder) Widen(b *Builder, w int) {
+	n := len(l.lits)
+	if w > n {
+		panic(fmt.Sprintf("cnf: Ladder width %d above %d literals", w, n))
+	}
+	for len(l.rungs) < w {
+		u := make([]int, n)
+		for i := range u {
+			u[i] = b.NewVar()
+		}
+		// Building rung j = len(l.rungs)+1 from prev, rung j−1 (nil for
+		// rung 1).
+		var prev []int
+		if len(l.rungs) > 0 {
+			prev = l.rungs[len(l.rungs)-1]
+		}
+		// First literal: u[0] <-> x0 on rung 1, false above it.
+		if prev == nil {
+			b.Equiv(u[0], l.lits[0])
+		} else {
+			b.AddClause(-u[0])
+		}
+		for i := 1; i < n; i++ {
+			x := l.lits[i]
+			// Forward: a count >= j among the first i+1 sets u[i].
+			b.AddClause(-u[i-1], u[i])
+			if prev == nil {
+				b.AddClause(-x, u[i])
+			} else {
+				b.AddClause(-x, -prev[i-1], u[i])
+			}
+			// Backward: u[i] needs support from the count.
+			b.AddClause(-u[i], u[i-1], x)
+			if prev != nil {
+				b.AddClause(-u[i], u[i-1], prev[i-1])
+			}
+		}
+		l.rungs = append(l.rungs, u)
+	}
+}
+
+// Clone returns a copy of the ladder's bookkeeping that widens
+// independently: rungs built so far are shared (they never change),
+// rungs added to either copy are its own. It is how a cloned solver
+// keeps its ladder.
+func (l *Ladder) Clone() *Ladder {
+	return &Ladder{lits: l.lits, rungs: slices.Clip(l.rungs)}
+}
+
+// AtMostK constrains at most k of the literals to be true: a
+// width-(k+1) ladder with ¬Out(k+1). k < 0 panics; k = 0 forces every
+// literal false; k >= len(lits) adds nothing.
 func (b *Builder) AtMostK(lits []int, k int) {
-	n := len(lits)
 	switch {
 	case k < 0:
 		panic("cnf: AtMostK with negative k")
-	case k >= n:
+	case k >= len(lits):
 		return
 	case k == 0:
 		for _, l := range lits {
@@ -165,144 +256,37 @@ func (b *Builder) AtMostK(lits []int, k int) {
 		}
 		return
 	}
-	// s[i][j] (1-based i in 1..n-1, j in 1..k): the count of true
-	// literals among the first i is at least j.
-	s := make([][]int, n) // s[i] valid for i in 1..n-1
-	for i := 1; i < n; i++ {
-		s[i] = make([]int, k+1)
-		for j := 1; j <= k; j++ {
-			s[i][j] = b.NewVar()
-		}
-	}
-	x := func(i int) int { return lits[i-1] } // 1-based literal access
-
-	b.AddClause(-x(1), s[1][1])
-	for j := 2; j <= k; j++ {
-		b.AddClause(-s[1][j])
-	}
-	for i := 2; i < n; i++ {
-		b.AddClause(-x(i), s[i][1])
-		b.AddClause(-s[i-1][1], s[i][1])
-		for j := 2; j <= k; j++ {
-			b.AddClause(-x(i), -s[i-1][j-1], s[i][j])
-			b.AddClause(-s[i-1][j], s[i][j])
-		}
-		b.AddClause(-x(i), -s[i-1][k])
-	}
-	b.AddClause(-x(n), -s[n-1][k])
+	b.AddClause(-b.Ladder(lits, k+1).Out(k + 1))
 }
 
-// AtLeastK constrains at least k of the literals to be true with a
-// width-k sequential counter: u[i][j] holds iff at least j of the
-// first i literals are true. This direct encoding stays O(n·k) — the
-// textbook reduction AtMostK(¬lits, n−k) would build a width-(n−k)
-// counter, which for the reconstruction problem's small k over large m
-// explodes to hundreds of thousands of clauses.
+// AtLeastK constrains at least k of the literals to be true: a width-k
+// ladder with Out(k). k <= 0 adds nothing; k > len(lits) is
+// unsatisfiable.
 func (b *Builder) AtLeastK(lits []int, k int) {
-	n := len(lits)
 	switch {
 	case k <= 0:
 		return
-	case k > n:
+	case k > len(lits):
 		b.AddClause() // unsatisfiable
 		return
-	case k == 1:
-		b.AddClause(lits...)
-		return
 	}
-	// u[i][j] for i in 1..n, j in 1..k.
-	u := make([][]int, n+1)
-	for i := 1; i <= n; i++ {
-		u[i] = make([]int, k+1)
-		for j := 1; j <= k; j++ {
-			u[i][j] = b.NewVar()
-		}
-	}
-	x := func(i int) int { return lits[i-1] }
-
-	// Base row: u[1][1] <-> x1; u[1][j] false for j >= 2.
-	b.AddClause(-u[1][1], x(1))
-	b.AddClause(u[1][1], -x(1))
-	for j := 2; j <= k; j++ {
-		b.AddClause(-u[1][j])
-	}
-	for i := 2; i <= n; i++ {
-		for j := 1; j <= k; j++ {
-			// Forward: support propagates up.
-			b.AddClause(-u[i-1][j], u[i][j])
-			if j == 1 {
-				b.AddClause(-x(i), u[i][1])
-			} else {
-				b.AddClause(-x(i), -u[i-1][j-1], u[i][j])
-			}
-			// Backward: u needs support (prevents vacuous truth).
-			b.AddClause(-u[i][j], u[i-1][j], x(i))
-			if j > 1 {
-				b.AddClause(-u[i][j], u[i-1][j], u[i-1][j-1])
-			}
-		}
-	}
-	b.AddClause(u[n][k])
-}
-
-// Ladder builds the width-w sequential counter of AtLeastK WITHOUT the
-// final assertion and returns its output column: outs[j-1] is a
-// variable equivalent to "at least j of lits are true", for j in 1..w.
-// Nothing is constrained by the ladder itself — the counter rungs are
-// full equivalences — so one ladder serves every cardinality bound up
-// to w as assumption literals:
-//
-//	exactly k  =  assume outs[k-1] (k >= 1) and -outs[k] (k < w)
-//
-// which is how an incremental session reuses one encoding across
-// queries with different logged change counts. w must be in
-// [1, len(lits)].
-func (b *Builder) Ladder(lits []int, w int) []int {
-	n := len(lits)
-	if w < 1 || w > n {
-		panic(fmt.Sprintf("cnf: Ladder width %d outside [1, %d]", w, n))
-	}
-	// u[i][j] for i in 1..n, j in 1..w: at least j of the first i.
-	u := make([][]int, n+1)
-	for i := 1; i <= n; i++ {
-		u[i] = make([]int, w+1)
-		for j := 1; j <= w; j++ {
-			u[i][j] = b.NewVar()
-		}
-	}
-	x := func(i int) int { return lits[i-1] }
-
-	// Base row: u[1][1] <-> x1; u[1][j] false for j >= 2.
-	b.AddClause(-u[1][1], x(1))
-	b.AddClause(u[1][1], -x(1))
-	for j := 2; j <= w; j++ {
-		b.AddClause(-u[1][j])
-	}
-	for i := 2; i <= n; i++ {
-		for j := 1; j <= w; j++ {
-			// Forward: count >= j propagates into u.
-			b.AddClause(-u[i-1][j], u[i][j])
-			if j == 1 {
-				b.AddClause(-x(i), u[i][1])
-			} else {
-				b.AddClause(-x(i), -u[i-1][j-1], u[i][j])
-			}
-			// Backward: u true needs support from the count.
-			b.AddClause(-u[i][j], u[i-1][j], x(i))
-			if j > 1 {
-				b.AddClause(-u[i][j], u[i-1][j], u[i-1][j-1])
-			}
-		}
-	}
-	return u[n][1 : w+1]
+	b.AddClause(b.Ladder(lits, k).Out(k))
 }
 
 // ExactlyK constrains exactly k of the literals to be true — the
 // cardinality constraint of the signal reconstruction problem, where k
-// is the logged change count.
+// is the logged change count — on one width-(k+1) ladder with Out(k)
+// and ¬Out(k+1). At k = 0 or k >= len(lits) one direction is void and
+// the other is the whole constraint.
 func (b *Builder) ExactlyK(lits []int, k int) {
-	b.AtMostK(lits, k)
-	b.AtLeastK(lits, k)
+	if k <= 0 || k >= len(lits) {
+		b.AtMostK(lits, k)
+		b.AtLeastK(lits, k)
+		return
+	}
+	l := b.Ladder(lits, k+1)
+	b.AddClause(l.Out(k))
+	b.AddClause(-l.Out(k + 1))
 }
 
 // MaxBinomialClauses caps the clause explosion the naive encodings are

@@ -298,35 +298,69 @@ func TestBinomialExactlyError(t *testing.T) {
 	}
 }
 
+// ladderCount counts the models of b's formula with exactly k of lits
+// true, stated as assumptions on l's outputs; l must be wide enough
+// for k.
+func ladderCount(t *testing.T, b *Builder, l *Ladder, lits []int, k int) int {
+	t.Helper()
+	var assumps []int
+	if k >= 1 {
+		assumps = append(assumps, l.Out(k))
+	}
+	if k < len(lits) {
+		assumps = append(assumps, -l.Out(k+1))
+	}
+	got := 0
+	_, st, err := b.S.EnumerateAssuming(assumps, lits, 0, func(map[int]bool) bool {
+		got++
+		return true
+	})
+	if err != nil || st != sat.Unsat {
+		t.Fatalf("n=%d k=%d: st=%v err=%v", len(lits), k, st, err)
+	}
+	return got
+}
+
 // TestLadderCounts checks the unasserted counter: every cardinality
-// bound expressible as ladder assumptions must count exactly like the
-// committed ExactlyK encoding, against the same reusable solver.
+// bound expressible as ladder assumptions must count C(n, k) against
+// the same reusable solver, and a ladder widened in place from w to w′
+// rungs must count exactly like a fresh width-w′ ladder.
 func TestLadderCounts(t *testing.T) {
 	for n := 1; n <= 8; n++ {
-		b := NewBuilder(n)
 		lits := make([]int, n)
 		for i := range lits {
 			lits[i] = i + 1
 		}
-		outs := b.Ladder(lits, n)
-		for k := 0; k <= n; k++ {
-			var assumps []int
-			if k >= 1 {
-				assumps = append(assumps, outs[k-1])
+		// fresh[w][k] is the count on a fresh width-w ladder.
+		fresh := make([][]int, n+1)
+		for w := 1; w <= n; w++ {
+			b := NewBuilder(n)
+			l := b.Ladder(lits, w)
+			for k := 0; k <= w && (k < w || k == n); k++ {
+				got := ladderCount(t, b, l, lits, k)
+				if want := binomialRef(n, k); got != want {
+					t.Errorf("Ladder n=%d w=%d k=%d: %d models, want %d", n, w, k, got, want)
+				}
+				fresh[w] = append(fresh[w], got)
 			}
-			if k < n {
-				assumps = append(assumps, -outs[k])
-			}
-			got := 0
-			_, st, err := b.S.EnumerateAssuming(assumps, lits, 0, func(map[int]bool) bool {
-				got++
-				return true
-			})
-			if err != nil || st != sat.Unsat {
-				t.Fatalf("n=%d k=%d: st=%v err=%v", n, k, st, err)
-			}
-			if want := binomialRef(n, k); got != want {
-				t.Errorf("Ladder n=%d k=%d: %d models, want %d", n, k, got, want)
+		}
+		// Widening leg: query the narrow ladder, widen it, query again.
+		for w := 1; w < n; w++ {
+			for w2 := w + 1; w2 <= n; w2++ {
+				b := NewBuilder(n)
+				l := b.Ladder(lits, w)
+				ladderCount(t, b, l, lits, w-1)
+				l.Widen(b, w2)
+				l.Widen(b, w) // narrower: a no-op
+				if l.Width() != w2 {
+					t.Fatalf("n=%d: widened %d -> %d, width %d", n, w, w2, l.Width())
+				}
+				for k, want := range fresh[w2] {
+					if got := ladderCount(t, b, l, lits, k); got != want || got != binomialRef(n, k) {
+						t.Errorf("Ladder n=%d widened %d -> %d k=%d: %d models, fresh %d, want %d",
+							n, w, w2, k, got, want, binomialRef(n, k))
+					}
+				}
 			}
 		}
 	}

@@ -20,9 +20,8 @@ const exhaustiveMaxM = 16
 // bruteMaxNullity bounds the 2^(m-rank) GF(2) coset enumeration.
 const bruteMaxNullity = 22
 
-// sessionMaxK is the cardinality-ladder width built for the
-// incremental-session oracle; a larger k is answered on a guarded
-// exactly-k group.
+// sessionMaxK sizes the incremental-session oracle's initial
+// cardinality ladder; a larger k widens the ladder in place.
 const sessionMaxK = 16
 
 // oracle is one independent Signal Reconstruction implementation. run

@@ -200,7 +200,12 @@ func (w Window) Apply(b *cnf.Builder, vars []int) {
 	}
 }
 
-func (w Window) String() string { return fmt.Sprintf("Window[%d,%d)", w.Lo, w.Hi) }
+// String avoids fmt: a session looks its guard group up by String on
+// every query, and fmt's printer pool is emptied by every GC, so its
+// allocations would depend on when the collector ran.
+func (w Window) String() string {
+	return "Window[" + strconv.Itoa(w.Lo) + "," + strconv.Itoa(w.Hi) + ")"
+}
 
 // ChangeBefore asserts at least one change strictly before cycle D —
 // e.g. "the transmission started before the deadline". Its UNSAT

@@ -59,8 +59,9 @@ type DispatchOptions struct {
 	// Workers sizes the cube-split parallel backend a Force of
 	// "sat-par" uses (<= 0: GOMAXPROCS).
 	Workers int
-	// SessionMaxK sizes the incremental session's cardinality ladder
-	// (default 16); it does not cap k.
+	// SessionMaxK sizes the incremental session's initial cardinality
+	// ladder (default 16); a query past it widens the ladder in place,
+	// so it does not cap k.
 	SessionMaxK int
 	// MaxConflicts bounds SAT effort per solve; 0 means unlimited.
 	MaxConflicts int64

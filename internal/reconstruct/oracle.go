@@ -277,9 +277,10 @@ type SessionOracle struct {
 
 // maxSessionGrowth caps a pooled session's variable count at this
 // multiple of the prototype's. Every enumeration leaves a retired
-// selector variable behind and every distinct property string adds a
-// permanent guard group, so a session that outgrows the cap is dropped
-// on release and the pool clones a fresh one on the next empty take.
+// selector variable behind, every distinct property string adds a
+// permanent guard group and a widen adds m variables per ladder rung,
+// so a session that outgrows the cap is dropped on release and the
+// pool clones a fresh one on the next empty take.
 const maxSessionGrowth = 2
 
 // NewSessionOracle builds the incremental assumption-based backend for

@@ -8,7 +8,8 @@
 // A = [TS(0) | … | TS(m−1)]. SR is NP-hard (syndrome decoding,
 // Berlekamp–McEliece–van Tilborg 1978). Following Section 4.2, the
 // system's b parity rows become native XOR clauses and the cardinality
-// constraint |x| = k uses the Sinz sequential-counter encoding; known
+// constraint |x| = k is one Sinz sequential counter (cnf.Ladder) k+1
+// rungs wide, its outputs "≥ k" and "not ≥ k+1" asserted; known
 // temporal properties are added as extra CNF constraints to prune the
 // search (Section 5.1.3). A Gaussian-elimination brute-force baseline
 // cross-checks the SAT path and quantifies what the solver buys.
@@ -46,7 +47,8 @@ type Constraint interface {
 
 // Options tune how the SAT instance is solved. The encoding itself is
 // fixed: the paper's native XOR parity rows (after the GF(2) presolve,
-// cut at xorCutLen) and the Sinz sequential-counter cardinality.
+// cut at xorCutLen) and one width-(k+1) Sinz sequential counter for
+// |x| = k (cnf.ExactlyK).
 type Options struct {
 	// MaxConflicts bounds the solver effort per Solve call; 0 means
 	// unlimited.

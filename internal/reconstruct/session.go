@@ -1,8 +1,6 @@
 package reconstruct
 
 import (
-	"strconv"
-
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/encoding"
@@ -25,10 +23,10 @@ const (
 
 // SessionOptions tune a reconstruction session.
 type SessionOptions struct {
-	// MaxK sizes the cardinality ladder: it is built min(m, MaxK+1)
-	// wide once, and every k ≤ min(MaxK, m) becomes two assumption
-	// literals. A larger k is still answered, on a guarded exactly-k
-	// group (see Session). 0 means the default of 16.
+	// MaxK sizes the initial cardinality ladder: it is built
+	// min(m, MaxK+1) wide, and a query past it widens the ladder in
+	// place (see Session), so it does not cap k. 0 means the default
+	// of 16.
 	MaxK int
 	// MaxConflicts bounds solver effort per query; 0 means unlimited.
 	MaxConflicts int64
@@ -37,15 +35,13 @@ type SessionOptions struct {
 	Obs *obs.Registry
 }
 
-func (o SessionOptions) maxK(m int) int {
+// ladderWidth is the initial ladder width over m signal variables.
+func (o SessionOptions) ladderWidth(m int) int {
 	k := o.MaxK
 	if k <= 0 {
 		k = 16
 	}
-	if k > m {
-		k = m
-	}
-	return k
+	return min(m, k+1)
 }
 
 // Session is a reusable SR instance for a fixed encoding: the paper's
@@ -56,9 +52,9 @@ func (o SessionOptions) maxK(m int) int {
 // query with sat.Solver.SolveAssuming: TP bits, the k-bounds and any
 // property constraints are assumption literals, so learned clauses and
 // branching heuristics accumulate across queries instead of being
-// rebuilt and discarded per entry. A k past the ladder is encoded once
-// per session as a guarded exactly-k counter, keyed and re-armed by
-// assumption like a property.
+// rebuilt and discarded per entry. A k past the ladder widens it to
+// k+1 rungs in place, once per session; the rungs are unasserted, so
+// they serve every later query too.
 //
 // A Session is not safe for concurrent use; Clone gives an independent
 // copy (sharing nothing mutable) for concurrent querying.
@@ -72,14 +68,12 @@ type Session struct {
 	// ±tpSel[j] pins timeprint bit j without touching the formula.
 	tpSel []int
 
-	// ladder[j-1] ≡ "at least j signal variables are true", 1..width.
-	ladder []int
-	maxK   int
+	// ladder.Out(j) ≡ "at least j signal variables are true".
+	ladder *cnf.Ladder
 
-	// props maps a constraint's String(), or the exactly-k key of a k
-	// past the ladder, to the selector guarding its clauses; each group
-	// is encoded once on first use and re-armed by assumption on later
-	// queries.
+	// props maps a constraint's String() to the selector guarding its
+	// clauses; each group is encoded once on first use and re-armed by
+	// assumption on later queries.
 	props map[string]int
 
 	obs *obs.Registry
@@ -103,7 +97,6 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) *Session {
 		enc:   enc,
 		bld:   bld,
 		vars:  vars,
-		maxK:  opts.maxK(m),
 		props: make(map[string]int),
 		obs:   opts.Obs,
 	}
@@ -127,7 +120,7 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) *Session {
 		bld.AddXor(row, false)
 	}
 
-	s.ladder = bld.Ladder(vars, min(m, s.maxK+1))
+	s.ladder = bld.Ladder(vars, opts.ladderWidth(m))
 
 	bld.S.MaxConflicts = opts.MaxConflicts
 	opts.Obs.Counter(MetricSessionBuilds).Inc()
@@ -135,8 +128,8 @@ func NewSession(enc *encoding.Encoding, opts SessionOptions) *Session {
 }
 
 // assumptions renders a log entry plus property constraints as the
-// query's assumption literals, registering unseen properties (and an
-// unseen k past the ladder) as guarded clause groups.
+// query's assumption literals, registering unseen properties as
+// guarded clause groups and widening the ladder to a k past it.
 func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) ([]int, error) {
 	if err := validate(s.enc, entry, constraints); err != nil {
 		return nil, err
@@ -150,16 +143,13 @@ func (s *Session) assumptions(entry core.LogEntry, constraints []Constraint) ([]
 			assumps = append(assumps, -sel)
 		}
 	}
-	// Past the ladder, its top rung ("at least maxK+1") still holds and
-	// the exactly-k group pins the count.
+	m := len(s.vars)
+	s.ladder.Widen(s.bld, min(m, entry.K+1))
 	if entry.K >= 1 {
-		assumps = append(assumps, s.ladder[min(entry.K, len(s.ladder))-1])
+		assumps = append(assumps, s.ladder.Out(entry.K))
 	}
-	if entry.K < len(s.ladder) {
-		assumps = append(assumps, -s.ladder[entry.K])
-	}
-	if entry.K > s.maxK {
-		assumps = append(assumps, s.guarded("ExactlyK("+strconv.Itoa(entry.K)+")", func() { s.bld.ExactlyK(s.vars, entry.K) }))
+	if entry.K < m {
+		assumps = append(assumps, -s.ladder.Out(entry.K+1))
 	}
 	for _, c := range constraints {
 		assumps = append(assumps, s.guarded(c.String(), func() { c.Apply(s.bld, s.vars) }))
@@ -217,17 +207,19 @@ func (s *Session) EnumerateWithin(done <-chan struct{}, entry core.LogEntry, con
 }
 
 // numVars reports the session solver's variable count. It grows by
-// one retired selector per enumeration and by one guard (plus any
-// auxiliary variables) per distinct property or k past the ladder.
+// one retired selector per enumeration, by one guard (plus any
+// auxiliary variables) per distinct property and by m per ladder rung
+// a widen adds.
 func (s *Session) numVars() int { return s.bld.S.NumVars() }
 
 // Stats exposes the underlying solver counters.
 func (s *Session) Stats() sat.Stats { return s.bld.S.Stats }
 
 // Clone returns an independent session over the same encoding: the
-// solver state (learned clauses, activities, property encodings) is
-// deep-copied, so the clone serves concurrent queries without sharing
-// anything mutable with the original.
+// solver state (learned clauses, activities, property encodings) and
+// the ladder's bookkeeping are copied, so the clone serves concurrent
+// queries, and widens its ladder, without sharing anything mutable
+// with the original.
 func (s *Session) Clone() *Session {
 	props := make(map[string]int, len(s.props))
 	for k, v := range s.props {
@@ -238,8 +230,7 @@ func (s *Session) Clone() *Session {
 		bld:    &cnf.Builder{S: s.bld.S.Clone()},
 		vars:   s.vars,
 		tpSel:  s.tpSel,
-		ladder: s.ladder,
-		maxK:   s.maxK,
+		ladder: s.ladder.Clone(),
 		props:  props,
 		obs:    s.obs,
 	}

@@ -3,6 +3,7 @@ package reconstruct
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -113,8 +114,9 @@ func TestSessionProperties(t *testing.T) {
 }
 
 // TestSessionKBounds: k within the ladder and k beyond it are both
-// answered, the latter on a guarded exactly-k group that matches a
-// one-shot instance, is encoded once, and is re-armed on later queries.
+// answered. A k past the ladder widens it in place by one rung of m
+// variables, matches a one-shot instance, and repeating it adds only
+// the enumeration's retired selector.
 func TestSessionKBounds(t *testing.T) {
 	m := 12
 	enc := mustEnc(t, m, 9, 4)
@@ -129,7 +131,8 @@ func TestSessionKBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q := 0; q < 2; q++ {
+	for q, growth := range []int{m + 1, 1} {
+		before := sess.numVars()
 		got, exhausted, err := sess.Query(entry, nil, 0)
 		if err != nil || !exhausted {
 			t.Fatalf("k=4 query %d: exhausted=%v err=%v", q, exhausted, err)
@@ -137,8 +140,11 @@ func TestSessionKBounds(t *testing.T) {
 		if gk, wk := sigKeys(got), sigKeys(want); !slices.Equal(gk, wk) {
 			t.Fatalf("k=4 query %d: session %v, one-shot %v", q, gk, wk)
 		}
-		if len(sess.props) != 1 {
-			t.Fatalf("k=4 query %d: %d guarded groups, want the one exactly-k group", q, len(sess.props))
+		if w := sess.ladder.Width(); w != 5 {
+			t.Fatalf("k=4 query %d: ladder %d wide, want 5", q, w)
+		}
+		if g := sess.numVars() - before; g != growth {
+			t.Fatalf("k=4 query %d added %d variables, want %d", q, g, growth)
 		}
 	}
 	truth = core.SignalFromChanges(m, 1, 4, 6)
@@ -373,5 +379,121 @@ func TestSessionOracleConcurrentPool(t *testing.T) {
 	}
 	if clone > goroutines {
 		t.Fatalf("clone = %d > %d goroutines: the pool grew past peak concurrency", clone, goroutines)
+	}
+}
+
+// TestSessionOracleServesLargeKWarm sends four k = 17 witness queries,
+// one past the default 16-wide ladder, to one SessionOracle at the
+// forensic geometry (m = 128, b = 16, depth 4). The first widens the
+// pooled session's ladder by one rung; all four must run on that warm
+// session, none retiring it.
+func TestSessionOracleServesLargeKWarm(t *testing.T) {
+	const m, k = 128, 17
+	enc := mustEnc(t, m, 16, 4)
+	reg := obs.NewRegistry()
+	o := NewSessionOracle(enc, SessionOptions{Obs: reg})
+	r := rand.New(rand.NewSource(61))
+	for q := 0; q < 4; q++ {
+		truth := core.SignalFromChanges(m, r.Perm(m)[:k]...)
+		entry := core.Log(enc, truth)
+		sigs, _, err := o.Enumerate(context.Background(), entry, nil, 1)
+		if err != nil || len(sigs) != 1 {
+			t.Fatalf("query %d: %d witnesses, err=%v", q, len(sigs), err)
+		}
+	}
+	c := reg.Snapshot().Counters
+	if reuse, clone, retired := c[MetricOracleSessionReuse], c[MetricOracleSessionClone], c[MetricOracleSessionRetired]; reuse != 4 || clone != 0 || retired != 0 {
+		t.Fatalf("reuse=%d clone=%d retired=%d, want 4/0/0", reuse, clone, retired)
+	}
+	if w := o.proto.ladder.Width(); w != 17 {
+		t.Fatalf("prototype ladder %d wide, want its initial 17", w)
+	}
+}
+
+// TestSessionWidenWhileCloning widens one pooled session to k = 20
+// while the pool clones the prototype for k <= 16 queries (run it
+// under -race). The prototype's ladder keeps its initial width, and
+// the clone, widened afterwards, owns its new rungs: both sessions
+// keep matching serial SAT.
+func TestSessionWidenWhileCloning(t *testing.T) {
+	const m = 22
+	enc := mustEnc(t, m, 11, 4)
+	reg := obs.NewRegistry()
+	o := NewSessionOracle(enc, SessionOptions{Obs: reg})
+	ref := NewSATOracle(enc, Options{})
+	r := rand.New(rand.NewSource(67))
+	ctx := context.Background()
+	type query struct {
+		entry core.LogEntry
+		want  []string
+	}
+	queries := func(ks ...int) []query {
+		out := make([]query, len(ks))
+		for i, k := range ks {
+			out[i].entry = core.Log(enc, core.SignalFromChanges(m, r.Perm(m)[:k]...))
+			sigs, ex, err := ref.Enumerate(ctx, out[i].entry, nil, 0)
+			if err != nil || !ex {
+				t.Fatalf("reference k=%d: exhausted=%v err=%v", k, ex, err)
+			}
+			out[i].want = sigKeys(sigs)
+		}
+		return out
+	}
+	check := func(who string, sigs []core.Signal, ex bool, err error, q query) error {
+		if err != nil || !ex {
+			return fmt.Errorf("%s k=%d: exhausted=%v err=%v", who, q.entry.K, ex, err)
+		}
+		if got := sigKeys(sigs); !slices.Equal(got, q.want) {
+			return fmt.Errorf("%s k=%d: %v, serial SAT %v", who, q.entry.K, got, q.want)
+		}
+		return nil
+	}
+	wide, narrow := queries(20, 19, 20), queries(1, 4, 16, 3, 16)
+
+	pooled, release, err := o.acquire(wide[0].entry, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		for _, q := range wide {
+			sigs, ex, err := pooled.Query(q.entry, nil, 0)
+			if err := check("pooled", sigs, ex, err, q); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	for _, q := range narrow { // the pool is empty: a prototype clone serves these
+		sigs, ex, err := o.Enumerate(ctx, q.entry, nil, 0)
+		if err := check("clone", sigs, ex, err, q); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if w := o.proto.ladder.Width(); w != 17 {
+		t.Fatalf("prototype ladder %d wide after the widen, want 17", w)
+	}
+	if w := pooled.ladder.Width(); w != 21 {
+		t.Fatalf("pooled ladder %d wide, want 21", w)
+	}
+	// Widen the clone (the pool's only session) too, then re-ask the
+	// first session: neither may see the other's rungs.
+	for _, q := range wide {
+		sigs, ex, err := o.Enumerate(ctx, q.entry, nil, 0)
+		if err := check("widened clone", sigs, ex, err, q); err != nil {
+			t.Fatal(err)
+		}
+		sigs, ex, err = pooled.Query(q.entry, nil, 0)
+		if err := check("pooled again", sigs, ex, err, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release()
+	if c := reg.Snapshot().Counters; c[MetricOracleSessionClone] != 1 || c[MetricOracleSessionRetired] != 0 {
+		t.Fatalf("clone=%d retired=%d, want 1/0", c[MetricOracleSessionClone], c[MetricOracleSessionRetired])
 	}
 }

@@ -132,8 +132,8 @@ func TestSessionOracleRaceReuseClone(t *testing.T) {
 		tp, k := tpFor(t, enc, m, a, a+1, a+3)
 		qs = append(qs, query{tp, k})
 	}
-	// Queries past the session ladder (k > 16), answered on the
-	// session by a guarded exactly-k group.
+	// Queries past the session's initial ladder (k > 16), answered on
+	// the session after it widens the ladder.
 	for i := 0; i < 4; i++ {
 		changes := make([]int, 20)
 		for c := range changes {

@@ -53,8 +53,8 @@ func TestIncrementalSessionCounters(t *testing.T) {
 	}
 }
 
-// A change count beyond the session's 16-wide ladder is answered on
-// the session itself, on a guarded exactly-k group, with no fallback
+// A change count beyond the session's initial 16-wide ladder is
+// answered on the session itself, which widens its ladder, with no fallback
 // and exactly serial SAT's candidates. At m = 18 there are only
 // C(18, 17) = 18 weight-17 signals, so the exhaustive enumeration
 // stays cheap.
