@@ -10,12 +10,12 @@ GO ?= go
 #      queries on one warm session — where -benchtime=1x -count=5
 #      keeps the workloads bounded while still giving a median;
 #   2. the feature-extraction, decode-route (stream-ingest and windowed
-#      forensic-witness k = 4), store-query, store-seal and stream-frame
-#      microbenchmarks;
+#      forensic-witness k = 4), brute-walk (exhaustive m = 32, k = 5),
+#      store-query, store-seal and stream-frame microbenchmarks;
 #   3. the tprload per-class mean latencies.
 BENCH_RUN = { \
 	$(GO) test -run='^$$' -bench='^Benchmark(PresolveOnOff|ParallelWorkers|SessionQueries|SessionQueriesGauss|SessionOracleConcurrent|SessionWarm|Dispatch)$$' -count=5 -benchtime=1x . && \
-	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|DecodeRouteWindowed|StoreQuery|StoreSeal|StreamFrame)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ ./internal/service/ && \
+	$(GO) test -run='^$$' -bench='^Benchmark(Features|DecodeRoute|DecodeRouteWindowed|BruteWalk|StoreQuery|StoreSeal|StreamFrame)$$' -count=5 -benchtime=2000x ./internal/reconstruct/ ./internal/decode/ ./internal/logstore/ ./internal/service/ && \
 	$(GO) run ./cmd/tprload -self -bench -count 5; \
 }
 
@@ -81,10 +81,11 @@ bench-record:
 		-note "solver benchmarks -count=5 -benchtime=1x, microbenchmarks -count=5 -benchtime=2000x, tprload -self -bench -count 5"
 
 # dispatch-check is the dispatcher's CI job: vet and the
-# dispatcher/oracle test surface under the race detector.
+# dispatcher/oracle test surface, with the GF(2) coset walk the brute
+# and pinned routes answer from, under the race detector.
 dispatch-check:
 	$(GO) vet ./...
-	$(GO) test -race -count=1 -run 'Dispatch|Route|Oracle|Classify|Strict|Session|Incremental' ./internal/reconstruct/ ./internal/service/
+	$(GO) test -race -count=1 -run 'Dispatch|Route|Oracle|Classify|Strict|Session|Incremental|Brute|Walk' ./internal/reconstruct/ ./internal/service/ ./internal/gf2/
 
 # gauss-check is the in-search Gauss CI job: vet and the XOR/Gauss test
 # surface under the race detector, including the 4-way differential

@@ -141,7 +141,7 @@ func TestAblationModesAgree(t *testing.T) {
 			t.Fatalf("trial %d: presolve exhausted=%v err=%v", trial, exhausted, err)
 		}
 		want := signalKeys(sigs)
-		bf, err := reconstruct.BruteForce(enc, entry, 0, 0)
+		bf, err := reconstruct.BruteForce(enc, entry, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

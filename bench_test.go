@@ -226,8 +226,9 @@ func benchmarkAblations(b *testing.B, enc *encoding.Encoding, entry core.LogEntr
 	}
 }
 
-// BenchmarkAblationSATvsBruteForce compares the SAT path against
-// Gaussian coset enumeration where the latter is feasible.
+// BenchmarkAblationSATvsBruteForce compares the SAT path against the
+// GF(2) coset walk, which visits the Σ C(nullity, ≤k) coset points
+// that can have weight k (here nullity 11, k = 4: 562 points).
 func BenchmarkAblationSATvsBruteForce(b *testing.B) {
 	enc, err := bench.CachedEncoding("incremental", 20, 10, 4, 0)
 	if err != nil {
@@ -247,7 +248,7 @@ func BenchmarkAblationSATvsBruteForce(b *testing.B) {
 	})
 	b.Run("bruteforce", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := reconstruct.BruteForce(enc, entry, 0, 0); err != nil {
+			if _, err := reconstruct.BruteForce(enc, entry, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -671,7 +672,8 @@ func TestSessionWarmPinnedSearch(t *testing.T) {
 // hold a >= 2x advantage: pinned systems never touch the solver and
 // k <= 4 never builds a CNF. BENCH.json (make bench-check) guards both
 // sides' wall clock and summed solver conflicts, which are zero on the
-// auto side.
+// auto side, and the auto side's allocs/op and B/op: a pinned request
+// is answered from the elimination feature extraction already did.
 func BenchmarkDispatch(b *testing.B) {
 	onehot := encoding.OneHot(96)
 	inc, err := bench.CachedEncoding("incremental", 128, bench.PaperB[128], 4, 0)
@@ -695,6 +697,7 @@ func BenchmarkDispatch(b *testing.B) {
 		{"always-sat", "sat"},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			reg := obs.NewRegistry()
 			dispatchers := map[*encoding.Encoding]*reconstruct.Dispatcher{}
 			for _, e := range []*encoding.Encoding{onehot, inc} {

@@ -248,9 +248,10 @@ func runSmoke(cfg service.Config, reg *obs.Registry) error {
 	}
 
 	// A property-bearing request that only the incremental SAT session
-	// can take under auto-routing: k=5 is past the algebraic decoder and
-	// the nullity past brute force. So it also proves solver
-	// instrumentation flows through the registry.
+	// can take under auto-routing: k=5 is past the algebraic decoder,
+	// and its brute walk would visit Σ C(51, ≤5) = 2.6 M coset points,
+	// past the route's 2^16. So it also proves solver instrumentation
+	// flows through the registry.
 	propTruth := core.SignalFromChanges(m, 5, 6, 20, 25, 30)
 	var propWire bytes.Buffer
 	if err := core.WriteLog(&propWire, m, b, []core.LogEntry{core.Log(enc, propTruth)}); err != nil {

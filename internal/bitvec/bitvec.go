@@ -90,6 +90,18 @@ func CloneAll(vs []Vector) []Vector {
 	return out
 }
 
+// NewAll returns n zero vectors of the given width that share one
+// backing array: two allocations, however many vectors there are.
+func NewAll(n, width int) []Vector {
+	k := wordsFor(width)
+	backing := make([]uint64, n*k)
+	out := make([]Vector, n)
+	for i := range out {
+		out[i] = Vector{width: width, words: backing[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return out
+}
+
 // Width reports the vector's width in bits.
 func (v Vector) Width() int { return v.width }
 

@@ -259,6 +259,12 @@ func TestCloneIndependence(t *testing.T) {
 	if a.Get(20) || c[1].Get(20) || !c[1].Equal(a) {
 		t.Error("CloneAll copies share storage")
 	}
+	// A width past one word: each vector owns its words only.
+	z := NewAll(3, 70)
+	z[1].XorInPlace(FromOnes(70, 0, 69))
+	if !z[0].IsZero() || !z[2].IsZero() || z[1].PopCount() != 2 {
+		t.Error("NewAll vectors share storage")
+	}
 }
 
 // randomVec builds a width-w vector with each bit set with probability 1/2.

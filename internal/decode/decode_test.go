@@ -215,7 +215,7 @@ func TestWeakEncodingsHighKMatchBruteForce(t *testing.T) {
 					t.Fatalf("%s k=%d: Count %d != len(Decode) %d", tc.name, k, n, len(alg))
 				}
 				want := map[string]bool{}
-				bf, err := reconstruct.BruteForce(enc, entry, 0, 24)
+				bf, err := reconstruct.BruteForce(enc, entry, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -165,7 +165,7 @@ func injectShapeFaults(rep *FaultReport, enc *encoding.Encoding, ref *trace.Stor
 		})
 		rep.Injected++
 		guard(rep, "reconstruct.BruteForce "+tc.name, func() {
-			_, err := reconstruct.BruteForce(enc, tc.entry, 0, 0)
+			_, err := reconstruct.BruteForce(enc, tc.entry, 0)
 			expectTyped(rep, "reconstruct.BruteForce "+tc.name, err, tc.sentinel)
 		})
 		rep.Injected++

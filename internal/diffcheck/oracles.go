@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decode"
 	"repro/internal/encoding"
+	"repro/internal/gf2"
 	"repro/internal/obs"
 	"repro/internal/properties"
 	"repro/internal/reconstruct"
@@ -16,9 +17,6 @@ import (
 
 // exhaustiveMaxM bounds the 2^m exhaustive concretization oracle.
 const exhaustiveMaxM = 16
-
-// bruteMaxNullity bounds the 2^(m-rank) GF(2) coset enumeration.
-const bruteMaxNullity = 22
 
 // sessionMaxK sizes the incremental-session oracle's initial
 // cardinality ladder; a larger k widens the ladder in place.
@@ -42,7 +40,7 @@ type oracle struct {
 //     retained solver (reuse, blocking cleanup, and the live matrix
 //     carried across SolveAssuming retraction)
 //   - sat-par-N:  cube-split parallel portfolio with N workers
-//   - brute:      GF(2) coset enumeration, nullity-bounded
+//   - brute:      GF(2) coset walk, within reconstruct.BruteMaxVisits
 //   - exhaustive: 2^m concretization (internal/core), m <= 16
 //   - dispatch:   the cost-model router itself — whatever backend it
 //     picks must agree with all of the above, so routing mistakes are
@@ -130,12 +128,12 @@ func buildOracles(workers []int, reg *obs.Registry) []oracle {
 		{
 			name: "brute",
 			applies: func(cs CaseSpec) bool {
-				// Nullity is at most m - 1 and at least m - b; refuse
-				// only what BruteForce itself would refuse.
-				return cs.M-min(cs.B, cs.M) <= bruteMaxNullity && cs.M <= bruteMaxNullity+6
+				// The nullity is at most m, so within the oracle's own
+				// ceiling at nullity m BruteForce never refuses.
+				return gf2.WalkVisits(cs.M, cs.K) <= reconstruct.BruteMaxVisits
 			},
 			run: func(enc *encoding.Encoding, entry core.LogEntry) ([]core.Signal, error) {
-				return reconstruct.BruteForce(enc, entry, 0, bruteMaxNullity)
+				return reconstruct.BruteForce(enc, entry, 0)
 			},
 		},
 		{

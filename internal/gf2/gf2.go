@@ -3,14 +3,16 @@
 // The timeprints method reduces signal reconstruction to solving the
 // linear system A·x = TP over F2, where the columns of A are the encoded
 // timestamps of a trace-cycle. This package supplies the matrix
-// machinery: Gaussian elimination, rank, solvability, a particular
-// solution, a nullspace basis, and exhaustive solution enumeration used
-// as the brute-force baseline against which the SAT-based reconstructor
-// is validated.
+// machinery: one Gaussian elimination of [A | TP] (Eliminate), rank,
+// and on the echelon form a weight-bounded walk of the solution coset
+// (Echelon.Walk), the brute-force baseline against which the SAT-based
+// reconstructor is validated.
 package gf2
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/bitvec"
 )
@@ -18,8 +20,8 @@ import (
 // Matrix is a dense matrix over F2 with rows stored as bit vectors.
 // Row vectors all have width Cols.
 //
-// Set is the only method that modifies a matrix: Eliminate, Solve and
-// Rank row-reduce a private copy, and MulVec only reads. So a matrix
+// Set is the only method that modifies a matrix: Eliminate and Rank
+// row-reduce a private copy, and MulVec only reads. So a matrix
 // that is no longer Set may be shared read-only across requests and
 // goroutines, as encoding.Encoding.Matrix shares its parity matrix.
 type Matrix struct {
@@ -88,9 +90,6 @@ func (m *Matrix) Get(i, j int) bool { return m.rows[i].Get(j) }
 // Set assigns entry (i, j).
 func (m *Matrix) Set(i, j int, v bool) { m.rows[i].Set(j, v) }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) bitvec.Vector { return m.rows[i].Clone() }
-
 // Column returns column j as a fresh vector of width Rows().
 func (m *Matrix) Column(j int) bitvec.Vector {
 	c := bitvec.New(len(m.rows))
@@ -100,11 +99,6 @@ func (m *Matrix) Column(j int) bitvec.Vector {
 		}
 	}
 	return c
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{rows: bitvec.CloneAll(m.rows), cols: m.cols}
 }
 
 // MulVec returns A·x over F2; x must have width Cols(). The result has
@@ -185,69 +179,6 @@ func IsLinearlyIndependent(vecs []bitvec.Vector) bool {
 	return RankOf(vecs) == len(vecs)
 }
 
-// System is the outcome of solving A·x = y over F2: a particular
-// solution plus a basis of the nullspace of A. Every solution is
-// Particular XOR a subset-sum of Nullspace.
-type System struct {
-	// Particular is one solution of A·x = y (width = number of columns).
-	Particular bitvec.Vector
-	// Nullspace is a basis of {x : A·x = 0}.
-	Nullspace []bitvec.Vector
-	// Rank is the rank of A.
-	Rank int
-}
-
-// Solve solves A·x = y over F2 on a copy of m. It returns the solution
-// structure and ok=false when the system is inconsistent.
-func (m *Matrix) Solve(y bitvec.Vector) (System, bool) {
-	if y.Width() != len(m.rows) {
-		panic(fmt.Sprintf("gf2: Solve rhs width %d, want %d", y.Width(), len(m.rows)))
-	}
-	rows := bitvec.CloneAll(m.rows)
-	rhs := y.Clone()
-	rank, pivots := rowReduce(rows, rhs)
-
-	// Inconsistent if a zero row has rhs 1.
-	for i := rank; i < len(rows); i++ {
-		if rhs.Get(i) {
-			return System{}, false
-		}
-	}
-
-	isPivot := make([]bool, m.cols)
-	pivotRow := make([]int, m.cols)
-	for r, c := range pivots {
-		isPivot[c] = true
-		pivotRow[c] = r
-	}
-
-	// Particular solution: free variables 0, pivot variables from rhs.
-	part := bitvec.New(m.cols)
-	for r, c := range pivots {
-		if rhs.Get(r) {
-			part.Set(c, true)
-		}
-	}
-
-	// Nullspace basis: one vector per free column f, with x_f = 1 and
-	// pivot variables set to cancel column f.
-	var basis []bitvec.Vector
-	for f := 0; f < m.cols; f++ {
-		if isPivot[f] {
-			continue
-		}
-		v := bitvec.New(m.cols)
-		v.Set(f, true)
-		for _, c := range pivots {
-			if rows[pivotRow[c]].Get(f) {
-				v.Set(c, true)
-			}
-		}
-		basis = append(basis, v)
-	}
-	return System{Particular: part, Nullspace: basis, Rank: rank}, true
-}
-
 // Echelon is the reduced row-echelon form of an augmented system
 // [A | y]: the nonzero rows after Gaussian elimination together with
 // their transformed right-hand sides and pivot columns. It is the
@@ -260,8 +191,9 @@ type Echelon struct {
 	RHS []bool
 	// Pivots[i] is the pivot column of Rows[i] (strictly increasing).
 	Pivots []int
-	// Rank is the rank of A.
-	Rank int
+	// Rank is the rank of A; Cols, its column count, is the width of
+	// every solution, and Cols - Rank its nullity.
+	Rank, Cols int
 	// Consistent is false when elimination produced a zero row with
 	// right-hand side 1 — the system has no solution.
 	Consistent bool
@@ -277,7 +209,7 @@ func (m *Matrix) Eliminate(y bitvec.Vector) Echelon {
 	rows := bitvec.CloneAll(m.rows)
 	rhs := y.Clone()
 	rank, pivots := rowReduce(rows, rhs)
-	e := Echelon{Rank: rank, Pivots: pivots, Consistent: true}
+	e := Echelon{Rank: rank, Cols: m.cols, Pivots: pivots, Consistent: true}
 	for i := rank; i < len(rows); i++ {
 		if rhs.Get(i) {
 			e.Consistent = false
@@ -292,55 +224,91 @@ func (m *Matrix) Eliminate(y bitvec.Vector) Echelon {
 	return e
 }
 
-// Nullity returns the dimension of the solution space.
-func (s System) Nullity() int { return len(s.Nullspace) }
-
-// SolutionCount returns the total number of solutions, 2^nullity, or -1
-// if that number does not fit an int64.
-func (s System) SolutionCount() int64 {
-	if len(s.Nullspace) >= 63 {
-		return -1
-	}
-	return 1 << uint(len(s.Nullspace))
-}
-
-// EnumerateSolutions calls fn for every solution of the system, in Gray-
-// code order starting from the particular solution. Enumeration stops
-// early when fn returns false. It panics when the nullity exceeds
-// maxNullity (guarding against accidental 2^large loops); pass
-// maxNullity <= 0 for the default of 30.
-func (s System) EnumerateSolutions(maxNullity int, fn func(bitvec.Vector) bool) {
-	if maxNullity <= 0 {
-		maxNullity = 30
-	}
-	n := len(s.Nullspace)
-	if n > maxNullity {
-		panic(fmt.Sprintf("gf2: nullity %d exceeds limit %d", n, maxNullity))
-	}
-	cur := s.Particular.Clone()
-	if !fn(cur.Clone()) {
+// Walk calls fn on every solution of the system whose free (non-pivot)
+// columns hold at most k >= 0 ones, WalkVisits(Cols-Rank, k) points,
+// none twice, and stops early when fn returns false. An inconsistent
+// system has no solutions and visits none.
+//
+// Every solution is the particular solution (free columns 0) plus a
+// sum of nullspace basis vectors, and basis vector f is the only one
+// that sets free column f. So a solution of weight k sums at most k of
+// them, and the walk meets every weight-k solution: Lee–Brickell's
+// information-set step run exhaustively. It moves one reused vector by
+// one XOR in and one XOR out per point; fn must copy what it keeps.
+func (e Echelon) Walk(k int, fn func(x bitvec.Vector) bool) {
+	if !e.Consistent {
 		return
 	}
-	// Gray-code walk: flip one basis vector per step, visiting all 2^n
-	// subset sums.
-	total := uint64(1) << uint(n)
-	for i := uint64(1); i < total; i++ {
-		// Bit that changes between Gray codes of i-1 and i.
-		g := trailingZeros(i)
-		cur.XorInPlace(s.Nullspace[g])
-		if !fn(cur.Clone()) {
+	free := make([]int, 0, e.Cols-e.Rank)
+	for c, r := 0, 0; c < e.Cols; c++ {
+		if r < e.Rank && e.Pivots[r] == c {
+			r++
+		} else {
+			free = append(free, c)
+		}
+	}
+	// vecs[0] is the walk's point, starting at the particular solution;
+	// vecs[1+i] is the basis vector of free column free[i].
+	vecs := bitvec.NewAll(1+len(free), e.Cols)
+	x, basis := vecs[0], vecs[1:]
+	for r, c := range e.Pivots {
+		if e.RHS[r] {
+			x.Set(c, true)
+		}
+	}
+	for i, f := range free {
+		basis[i].Set(f, true)
+		for r, row := range e.Rows {
+			if row.Get(f) {
+				basis[i].Set(e.Pivots[r], true)
+			}
+		}
+	}
+	if !fn(x) {
+		return
+	}
+	// Depth first over increasing index sets: add the next basis vector
+	// while fewer than k are in, else take the last one out and move
+	// past it.
+	in := make([]int, 0, min(k, len(free)))
+	next := 0
+	for {
+		if len(in) < k && next < len(free) {
+			x.XorInPlace(basis[next])
+			in = append(in, next)
+			next++
+			if !fn(x) {
+				return
+			}
+			continue
+		}
+		if len(in) == 0 {
 			return
 		}
+		last := in[len(in)-1]
+		in = in[:len(in)-1]
+		x.XorInPlace(basis[last])
+		next = last + 1
 	}
 }
 
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
+// WalkVisits returns Σ_{j≤k} C(n, j), the number of points Walk visits
+// on a consistent system of nullity n, saturating at math.MaxUint64.
+func WalkVisits(n, k int) uint64 {
+	total, c := uint64(1), uint64(1)
+	for j := 1; j <= min(k, n); j++ {
+		// C(n, j) = C(n, j-1)·(n-j+1)/j; the quotient fits 64 bits
+		// exactly when the product's high word is below j.
+		hi, lo := bits.Mul64(c, uint64(n-j+1))
+		if hi >= uint64(j) {
+			return math.MaxUint64
+		}
+		c, _ = bits.Div64(hi, lo, uint64(j))
+		if total += c; total < c {
+			return math.MaxUint64
+		}
 	}
-	return n
+	return total
 }
 
 // String renders the matrix one row per line, MSB-first per row vector.

@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -56,8 +57,7 @@ func TestMulVecSelectsColumns(t *testing.T) {
 
 // TestQueriesLeaveReceiverUnchanged pins the read-only contract that
 // lets an encoding share one parity matrix across requests and
-// goroutines: Eliminate, Solve, Rank and MulVec never modify the
-// receiver. Rows wider than one word exercise the word-level kernel.
+// goroutines: Eliminate, Rank and MulVec never modify the receiver. Rows wider than one word exercise the word-level kernel.
 func TestQueriesLeaveReceiverUnchanged(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	for _, dims := range [][2]int{{13, 20}, {70, 90}, {6, 130}} {
@@ -69,16 +69,19 @@ func TestQueriesLeaveReceiverUnchanged(t *testing.T) {
 		m := FromColumns(vecs)
 		before := m.String()
 		y := m.MulVec(randVec(r, cols))
-		if !m.Eliminate(y).Consistent {
+		ech := m.Eliminate(y)
+		if !ech.Consistent {
 			t.Fatalf("%dx%d: A·x reported inconsistent", rows, cols)
 		}
+		ech.Walk(1, func(x bitvec.Vector) bool {
+			if !m.MulVec(x).Equal(y) {
+				t.Fatalf("%dx%d: walked a non-solution of A·x = y", rows, cols)
+			}
+			return true
+		})
 		m.Eliminate(randVec(r, rows))
-		sys, ok := m.Solve(y)
-		if !ok || !m.MulVec(sys.Particular).Equal(y) {
-			t.Fatalf("%dx%d: Solve missed a solution of A·x = y", rows, cols)
-		}
-		if got := m.Rank(); got != sys.Rank {
-			t.Fatalf("%dx%d: Rank %d, Solve rank %d", rows, cols, got, sys.Rank)
+		if got := m.Rank(); got != ech.Rank {
+			t.Fatalf("%dx%d: Rank %d, Eliminate rank %d", rows, cols, got, ech.Rank)
 		}
 		if after := m.String(); after != before {
 			t.Fatalf("%dx%d: receiver modified:\n%s\nwant\n%s", rows, cols, after, before)
@@ -128,90 +131,99 @@ func TestIsLinearlyIndependent(t *testing.T) {
 	}
 }
 
-func TestSolveConsistent(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		b := 4 + r.Intn(10)
-		n := 4 + r.Intn(12)
+func TestSolveInconsistent(t *testing.T) {
+	// Rows: e0, e0 — then y = (1,0) is inconsistent (x0=1 and x0=0).
+	m := FromRows([]bitvec.Vector{bitvec.FromOnes(3, 0), bitvec.FromOnes(3, 0)})
+	if m.Eliminate(bitvec.FromOnes(2, 0)).Consistent {
+		t.Error("inconsistent system reported solvable")
+	}
+	// Same matrix with y = (1,1) is consistent.
+	if !m.Eliminate(bitvec.FromOnes(2, 0, 1)).Consistent {
+		t.Error("consistent system reported unsolvable")
+	}
+}
+
+// TestWalkMatchesExhaustive checks Echelon.Walk against every one of
+// the 2^n vectors of small random systems, consistent and inconsistent:
+// each visited point solves A·x = y and has at most k ones on the free
+// columns, none is visited twice, the count is WalkVisits(nullity, k),
+// and the weight-k points are exactly the weight-k solutions.
+func TestWalkMatchesExhaustive(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	inconsistent := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(12)
+		b := 1 + r.Intn(8)
 		cols := make([]bitvec.Vector, n)
 		for i := range cols {
 			cols[i] = randVec(r, b)
 		}
 		m := FromColumns(cols)
-		// Construct y from a known solution so the system is consistent.
-		x0 := randVec(r, n)
-		y := m.MulVec(x0)
-		sys, ok := m.Solve(y)
-		if !ok {
-			t.Fatal("consistent system reported unsolvable")
+		y := randVec(r, b)
+		if trial%2 == 0 {
+			y = m.MulVec(randVec(r, n)) // consistent by construction
 		}
-		if !m.MulVec(sys.Particular).Equal(y) {
-			t.Fatal("particular solution does not satisfy system")
+		k := r.Intn(n + 1)
+		ech := m.Eliminate(y)
+		if !ech.Consistent {
+			inconsistent++
 		}
-		for _, v := range sys.Nullspace {
-			if !m.MulVec(v).IsZero() {
-				t.Fatal("nullspace vector not in kernel")
+		free := bitvec.New(n)
+		for c := 0; c < n; c++ {
+			free.Set(c, true)
+		}
+		for _, c := range ech.Pivots[:ech.Rank] {
+			free.Set(c, false)
+		}
+		seen := map[string]bool{}
+		weightK := 0
+		ech.Walk(k, func(x bitvec.Vector) bool {
+			if seen[x.Key()] {
+				t.Fatalf("trial %d: point %s visited twice", trial, x.LSBString())
+			}
+			seen[x.Key()] = true
+			if !m.MulVec(x).Equal(y) {
+				t.Fatalf("trial %d: visited non-solution %s", trial, x.LSBString())
+			}
+			if f := x.And(free).PopCount(); f > k {
+				t.Fatalf("trial %d: point %s has %d free ones, k=%d", trial, x.LSBString(), f, k)
+			}
+			if x.PopCount() == k {
+				weightK++
+			}
+			return true
+		})
+		want := 0
+		if ech.Consistent {
+			want = int(WalkVisits(n-ech.Rank, k))
+		}
+		if len(seen) != want {
+			t.Fatalf("trial %d: %d visits, want %d", trial, len(seen), want)
+		}
+		solutions := 0
+		for mask := 0; mask < 1<<n; mask++ {
+			x := bitvec.FromUint(uint64(mask), n)
+			if x.PopCount() != k || !m.MulVec(x).Equal(y) {
+				continue
+			}
+			solutions++
+			if !seen[x.Key()] {
+				t.Fatalf("trial %d: weight-%d solution %s not visited", trial, k, x.LSBString())
 			}
 		}
-		if sys.Rank+sys.Nullity() != n {
-			t.Fatalf("rank-nullity violated: %d + %d != %d", sys.Rank, sys.Nullity(), n)
+		if weightK != solutions {
+			t.Fatalf("trial %d: %d weight-%d points, %d weight-%d solutions", trial, weightK, k, solutions, k)
 		}
-		if !IsLinearlyIndependent(sys.Nullspace) {
-			t.Fatal("nullspace basis not independent")
-		}
+	}
+	if inconsistent == 0 {
+		t.Fatal("no inconsistent system drawn")
 	}
 }
 
-func TestSolveInconsistent(t *testing.T) {
-	// Rows: e0, e0 — then y = (1,0) is inconsistent (x0=1 and x0=0).
-	m := FromRows([]bitvec.Vector{bitvec.FromOnes(3, 0), bitvec.FromOnes(3, 0)})
-	y := bitvec.FromOnes(2, 0)
-	if _, ok := m.Solve(y); ok {
-		t.Error("inconsistent system reported solvable")
-	}
-	// Same matrix with y = (1,1) is consistent.
-	if _, ok := m.Solve(bitvec.FromOnes(2, 0, 1)); !ok {
-		t.Error("consistent system reported unsolvable")
-	}
-}
-
-func TestEnumerateSolutionsCompleteAndDistinct(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	cols := make([]bitvec.Vector, 10)
-	for i := range cols {
-		cols[i] = randVec(r, 6)
-	}
-	m := FromColumns(cols)
-	x0 := randVec(r, 10)
-	y := m.MulVec(x0)
-	sys, ok := m.Solve(y)
-	if !ok {
-		t.Fatal("unsolvable")
-	}
-	seen := map[string]bool{}
-	sys.EnumerateSolutions(0, func(x bitvec.Vector) bool {
-		if seen[x.Key()] {
-			t.Fatal("duplicate solution")
-		}
-		seen[x.Key()] = true
-		if !m.MulVec(x).Equal(y) {
-			t.Fatal("enumerated non-solution")
-		}
-		return true
-	})
-	if int64(len(seen)) != sys.SolutionCount() {
-		t.Fatalf("enumerated %d, expected %d", len(seen), sys.SolutionCount())
-	}
-	if !seen[x0.Key()] {
-		t.Error("original solution not enumerated")
-	}
-}
-
-func TestEnumerateEarlyStop(t *testing.T) {
-	m := NewMatrix(1, 5) // zero matrix: all 2^5 vectors solve Ax=0
-	sys, _ := m.Solve(bitvec.New(1))
+func TestWalkEarlyStop(t *testing.T) {
+	ech := NewMatrix(1, 5).Eliminate(bitvec.New(1)) // all 2^5 vectors solve 0·x = 0
 	n := 0
-	sys.EnumerateSolutions(0, func(bitvec.Vector) bool {
+	ech.Walk(5, func(bitvec.Vector) bool {
 		n++
 		return n < 7
 	})
@@ -220,22 +232,25 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
-func TestEnumerateNullityGuard(t *testing.T) {
-	m := NewMatrix(1, 40)
-	sys, _ := m.Solve(bitvec.New(1))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for nullity over limit")
+func TestWalkVisits(t *testing.T) {
+	for _, tc := range []struct {
+		n, k int
+		want uint64
+	}{
+		{0, 5, 1},
+		{16, 16, 1 << 16},
+		{17, 8, 65536}, // half of 2^17, by symmetry
+		{21, 5, 27896},
+		{21, 6, 82160},
+		{112, 5, 140598781},
+		{63, 63, 1 << 63},
+		{64, 62, math.MaxUint64 - 64}, // 2^64 - 1 - C(64, 63) fits
+		{64, 64, math.MaxUint64},      // 2^64 saturates
+		{200, 100, math.MaxUint64},
+	} {
+		if got := WalkVisits(tc.n, tc.k); got != tc.want {
+			t.Errorf("WalkVisits(%d, %d) = %d, want %d", tc.n, tc.k, got, tc.want)
 		}
-	}()
-	sys.EnumerateSolutions(0, func(bitvec.Vector) bool { return true })
-}
-
-func TestSolutionCountOverflow(t *testing.T) {
-	m := NewMatrix(1, 70)
-	sys, _ := m.Solve(bitvec.New(1))
-	if sys.SolutionCount() != -1 {
-		t.Errorf("expected overflow sentinel, got %d", sys.SolutionCount())
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/decode"
 	"repro/internal/encoding"
+	"repro/internal/gf2"
 	"repro/internal/obs"
 )
 
-// Routes the dispatcher can pick. Every route except the two
-// linear-algebra answers (refuted, pinned) names a backend oracle;
-// refuted and pinned are decided inside the brute oracle's GF(2) walk
-// with zero search.
+// Routes the dispatcher can pick. Every route except the
+// linear-algebra answers (refuted, pinned, brute) names a backend
+// oracle; those three are read off the elimination feature extraction
+// already did, with zero search.
 const (
 	// RouteRefuted: feature extraction already proved the candidate set
 	// empty (TP outside the column space, or k infeasible against the
@@ -27,7 +28,8 @@ const (
 	// RouteDecode: algebraic syndrome decoding, k <= decode.MaxK,
 	// constraints filtered by Holds.
 	RouteDecode = "decode"
-	// RouteBrute: GF(2) coset enumeration, nullity within the budget.
+	// RouteBrute: the GF(2) coset walk over the points with at most k
+	// ones on the free columns, when it visits at most 2^16 of them.
 	RouteBrute = "brute"
 	// RouteSession: the incremental assumption-based session solver,
 	// the residual of the cost model: it answers every request.
@@ -77,18 +79,21 @@ func (o DispatchOptions) sessionMaxK() int {
 	return o.SessionMaxK
 }
 
-// maxNullity caps the brute route's 2^nullity coset walk: beyond it
-// SAT search is the better bet.
-const maxNullity = 16
+// bruteRouteVisits is the most coset points (gf2.WalkVisits) for
+// which Route picks the brute walk over SAT search: 2^16, the whole
+// coset at nullity 16.
+const bruteRouteVisits = 1 << 16
 
 // Features are the per-request instance measurements the routing
 // function consumes. They come from one GF(2) elimination of [A | TP],
-// the same O(b²·m/64) pass the presolve does; no SAT work.
+// the same O(b²·m/64) pass the presolve does; no SAT work. The pinned
+// and brute routes answer from that same elimination.
 type Features struct {
 	// M, B, K: instance geometry and requested change count.
 	M, B, K int
 	// Rank of the parity system A; Nullity = M - Rank is the log2 of
-	// the solution-coset size.
+	// the solution-coset size, and the brute walk visits
+	// gf2.WalkVisits(Nullity, K) of its points.
 	Rank, Nullity int
 	// Fixed counts positions pinned by unit rows of the reduced
 	// system; ForcedTrue of those are pinned to 1.
@@ -116,7 +121,8 @@ type Decision struct {
 //
 //	refuted/pinned  O(b²·m/64) elimination, zero search
 //	decode          O(m²) pair index walk, k <= 4, constraints by Holds
-//	brute           O(2^nullity · m/64) coset walk, constraints by Holds
+//	brute           O(Σ C(n,≤k) · m/64) coset walk, n = nullity,
+//	                at most 2^16 points, constraints by Holds
 //	sat-inc         assumption solve on a warm learned-clause DB, any k
 //
 // The one-shot SAT backends (sat-par, sat) answer only by Force.
@@ -131,7 +137,7 @@ func Route(f Features) string {
 		return RoutePinned
 	case f.K <= decode.MaxK:
 		return RouteDecode
-	case f.Nullity <= maxNullity:
+	case gf2.WalkVisits(f.Nullity, f.K) <= bruteRouteVisits:
 		return RouteBrute
 	default:
 		return RouteSession
@@ -148,7 +154,7 @@ type Dispatcher struct {
 	enc  *encoding.Encoding
 	opts DispatchOptions
 
-	sat, par, decode, brute Oracle
+	sat, par, decode Oracle
 
 	// The session prototype is the one costly backend (the A-structure
 	// encoding), so it is built on the first request routed to it.
@@ -174,7 +180,6 @@ func NewDispatcher(enc *encoding.Encoding, opts DispatchOptions) (*Dispatcher, e
 		sat:    NewSATOracle(enc, solve),
 		par:    NewParallelSATOracle(enc, opts.Workers, solve),
 		decode: NewDecodeOracle(enc),
-		brute:  NewBruteOracle(enc, maxNullity),
 	}, nil
 }
 
@@ -193,8 +198,14 @@ func (d *Dispatcher) session() *SessionOracle {
 // (core.ErrWidth, core.ErrKRange, ErrConstraint) for malformed
 // requests, so every route refuses them alike.
 func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features, error) {
+	f, _, err := d.features(entry, cons)
+	return f, err
+}
+
+// features is Features plus the echelon form it measured.
+func (d *Dispatcher) features(entry core.LogEntry, cons []Constraint) (Features, gf2.Echelon, error) {
 	if err := validate(d.enc, entry, cons); err != nil {
-		return Features{}, err
+		return Features{}, gf2.Echelon{}, err
 	}
 	m, b := d.enc.M(), d.enc.B()
 	f := Features{M: m, B: b, K: entry.K}
@@ -211,14 +222,12 @@ func (d *Dispatcher) Features(entry core.LogEntry, cons []Constraint) (Features,
 		}
 		f.KFeasible = kFeasible(entry.K, m, f.Fixed, f.ForcedTrue)
 	}
-	return f, nil
+	return f, ech, nil
 }
 
-// oracleFor maps a route to its backend.
+// oracleFor maps a search route to its backend.
 func (d *Dispatcher) oracleFor(route string) Oracle {
 	switch route {
-	case RoutePinned, RouteBrute:
-		return d.brute
 	case RouteDecode:
 		return d.decode
 	case RouteSession:
@@ -234,7 +243,7 @@ func (d *Dispatcher) oracleFor(route string) Oracle {
 // that report or check how a request was routed.
 func (d *Dispatcher) EnumerateRouted(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, Decision, error) {
 	defer d.opts.Obs.StartSpan(SpanDispatch).End()
-	f, err := d.Features(entry, cons)
+	f, ech, err := d.features(entry, cons)
 	if err != nil {
 		return nil, false, Decision{}, err
 	}
@@ -249,7 +258,13 @@ func (d *Dispatcher) EnumerateRouted(ctx context.Context, entry core.LogEntry, c
 		return nil, true, dec, nil
 	}
 
-	sigs, exhausted, err := d.oracleFor(route).Enumerate(ctx, entry, cons, limit)
+	var sigs []core.Signal
+	var exhausted bool
+	if route == RoutePinned || route == RouteBrute {
+		sigs, exhausted, err = walkCoset(ctx, ech, entry.K, cons, limit)
+	} else {
+		sigs, exhausted, err = d.oracleFor(route).Enumerate(ctx, entry, cons, limit)
+	}
 	if errors.Is(err, ErrUnsupported) {
 		// A forced backend could not express the request: serial SAT
 		// is always sound, so re-run there and count the fallback.

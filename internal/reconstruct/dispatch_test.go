@@ -3,6 +3,7 @@ package reconstruct
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
@@ -34,8 +35,13 @@ func TestRouteTable(t *testing.T) {
 		{"nullity 0 is pinned", func(f *Features) { f.Nullity = 0; f.Rank = 64 }, RoutePinned},
 		{"small k with evaluable props decodes", func(f *Features) { f.K = 4 }, RouteDecode},
 		{"small nullity goes brute", func(f *Features) { f.Nullity = 12 }, RouteBrute},
-		{"nullity 16 is the last brute walk", func(f *Features) { f.Nullity = 16 }, RouteBrute},
-		{"nullity past the brute budget takes the session", func(f *Features) { f.Nullity = 17 }, RouteSession},
+		{"nullity 16 walks at every k", func(f *Features) { f.Nullity = 16; f.K = 64 }, RouteBrute},
+		{"nullity 17 at k 8 walks half its coset", func(f *Features) { f.Nullity = 17 }, RouteBrute},
+		{"nullity 21 at k 5 is within 2^16 visits", func(f *Features) { f.Nullity = 21; f.K = 5 }, RouteBrute},
+		{"nullity 21 at k 6 is past 2^16 visits", func(f *Features) { f.Nullity = 21; f.K = 6 }, RouteSession},
+		{"benchmark geometry at k 5 takes the session", func(f *Features) {
+			f.M, f.B, f.K, f.Rank, f.Nullity = 128, 16, 5, 16, 112
+		}, RouteSession},
 		{"past decode and brute reuses the warm session", func(*Features) {}, RouteSession},
 		{"k past the session ladder stays on the session", func(f *Features) { f.K = 17 }, RouteSession},
 	}
@@ -44,6 +50,17 @@ func TestRouteTable(t *testing.T) {
 		tc.mut(&f)
 		if got := Route(f); got != tc.want {
 			t.Errorf("%s: Route = %s, want %s (features %+v)", tc.name, got, tc.want, f)
+		}
+	}
+	// A walk of the whole coset visits 2^nullity points, so every
+	// nullity up to 16 takes the brute route at every k past decode.
+	for n := 1; n <= 16; n++ {
+		for k := 5; k <= 64; k++ {
+			f := base
+			f.Nullity, f.Rank, f.K = n, 64-n, k
+			if got := Route(f); got != RouteBrute {
+				t.Fatalf("nullity %d, k %d: Route = %s, want %s", n, k, got, RouteBrute)
+			}
 		}
 	}
 }
@@ -264,6 +281,81 @@ func TestDispatchRankPinnedNeverSAT(t *testing.T) {
 	}
 	if n := snap.Counters[MetricDispatchChosenPrefix+RoutePinned]; n != 1 {
 		t.Fatalf("chosen.pinned = %d, want 1", n)
+	}
+}
+
+// TestBruteRouteAllocs checks that the brute route allocates nothing
+// per visited point: a request with no weight-k answer allocates the
+// same at nullity 8 as at nullity 14, where its walk visits 16 times
+// as many points. Every timestamp ends in a 1, so the last bit of A·x
+// is the parity of |x|, and an even-weight timeprint has no answer of
+// odd weight. A walk that cloned each point it visited would allocate
+// 16 times as much at nullity 14.
+func TestBruteRouteAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	ctx := context.Background()
+	allocs := map[int]float64{}
+	for _, g := range []struct{ m, b int }{{16, 8}, {24, 10}} {
+		seen := map[string]bool{}
+		var ts []bitvec.Vector
+		for len(ts) < g.m {
+			v := bitvec.FromUint(r.Uint64(), g.b)
+			v.Set(g.b-1, true)
+			if !seen[v.Key()] {
+				seen[v.Key()] = true
+				ts = append(ts, v)
+			}
+		}
+		enc, err := encoding.FromTimestamps(ts, "parity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		disp, err := NewDispatcher(enc, DispatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry := core.Log(enc, core.SignalFromChanges(g.m, 1, 4, 6, 11))
+		entry.K = 5
+		sigs, exhausted, dec, err := disp.EnumerateRouted(ctx, entry, nil, 0)
+		if err != nil || !exhausted || len(sigs) != 0 || dec.Route != RouteBrute {
+			t.Fatalf("m=%d: %d answers via %s (exhausted=%v, err=%v), want none via %s", g.m, len(sigs), dec.Route, exhausted, err, RouteBrute)
+		}
+		allocs[dec.Features.Nullity] = testing.AllocsPerRun(20, func() { _, _, _, _ = disp.EnumerateRouted(ctx, entry, nil, 0) })
+	}
+	if len(allocs) != 2 || allocs[8] != allocs[14] {
+		t.Fatalf("allocations by nullity %v, want nullity 8 and 14 equal", allocs)
+	}
+	t.Logf("brute request with no answer: %.0f allocations at nullity 8 and 14", allocs[8])
+}
+
+// BenchmarkBruteWalk measures one exhaustive request on the brute
+// route through the Dispatcher: m = 32, b = 12, k = 5 on the
+// incremental LI-4 encoding, nullity 20, so the walk visits
+// Σ C(20, ≤5) = 21,700 coset points. Five random entries (seed 7)
+// take turns.
+func BenchmarkBruteWalk(b *testing.B) {
+	enc := mustEnc(b, 32, 12, 4)
+	r := rand.New(rand.NewSource(7))
+	entries := make([]core.LogEntry, 5)
+	for i := range entries {
+		entries[i] = core.Log(enc, core.SignalFromChanges(32, r.Perm(32)[:5]...))
+	}
+	disp, err := NewDispatcher(enc, DispatchOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, e := range entries {
+		if _, ex, dec, err := disp.EnumerateRouted(ctx, e, nil, 0); err != nil || !ex || dec.Route != RouteBrute {
+			b.Fatalf("request %d: route %q, exhausted %v, err %v; want %s", i, dec.Route, ex, err, RouteBrute)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := disp.Enumerate(ctx, entries[i%len(entries)], nil, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -11,16 +11,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/decode"
 	"repro/internal/encoding"
+	"repro/internal/gf2"
 	"repro/internal/obs"
 	"repro/internal/sat"
 )
 
 // ErrUnsupported reports that an oracle cannot express a request it
-// was handed: k beyond the algebraic decoder's range, or a nullity past
-// the brute-force budget. Only a forced decode or brute backend meets
-// it, since the cost model never routes such a request there. The
-// dispatcher treats it as "pick another backend", never as a request
-// failure.
+// was handed: k beyond the algebraic decoder's range, or a coset walk
+// past BruteMaxVisits points. Only a forced decode or brute backend
+// meets it, since the cost model never routes such a request there.
+// The dispatcher treats it as "pick another backend", never as a
+// request failure.
 var ErrUnsupported = errors.New("reconstruct: oracle does not support this request")
 
 // ErrConstraint reports a constraint whose Validate fails for the
@@ -192,42 +193,47 @@ func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons 
 
 // --- GF(2) brute force ---
 
+// BruteMaxVisits is the brute oracle's ceiling: a request whose coset
+// walk would visit more points (gf2.WalkVisits) gets ErrUnsupported.
+// 2^28 is the whole coset at nullity 28.
+const BruteMaxVisits = 1 << 28
+
 // bruteOracle solves by linear algebra alone: Gaussian elimination
-// yields the solution coset, whose 2^nullity points are walked and
-// filtered by |x| = k and the constraints. It also serves the two
-// degenerate cases the dispatcher answers without search — an
-// inconsistent system (no solutions) and a rank-pinned one (nullity 0,
-// a single candidate read off the echelon form).
+// yields the solution coset, whose points with at most k ones on the
+// free columns are walked and filtered by |x| = k and the constraints.
+// The dispatcher answers its pinned and brute routes with the same
+// walk, from the elimination its feature extraction already did.
 type bruteOracle struct {
-	enc        *encoding.Encoding
-	maxNullity int
+	enc *encoding.Encoding
 }
 
-// NewBruteOracle returns the GF(2) coset-enumeration backend;
-// maxNullity bounds the 2^nullity walk (default 28 when <= 0).
-func NewBruteOracle(enc *encoding.Encoding, maxNullity int) Oracle {
-	if maxNullity <= 0 {
-		maxNullity = 28
-	}
-	return &bruteOracle{enc: enc, maxNullity: maxNullity}
+// NewBruteOracle returns the GF(2) coset-walk backend.
+func NewBruteOracle(enc *encoding.Encoding) Oracle {
+	return &bruteOracle{enc: enc}
 }
 
 func (o *bruteOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
 	if err := validate(o.enc, entry, cons); err != nil {
 		return nil, false, err
 	}
-	sys, ok := o.enc.Matrix().Solve(entry.TP)
-	if !ok {
+	return walkCoset(ctx, o.enc.Matrix().Eliminate(entry.TP), entry.K, cons, limit)
+}
+
+// walkCoset answers a request from the echelon form of [A | TP]: it
+// walks every coset point that can have weight k and keeps those of
+// weight k that hold under cons, up to limit (<= 0: all).
+func walkCoset(ctx context.Context, ech gf2.Echelon, k int, cons []Constraint, limit int) ([]core.Signal, bool, error) {
+	if !ech.Consistent {
 		return nil, true, nil // TP outside the column space: no signals
 	}
-	if sys.Nullity() > o.maxNullity {
-		return nil, false, fmt.Errorf("brute force refuses nullity %d > %d: %w", sys.Nullity(), o.maxNullity, ErrUnsupported)
+	if v := gf2.WalkVisits(ech.Cols-ech.Rank, k); v > BruteMaxVisits {
+		return nil, false, fmt.Errorf("brute force refuses %d coset visits > %d: %w", v, BruteMaxVisits, ErrUnsupported)
 	}
 	done := ctx.Done()
 	var out []core.Signal
 	interrupted, truncated := false, false
 	visited := 0
-	sys.EnumerateSolutions(o.maxNullity, func(x bitvec.Vector) bool {
+	ech.Walk(k, func(x bitvec.Vector) bool {
 		if visited++; visited&1023 == 0 {
 			select {
 			case <-done:
@@ -236,7 +242,7 @@ func (o *bruteOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons [
 			default:
 			}
 		}
-		if x.PopCount() != entry.K {
+		if x.PopCount() != k {
 			return true
 		}
 		s := core.SignalFromVector(x)

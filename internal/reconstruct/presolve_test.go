@@ -158,7 +158,7 @@ func TestPresolveEquivalence(t *testing.T) {
 		if !exhausted {
 			t.Fatalf("trial %d: not exhausted", trial)
 		}
-		bf, err := BruteForce(enc, entry, 0, 0)
+		bf, err := BruteForce(enc, entry, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

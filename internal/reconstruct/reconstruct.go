@@ -363,13 +363,14 @@ func (r *Reconstructor) FirstParallel(workers int) (core.Signal, sat.Status, err
 }
 
 // BruteForce solves SR by linear algebra: Gaussian elimination yields
-// the solution coset (particular solution + nullspace span), which is
-// enumerated exhaustively and filtered by |x| = k — the brute oracle's
-// coset walk without constraints. Cost is 2^nullity, so it refuses
-// instances whose nullity exceeds maxNullity (default 28 when <= 0).
-// It is the validation baseline for the SAT path.
-func BruteForce(enc *encoding.Encoding, entry core.LogEntry, limit, maxNullity int) ([]core.Signal, error) {
-	sigs, _, err := NewBruteOracle(enc, maxNullity).Enumerate(context.Background(), entry, nil, limit)
+// the solution coset (particular solution + nullspace span), whose
+// points with at most k ones on the free columns are walked and
+// filtered by |x| = k — the brute oracle's coset walk without
+// constraints. Cost is Σ_{j≤k} C(nullity, j) points, so it returns
+// ErrUnsupported past BruteMaxVisits of them. It is the validation
+// baseline for the SAT path.
+func BruteForce(enc *encoding.Encoding, entry core.LogEntry, limit int) ([]core.Signal, error) {
+	sigs, _, err := NewBruteOracle(enc).Enumerate(context.Background(), entry, nil, limit)
 	return sigs, err
 }
 

@@ -1,12 +1,14 @@
 package reconstruct
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/gf2"
 	"repro/internal/sat"
 )
 
@@ -53,7 +55,7 @@ func TestSATMatchesBruteForceAndExhaustive(t *testing.T) {
 		if !exhausted {
 			t.Fatal("SAT enumeration not exhausted")
 		}
-		bfSigs, err := BruteForce(enc, entry, 0, 0)
+		bfSigs, err := BruteForce(enc, entry, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +120,21 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
+// TestBruteForceNullityGuard checks the brute oracle's ceiling: at
+// nullity 36 a k = 16 walk needs Σ C(36, ≤16) ≈ 2.1e10 visits, past
+// BruteMaxVisits, so BruteForce refuses it as ErrUnsupported.
 func TestBruteForceNullityGuard(t *testing.T) {
-	enc := mustEnc(t, 40, 12, 4) // nullity 28 over limit 20
-	entry := core.Log(enc, core.SignalFromChanges(40, 1, 2))
-	if _, err := BruteForce(enc, entry, 0, 20); err == nil {
-		t.Error("expected nullity refusal")
+	enc := mustEnc(t, 48, 12, 4)
+	if n := enc.M() - enc.Matrix().Rank(); n != 36 {
+		t.Fatalf("nullity %d, want 36", n)
+	}
+	changes := make([]int, 16)
+	for i := range changes {
+		changes[i] = 3 * i
+	}
+	entry := core.Log(enc, core.SignalFromChanges(48, changes...))
+	if _, err := BruteForce(enc, entry, 0); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("BruteForce at %d visits: %v, want ErrUnsupported", gf2.WalkVisits(36, 16), err)
 	}
 }
 
@@ -136,7 +148,7 @@ func TestBruteForceInconsistentTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Column space = span{e0, e0^e1}; e2 is outside.
-	out, err := BruteForce(enc, core.LogEntry{TP: bitvec.FromOnes(4, 2), K: 1}, 0, 0)
+	out, err := BruteForce(enc, core.LogEntry{TP: bitvec.FromOnes(4, 2), K: 1}, 0)
 	if err != nil || out != nil {
 		t.Fatalf("expected empty result, got %v %v", out, err)
 	}
@@ -146,7 +158,7 @@ func TestEnumerateLimit(t *testing.T) {
 	enc := mustEnc(t, 12, 9, 4)
 	truth := core.SignalFromChanges(12, 0, 5, 6)
 	entry := core.Log(enc, truth)
-	all, _ := BruteForce(enc, entry, 0, 0)
+	all, _ := BruteForce(enc, entry, 0)
 	if len(all) < 2 {
 		t.Skip("instance not ambiguous; nothing to limit")
 	}
@@ -167,7 +179,7 @@ func TestCountCandidates(t *testing.T) {
 	if err != nil || !exhausted {
 		t.Fatal(err)
 	}
-	bf, _ := BruteForce(enc, entry, 0, 0)
+	bf, _ := BruteForce(enc, entry, 0)
 	if n != len(bf) {
 		t.Fatalf("count %d, brute force %d", n, len(bf))
 	}

@@ -265,7 +265,7 @@ func TestSessionOracleRetiresOvergrownSession(t *testing.T) {
 	enc := mustEnc(t, m, 9, 4)
 	reg := obs.NewRegistry()
 	o := NewSessionOracle(enc, SessionOptions{MaxK: 3, Obs: reg})
-	brute := NewBruteOracle(enc, 0)
+	brute := NewBruteOracle(enc)
 	r := rand.New(rand.NewSource(53))
 	ctx := context.Background()
 	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }

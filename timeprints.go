@@ -186,10 +186,12 @@ func NewReconstructor(enc *Encoding, entry LogEntry, constraints []Constraint, o
 	return reconstruct.New(enc, entry, constraints, opts)
 }
 
-// BruteForce solves reconstruction by F2 Gaussian elimination and
-// coset enumeration — the validation baseline.
+// BruteForce solves reconstruction by F2 Gaussian elimination and a
+// walk of the solution coset over the points with at most k ones on
+// its free columns — the validation baseline. Past
+// reconstruct.BruteMaxVisits points (2^28) it returns ErrUnsupported.
 func BruteForce(enc *Encoding, entry LogEntry, limit int) ([]Signal, error) {
-	return reconstruct.BruteForce(enc, entry, limit, 0)
+	return reconstruct.BruteForce(enc, entry, limit)
 }
 
 // NewDispatcher builds a cost-model router over all reconstruction
@@ -200,7 +202,7 @@ func NewDispatcher(enc *Encoding, opts DispatchOptions) (*Dispatcher, error) {
 }
 
 // ErrUnsupported reports that an oracle cannot express a request
-// (algebraic decode beyond k=4, brute force past its nullity budget).
+// (algebraic decode beyond k=4, a brute-force walk past 2^28 points).
 // Only a forced backend meets it; the dispatcher then falls back to
 // serial SAT.
 var ErrUnsupported = reconstruct.ErrUnsupported
