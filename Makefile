@@ -80,12 +80,13 @@ bench-record:
 	$(BENCH_RUN) | $(GO) run ./cmd/benchdiff -record -baseline BENCH.json \
 		-note "solver benchmarks -count=5 -benchtime=1x, microbenchmarks -count=5 -benchtime=2000x, tprload -self -bench -count 5"
 
-# dispatch-check is the dispatcher's CI job: vet and the
-# dispatcher/oracle test surface, with the GF(2) coset walk the brute
-# and pinned routes answer from, under the race detector.
+# dispatch-check is the dispatcher's CI job: vet and the test surface
+# of the dispatcher and the engines it calls, with the GF(2) coset walk
+# the brute and pinned routes answer from and the algebraic decoder the
+# decode route shares across goroutines, under the race detector.
 dispatch-check:
 	$(GO) vet ./...
-	$(GO) test -race -count=1 -run 'Dispatch|Route|Oracle|Classify|Strict|Session|Incremental|Brute|Walk' ./internal/reconstruct/ ./internal/service/ ./internal/gf2/
+	$(GO) test -race -count=1 -run 'Dispatch|Route|Oracle|Classify|Strict|Session|Incremental|Brute|Walk|Decode' ./internal/reconstruct/ ./internal/service/ ./internal/gf2/ ./internal/decode/
 
 # gauss-check is the in-search Gauss CI job: vet and the XOR/Gauss test
 # surface under the race detector, including the 4-way differential

@@ -58,10 +58,10 @@ type Decoder struct {
 	pairs     wordTable
 }
 
-// maxPairM is the largest m whose pair values i*m+j fit an int32. A
-// pair index for a larger m would hold over 10^9 entries, so no real
-// encoding reaches it.
-const maxPairM = 46340
+// MaxPairM is the largest m whose pair values i*m+j fit an int32, so
+// the largest m at which the decoder takes k >= 3. A pair index for a
+// larger m would hold over 10^9 entries.
+const MaxPairM = 46340
 
 // check validates an entry's shape against the decoder's encoding,
 // wrapping the shared core sentinels for typed classification.
@@ -72,8 +72,8 @@ func (d *Decoder) check(entry core.LogEntry) error {
 	if entry.K < 0 || entry.K > MaxK {
 		return fmt.Errorf("decode: k=%d outside [0,%d] (use the SAT reconstructor): %w", entry.K, MaxK, core.ErrKRange)
 	}
-	if entry.K >= 3 && d.enc.M() > maxPairM {
-		return fmt.Errorf("decode: k=%d needs the pair index, which covers m <= %d, not %d: %w", entry.K, maxPairM, d.enc.M(), core.ErrKRange)
+	if entry.K >= 3 && d.enc.M() > MaxPairM {
+		return fmt.Errorf("decode: k=%d needs the pair index, which covers m <= %d, not %d: %w", entry.K, MaxPairM, d.enc.M(), core.ErrKRange)
 	}
 	return nil
 }

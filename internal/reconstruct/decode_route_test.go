@@ -162,12 +162,13 @@ func TestDecodeRouteAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeOracleConcurrent hammers one fresh decode oracle and one
-// fresh shared decode.Decoder from eight goroutines. Each starts on a
-// k >= 3 entry, so the first calls race to build the pair indexes;
-// under -race this shows the decoder needs no lock. Every answer must
+// TestDispatchDecodeConcurrent hammers one shared auto Dispatcher, the
+// service's path, and one fresh shared decode.Decoder from eight
+// goroutines. Each starts on a k >= 3 entry, so the first calls race to
+// build the pair indexes; under -race this shows the decoder needs no
+// lock. Every request must take the decode route and every answer must
 // equal a serial decode.
-func TestDecodeOracleConcurrent(t *testing.T) {
+func TestDispatchDecodeConcurrent(t *testing.T) {
 	enc := mustEnc(t, 48, 12, 4)
 	r := rand.New(rand.NewSource(23))
 	var entries []core.LogEntry
@@ -186,7 +187,10 @@ func TestDecodeOracleConcurrent(t *testing.T) {
 		want[i] = sigs
 	}
 
-	o := NewDecodeOracle(enc)
+	disp, err := NewDispatcher(enc, DispatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dec := decode.New(enc)
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -197,10 +201,10 @@ func TestDecodeOracleConcurrent(t *testing.T) {
 			for n := range entries {
 				i := (6 + g%6 + n) % len(entries) // entries 6.. have k = 3, 4
 				e := entries[i]
-				got, exhausted, err := o.Enumerate(ctx, e, nil, 0)
-				if err != nil || !exhausted || !sameSignals(got, want[i]) {
-					t.Errorf("goroutine %d, k=%d: Enumerate gave %d signals (exhausted %v, err %v), want %d",
-						g, e.K, len(got), exhausted, err, len(want[i]))
+				got, exhausted, d, err := disp.EnumerateRouted(ctx, e, nil, 0)
+				if err != nil || !exhausted || d.Route != RouteDecode || !sameSignals(got, want[i]) {
+					t.Errorf("goroutine %d, k=%d: %d signals via %s (exhausted %v, err %v), want %d via %s",
+						g, e.K, len(got), d.Route, exhausted, err, len(want[i]), RouteDecode)
 					return
 				}
 				cnt, err := dec.Count(e)

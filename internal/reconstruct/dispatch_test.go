@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/core"
+	"repro/internal/decode"
 	"repro/internal/encoding"
+	"repro/internal/gf2"
 	"repro/internal/obs"
 	"repro/internal/properties"
 	"repro/internal/sat"
@@ -44,6 +46,12 @@ func TestRouteTable(t *testing.T) {
 		}, RouteSession},
 		{"past decode and brute reuses the warm session", func(*Features) {}, RouteSession},
 		{"k past the session ladder stays on the session", func(f *Features) { f.K = 17 }, RouteSession},
+		{"k 3 past the pair index leaves decode", func(f *Features) {
+			f.M, f.B, f.K, f.Rank, f.Nullity = decode.MaxPairM+1, 17, 3, 17, decode.MaxPairM+1-17
+		}, RouteSession},
+		{"k 2 past the pair index still decodes", func(f *Features) {
+			f.M, f.B, f.K, f.Rank, f.Nullity = decode.MaxPairM+1, 17, 2, 17, decode.MaxPairM+1-17
+		}, RouteDecode},
 	}
 	for _, tc := range cases {
 		f := base
@@ -79,6 +87,18 @@ func TestKnownOracle(t *testing.T) {
 	if _, err := NewDispatcher(encoding.OneHot(8), DispatchOptions{Force: "cvc5"}); err == nil {
 		t.Error("unknown Force accepted")
 	}
+}
+
+// forcedTo returns a dispatcher pinned to one route: with RouteSAT it is
+// the serial one-shot SAT reference the other routes are checked
+// against.
+func forcedTo(tb testing.TB, enc *encoding.Encoding, route string) *Dispatcher {
+	tb.Helper()
+	d, err := NewDispatcher(enc, DispatchOptions{Force: route})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 func sigKeys(sigs []core.Signal) []string {
@@ -136,7 +156,7 @@ func TestDispatchMatchesSerialSAT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := NewSATOracle(enc, Options{})
+		ref := forcedTo(t, enc, RouteSAT)
 		truths := []core.Signal{
 			core.SignalFromChanges(m, 2, 5),
 			core.SignalFromChanges(m, 1, 4, 9, 12),
@@ -195,7 +215,7 @@ func TestDispatchMatchesSerialSAT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := NewSATOracle(enc, Options{})
+		ref := forcedTo(t, enc, RouteSAT)
 		for k := 17; k <= 20 && k < g.m; k += 3 {
 			changes := make([]int, k)
 			for i := range changes {
@@ -428,6 +448,113 @@ func TestDispatchForcedFallback(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counters[MetricDispatchFallback]; n != 1 {
 		t.Fatalf("fallback counter = %d, want 1", n)
+	}
+}
+
+// TestDispatchForcedRoutesAgree forces every route in turn and checks
+// it against the cost model's answer over requests that reach decode,
+// brute and the session, with and without a window. Only a forced
+// decode past decode.MaxK may fall back, and then onto serial SAT.
+func TestDispatchForcedRoutesAgree(t *testing.T) {
+	enc := mustEnc(t, 16, 9, 4)
+	auto := forcedTo(t, enc, "")
+	r := rand.New(rand.NewSource(71))
+	ctx := context.Background()
+	for _, k := range []int{2, 3, 5, 7} {
+		entry := core.Log(enc, core.SignalFromChanges(16, r.Perm(16)[:k]...))
+		for _, cons := range [][]Constraint{nil, {properties.Window{Lo: 2, Hi: 15}}} {
+			want, ex, err := auto.Enumerate(ctx, entry, cons, 0)
+			if err != nil || !ex {
+				t.Fatalf("k=%d cons=%v auto: exhausted=%v err=%v", k, cons, ex, err)
+			}
+			for _, route := range []string{RouteSAT, RouteParallel, RouteSession, RouteDecode, RouteBrute} {
+				d, err := NewDispatcher(enc, DispatchOptions{Force: route, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, ex, dec, err := d.EnumerateRouted(ctx, entry, cons, 0)
+				if err != nil || !ex {
+					t.Fatalf("k=%d cons=%v forced %s: exhausted=%v err=%v", k, cons, route, ex, err)
+				}
+				if gk, wk := sigKeys(got), sigKeys(want); !slices.Equal(gk, wk) {
+					t.Fatalf("k=%d cons=%v forced %s: %v, auto %v", k, cons, route, gk, wk)
+				}
+				wantRoute := route
+				if route == RouteDecode && k > decode.MaxK {
+					wantRoute = RouteSAT
+				}
+				if dec.Chosen != route || dec.Route != wantRoute || dec.FellBack != (wantRoute != route) {
+					t.Fatalf("k=%d forced %s: decision %+v, want an answer on %s", k, route, dec, wantRoute)
+				}
+			}
+		}
+	}
+}
+
+// TestBruteVisitedCounter checks that the coset walk publishes its
+// effort once per walk: an exhaustive brute request adds exactly
+// gf2.WalkVisits(nullity, k), and a pinned one the single point of
+// its coset.
+func TestBruteVisitedCounter(t *testing.T) {
+	reg := obs.NewRegistry()
+	visited := func() int64 { return reg.Snapshot().Counters[MetricBruteVisited] }
+	ctx := context.Background()
+
+	enc := mustEnc(t, 32, 12, 4)
+	disp, err := NewDispatcher(enc, DispatchOptions{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(7))
+	var total int64
+	for i := 0; i < 3; i++ {
+		entry := core.Log(enc, core.SignalFromChanges(32, r.Perm(32)[:5]...))
+		_, ex, dec, err := disp.EnumerateRouted(ctx, entry, nil, 0)
+		if err != nil || !ex || dec.Route != RouteBrute {
+			t.Fatalf("request %d: route %s, exhausted %v, err %v; want %s", i, dec.Route, ex, err, RouteBrute)
+		}
+		total += int64(gf2.WalkVisits(dec.Features.Nullity, 5))
+		if got := visited(); got != total {
+			t.Fatalf("request %d at nullity %d: %s = %d, want %d", i, dec.Features.Nullity, MetricBruteVisited, got, total)
+		}
+	}
+
+	onehot := encoding.OneHot(12)
+	disp, err = NewDispatcher(onehot, DispatchOptions{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, dec, err := disp.EnumerateRouted(ctx, core.Log(onehot, core.SignalFromChanges(12, 1, 5)), nil, 0); err != nil || dec.Route != RoutePinned {
+		t.Fatalf("one-hot request: route %s, err %v; want %s", dec.Route, err, RoutePinned)
+	}
+	if got := visited(); got != total+1 {
+		t.Fatalf("after a pinned request: %s = %d, want %d", MetricBruteVisited, got, total+1)
+	}
+}
+
+// TestDecodeRoutePastPairIndex: with m one past decode.MaxPairM the decoder
+// has no pair index, so decodeFiltered refuses k = 3 with
+// ErrUnsupported (a forced decode then falls back to SAT) and still
+// answers k = 2.
+func TestDecodeRoutePastPairIndex(t *testing.T) {
+	const m, b = decode.MaxPairM + 1, 17
+	ts := make([]bitvec.Vector, m)
+	for i := range ts {
+		ts[i] = bitvec.FromUint(uint64(i+1), b)
+	}
+	enc, err := encoding.FromTimestamps(ts, "explicit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := decode.New(enc)
+	entry := core.Log(enc, core.SignalFromChanges(m, 3, 7, 40000))
+	if _, _, err := decodeFiltered(dec, m, entry, nil, 0); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("k=3 at m=%d: err %v, want ErrUnsupported", m, err)
+	}
+	truth := core.SignalFromChanges(m, 1, 46000)
+	sigs, ex, err := decodeFiltered(dec, m, core.Log(enc, truth), nil, 0)
+	if err != nil || !ex || !slices.ContainsFunc(sigs, truth.Equal) {
+		t.Fatalf("k=2 at m=%d: %d signals (exhausted %v, err %v), want the truth among them", m, len(sigs), ex, err)
 	}
 }
 

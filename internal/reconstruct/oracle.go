@@ -16,12 +16,12 @@ import (
 	"repro/internal/sat"
 )
 
-// ErrUnsupported reports that an oracle cannot express a request it
-// was handed: k beyond the algebraic decoder's range, or a coset walk
-// past BruteMaxVisits points. Only a forced decode or brute backend
-// meets it, since the cost model never routes such a request there.
-// The dispatcher treats it as "pick another backend", never as a
-// request failure.
+// ErrUnsupported reports that an engine cannot express a request it
+// was forced onto: k past the algebraic decoder's range (k > 4, or
+// k >= 3 past decode.MaxPairM), or a coset walk past BruteMaxVisits
+// points. The cost model never routes such a request there, and the
+// dispatcher treats it as "answer on serial SAT", never as a request
+// failure.
 var ErrUnsupported = errors.New("reconstruct: oracle does not support this request")
 
 // ErrConstraint reports a constraint whose Validate fails for the
@@ -29,35 +29,7 @@ var ErrUnsupported = errors.New("reconstruct: oracle does not support this reque
 // core.ErrWidth and core.ErrKRange it is the request's own fault.
 var ErrConstraint = errors.New("invalid constraint")
 
-// Oracle is one sound Signal Reconstruction backend: it answers the
-// paper's one question of a log entry, every x with A·x = TP and
-// |x| = k under the given constraints. All five engines in the
-// repository — algebraic decode, serial SAT, cube-split parallel SAT,
-// the incremental session solver and GF(2) brute force — implement it,
-// as does the cost-model Dispatcher that routes between them.
-//
-// The error contract is typed and uniform across implementations:
-//
-//   - core.ErrWidth / core.ErrKRange / ErrConstraint: the request is
-//     malformed for the encoding (wrong timeprint width, k outside
-//     [0, m], a constraint that does not fit m). No backend can answer
-//     it.
-//   - ErrUnsupported: the request is well-formed but outside this
-//     oracle's scope. Another backend (serial SAT always qualifies)
-//     must be used; results accompanying it are meaningless.
-//   - sat.ErrBudget / sat.ErrInterrupted: the search stopped early
-//     (conflict budget, ctx cancellation). Signals returned so far are
-//     valid but no completeness claim holds.
-//
-// Enumerate's exhausted result is true only when the full candidate
-// space was covered; implementations fail closed — a truncated search
-// always carries an explaining error. ctx must be non-nil.
-type Oracle interface {
-	// Enumerate finds up to limit candidates (limit <= 0: all).
-	Enumerate(ctx context.Context, entry core.LogEntry, constraints []Constraint, limit int) ([]core.Signal, bool, error)
-}
-
-// Oracle/dispatch metric names.
+// Dispatch metric names.
 const (
 	// MetricOracleSessionReuse counts queries solved on a warm session
 	// taken from a SessionOracle's pool; MetricOracleSessionClone
@@ -77,9 +49,13 @@ const (
 	// SpanDispatch times routed requests end to end (feature
 	// extraction, the chosen backend, any fallback).
 	SpanDispatch = "reconstruct.dispatch"
+	// MetricBruteVisited counts the coset points the pinned and brute
+	// routes walked, added once per walk: a deterministic effort count
+	// like the solver's conflicts.
+	MetricBruteVisited = "reconstruct.brute.visited"
 )
 
-// validate applies the checks every backend shares: the entry's width
+// validate applies the checks every route shares: the entry's width
 // and k range, and every constraint's fit over the encoding's m cycles.
 func validate(enc *encoding.Encoding, entry core.LogEntry, cons []Constraint) error {
 	if entry.TP.Width() != enc.B() {
@@ -106,77 +82,26 @@ func holdsAll(cons []Constraint, s core.Signal) bool {
 	return true
 }
 
-// --- serial / parallel SAT ---
-
-// satOracle is the one-shot CNF backend: each request builds a fresh
-// Reconstructor (GF(2) presolve + XOR rows + cardinality ladder) and
-// enumerates under the request context. workers > 1 switches the
-// enumeration to the cube-split parallel portfolio.
-type satOracle struct {
-	enc     *encoding.Encoding
-	opts    Options
-	workers int
+// decodable reports whether the algebraic decoder takes k changes over
+// m cycles: k <= decode.MaxK, and k <= 2 past decode.MaxPairM.
+func decodable(m, k int) bool {
+	return k <= decode.MaxK && (k < 3 || m <= decode.MaxPairM)
 }
 
-// NewSATOracle returns the serial one-shot SAT backend — the always-
-// sound reference every other oracle is checked against.
-func NewSATOracle(enc *encoding.Encoding, opts Options) Oracle {
-	return &satOracle{enc: enc, opts: opts, workers: 1}
-}
-
-// NewParallelSATOracle returns the cube-split parallel SAT backend
-// (workers <= 0: GOMAXPROCS).
-func NewParallelSATOracle(enc *encoding.Encoding, workers int, opts Options) Oracle {
-	if workers <= 0 {
-		workers = 0 // ParallelEnumerate resolves GOMAXPROCS itself
-	}
-	return &satOracle{enc: enc, opts: opts, workers: workers}
-}
-
-func (o *satOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	r, err := New(o.enc, entry, cons, o.opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if o.workers != 1 {
-		stop := r.builder.S.InterruptOnDone(ctx.Done())
-		defer stop()
-		return r.EnumerateParallelStrict(limit, o.workers)
-	}
-	return r.EnumerateWithin(ctx.Done(), limit)
-}
-
-// --- algebraic decode ---
-
-// decodeOracle wraps internal/decode: meet-in-the-middle syndrome
-// decoding for k <= decode.MaxK. Constraints are applied by concrete
-// filtering (Holds) as the decoder emits candidates, never encoded, so
-// only the candidates that hold are kept. Requests share the decoder
-// without a lock: it is safe for concurrent use, its pair index built
-// once on first need.
-type decodeOracle struct {
-	enc *encoding.Encoding
-	dec *decode.Decoder
-}
-
-// NewDecodeOracle returns the algebraic decoding backend (k <= 4).
-func NewDecodeOracle(enc *encoding.Encoding) Oracle {
-	return &decodeOracle{enc: enc, dec: decode.New(enc)}
-}
-
-func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	if err := validate(o.enc, entry, cons); err != nil {
-		return nil, false, err
-	}
-	if entry.K > decode.MaxK {
-		return nil, false, fmt.Errorf("decode handles k <= %d, got %d: %w", decode.MaxK, entry.K, ErrUnsupported)
+// decodeFiltered answers a request by algebraic syndrome decoding
+// (internal/decode). Constraints are applied by concrete filtering
+// (Holds) as the decoder emits candidates, never encoded, so only the
+// candidates that hold are kept. A request that is not decodable
+// returns ErrUnsupported, so a forced decode falls back to SAT.
+func decodeFiltered(dec *decode.Decoder, m int, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
+	if !decodable(m, entry.K) {
+		return nil, false, fmt.Errorf("decode handles k <= %d (k <= 2 past m = %d), got k=%d at m=%d: %w", decode.MaxK, decode.MaxPairM, entry.K, m, ErrUnsupported)
 	}
 	// Keep only the candidates that hold, then sort: filtering and
 	// sorting commute, so the first limit are the ones a filter over
 	// the sorted Decode list would return.
-	m := o.enc.M()
 	var out []core.Signal
-	err := o.dec.ForEach(entry, func(changes []int) {
+	err := dec.ForEach(entry, func(changes []int) {
 		if s := core.SignalFromChanges(m, changes...); holdsAll(cons, s) {
 			out = append(out, s)
 		}
@@ -191,38 +116,18 @@ func (o *decodeOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons 
 	return out, true, nil
 }
 
-// --- GF(2) brute force ---
-
-// BruteMaxVisits is the brute oracle's ceiling: a request whose coset
-// walk would visit more points (gf2.WalkVisits) gets ErrUnsupported.
-// 2^28 is the whole coset at nullity 28.
+// BruteMaxVisits is the coset walk's ceiling: a forced brute request
+// or a BruteForce call whose walk would visit more points
+// (gf2.WalkVisits) gets ErrUnsupported. 2^28 is the whole coset at
+// nullity 28.
 const BruteMaxVisits = 1 << 28
 
-// bruteOracle solves by linear algebra alone: Gaussian elimination
-// yields the solution coset, whose points with at most k ones on the
-// free columns are walked and filtered by |x| = k and the constraints.
-// The dispatcher answers its pinned and brute routes with the same
-// walk, from the elimination its feature extraction already did.
-type bruteOracle struct {
-	enc *encoding.Encoding
-}
-
-// NewBruteOracle returns the GF(2) coset-walk backend.
-func NewBruteOracle(enc *encoding.Encoding) Oracle {
-	return &bruteOracle{enc: enc}
-}
-
-func (o *bruteOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	if err := validate(o.enc, entry, cons); err != nil {
-		return nil, false, err
-	}
-	return walkCoset(ctx, o.enc.Matrix().Eliminate(entry.TP), entry.K, cons, limit)
-}
-
-// walkCoset answers a request from the echelon form of [A | TP]: it
-// walks every coset point that can have weight k and keeps those of
-// weight k that hold under cons, up to limit (<= 0: all).
-func walkCoset(ctx context.Context, ech gf2.Echelon, k int, cons []Constraint, limit int) ([]core.Signal, bool, error) {
+// walkCoset answers a request by linear algebra alone, from the
+// echelon form of [A | TP]: it walks every coset point with at most k
+// ones on the free columns and keeps those of weight k that hold under
+// cons, up to limit (<= 0: all). It adds the points it visited to
+// MetricBruteVisited on reg once, after the walk.
+func walkCoset(ctx context.Context, ech gf2.Echelon, k int, cons []Constraint, limit int, reg *obs.Registry) ([]core.Signal, bool, error) {
 	if !ech.Consistent {
 		return nil, true, nil // TP outside the column space: no signals
 	}
@@ -256,6 +161,7 @@ func walkCoset(ctx context.Context, ech gf2.Echelon, k int, cons []Constraint, l
 		}
 		return true
 	})
+	reg.Counter(MetricBruteVisited).Add(int64(visited))
 	if interrupted {
 		return out, false, fmt.Errorf("reconstruct: brute enumeration interrupted: %w", sat.ErrInterrupted)
 	}
@@ -264,8 +170,8 @@ func walkCoset(ctx context.Context, ech gf2.Echelon, k int, cons []Constraint, l
 
 // --- incremental session ---
 
-// SessionOracle adapts reconstruct.Session to the Oracle interface
-// with a pool of warm solvers: a prototype Session that is NEVER
+// SessionOracle answers the sat-inc route from a pool of warm
+// Sessions: a prototype Session that is NEVER
 // queried (so cloning it is a pure read) and a free list of sessions
 // that each accumulate learned clauses across the queries they serve.
 // A query takes a session from the free list, or clones the prototype
@@ -298,22 +204,17 @@ func NewSessionOracle(enc *encoding.Encoding, opts SessionOptions) *SessionOracl
 	return &SessionOracle{proto: proto, free: []*Session{proto.Clone()}, obs: opts.Obs}
 }
 
+// Enumerate answers one request on a pooled session (see
+// Session.Query), with ctx cancelling the search.
 func (o *SessionOracle) Enumerate(ctx context.Context, entry core.LogEntry, cons []Constraint, limit int) ([]core.Signal, bool, error) {
-	sess, release, err := o.acquire(entry, cons)
-	if err != nil {
-		return nil, false, err
-	}
+	sess, release := o.acquire()
 	defer release()
 	return sess.EnumerateWithin(ctx.Done(), entry, cons, limit)
 }
 
-// acquire validates the request against the session's fixed shape and
-// takes a warm session from the pool, cloning the prototype when the
-// pool is empty. The returned func puts the session back.
-func (o *SessionOracle) acquire(entry core.LogEntry, cons []Constraint) (*Session, func(), error) {
-	if err := validate(o.proto.enc, entry, cons); err != nil {
-		return nil, nil, err
-	}
+// acquire takes a warm session from the pool, cloning the prototype
+// when the pool is empty. The returned func puts the session back.
+func (o *SessionOracle) acquire() (*Session, func()) {
 	var sess *Session
 	o.mu.Lock()
 	if n := len(o.free); n > 0 {
@@ -328,7 +229,7 @@ func (o *SessionOracle) acquire(entry core.LogEntry, cons []Constraint) (*Sessio
 		o.obs.Counter(MetricOracleSessionClone).Inc()
 		sess = o.proto.Clone()
 	}
-	return sess, func() { o.release(sess) }, nil
+	return sess, func() { o.release(sess) }
 }
 
 // release returns a session to the pool, or drops it once it has

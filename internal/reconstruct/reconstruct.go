@@ -23,6 +23,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/encoding"
+	"repro/internal/gf2"
 	"repro/internal/obs"
 	"repro/internal/sat"
 )
@@ -121,10 +122,17 @@ type Reconstructor struct {
 // New builds the SAT instance for entry under enc, with the given
 // property constraints (may be nil).
 func New(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, opts Options) (*Reconstructor, error) {
-	defer opts.Obs.StartSpan(SpanBuild).End()
-	if err := validate(enc, entry, constraints); err != nil {
+	f, ech, err := measure(enc, entry, constraints)
+	if err != nil {
 		return nil, err
 	}
+	return build(enc, entry, constraints, opts, f, ech), nil
+}
+
+// build encodes a validated request from its measured Features and
+// the echelon form they were read from.
+func build(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, opts Options, f Features, ech gf2.Echelon) *Reconstructor {
+	defer opts.Obs.StartSpan(SpanBuild).End()
 	m := enc.M()
 	bld := cnf.NewBuilder(m)
 	bld.S.Obs = opts.Obs
@@ -133,20 +141,21 @@ func New(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, 
 	for i := range vars {
 		vars[i] = i + 1
 	}
-	r := &Reconstructor{enc: enc, entry: entry, builder: bld, vars: vars, obs: opts.Obs}
+	ps := PresolveStats{Rank: f.Rank, Fixed: f.Fixed, Freed: f.B - f.Rank, Inconsistent: !f.Consistent || !f.KFeasible}
+	r := &Reconstructor{enc: enc, entry: entry, builder: bld, vars: vars, presolve: ps, obs: opts.Obs}
 	opts.Obs.Counter(MetricInstances).Inc()
-	r.presolve = presolve(bld, vars, enc, entry)
-	if r.presolve.Inconsistent {
+	presolve(bld, vars, f, ech)
+	if ps.Inconsistent {
 		opts.Obs.Counter(MetricPresolveInconsistent).Inc()
 	}
-	opts.Obs.Counter(MetricPresolveFixed).Add(int64(r.presolve.Fixed))
-	opts.Obs.Counter(MetricPresolveFreed).Add(int64(r.presolve.Freed))
+	opts.Obs.Counter(MetricPresolveFixed).Add(int64(ps.Fixed))
+	opts.Obs.Counter(MetricPresolveFreed).Add(int64(ps.Freed))
 
 	// The instance is already refuted: skip the cardinality and
 	// property encodings — the solver answers Unsat from the empty
 	// clause with zero search.
-	if r.presolve.Inconsistent {
-		return r, nil
+	if ps.Inconsistent {
+		return r
 	}
 
 	// Cardinality: exactly k changes.
@@ -155,29 +164,23 @@ func New(enc *encoding.Encoding, entry core.LogEntry, constraints []Constraint, 
 	for _, c := range constraints {
 		c.Apply(bld, vars)
 	}
-	return r, nil
+	return r
 }
 
-// presolve row-reduces [A | TP] and emits the reduced system. It has
-// the same solution set as A·x = TP, but inconsistency is decided here
-// (an empty clause: UNSAT with zero solver work), unit rows become
+// presolve emits the reduced system of [A | TP] from its echelon form.
+// It has the same solution set as A·x = TP, but inconsistency is decided
+// here (an empty clause: UNSAT with zero solver work), unit rows become
 // level-0 unit clauses, and the b − rank redundant rows disappear.
-func presolve(bld *cnf.Builder, vars []int, enc *encoding.Encoding, entry core.LogEntry) PresolveStats {
-	ech := enc.Matrix().Eliminate(entry.TP)
-	ps := PresolveStats{Rank: ech.Rank, Freed: enc.B() - ech.Rank}
-	if !ech.Consistent {
-		ps.Inconsistent = true
+func presolve(bld *cnf.Builder, vars []int, f Features, ech gf2.Echelon) {
+	if !f.Consistent {
 		bld.AddClause()
-		return ps
+		return
 	}
-	forcedTrue := 0
 	for i, rowVec := range ech.Rows {
 		ones := rowVec.Ones()
 		if len(ones) == 1 {
 			// Unit row: position is identical in every solution.
-			ps.Fixed++
 			if ech.RHS[i] {
-				forcedTrue++
 				bld.AddClause(vars[ones[0]])
 			} else {
 				bld.AddClause(-vars[ones[0]])
@@ -190,11 +193,9 @@ func presolve(bld *cnf.Builder, vars []int, enc *encoding.Encoding, entry core.L
 		}
 		bld.AddXorCut(row, ech.RHS[i], xorCutLen)
 	}
-	if !kFeasible(entry.K, enc.M(), ps.Fixed, forcedTrue) {
-		ps.Inconsistent = true
+	if !f.KFeasible {
 		bld.AddClause()
 	}
-	return ps
 }
 
 // kFeasible applies the cardinality bound of a consistent reduced
@@ -225,7 +226,14 @@ func (r *Reconstructor) First() (core.Signal, sat.Status, error) {
 // found before the stop are valid either way, but only a nil error
 // permits any completeness claim.
 func (r *Reconstructor) EnumerateStrict(limit int) ([]core.Signal, bool, error) {
-	return r.enumerate(limit)
+	defer r.obs.StartSpan(SpanEnumerate).End()
+	var out []core.Signal
+	n, st, err := r.builder.S.EnumerateModels(r.vars, limit, func(model map[int]bool) bool {
+		out = append(out, checkedSignal(r.enc, r.entry, func(i int) bool { return model[r.vars[i]] }))
+		return true
+	})
+	r.obs.Counter(MetricCandidates).Add(int64(n))
+	return out, st == sat.Unsat, err
 }
 
 // EnumerateWithin is EnumerateStrict with cooperative cancellation: closing
@@ -238,18 +246,7 @@ func (r *Reconstructor) EnumerateStrict(limit int) ([]core.Signal, bool, error) 
 func (r *Reconstructor) EnumerateWithin(done <-chan struct{}, limit int) ([]core.Signal, bool, error) {
 	stop := r.builder.S.InterruptOnDone(done)
 	defer stop()
-	return r.enumerate(limit)
-}
-
-func (r *Reconstructor) enumerate(limit int) ([]core.Signal, bool, error) {
-	defer r.obs.StartSpan(SpanEnumerate).End()
-	var out []core.Signal
-	n, st, err := r.builder.S.EnumerateModels(r.vars, limit, func(model map[int]bool) bool {
-		out = append(out, checkedSignal(r.enc, r.entry, func(i int) bool { return model[r.vars[i]] }))
-		return true
-	})
-	r.obs.Counter(MetricCandidates).Add(int64(n))
-	return out, st == sat.Unsat, err
+	return r.EnumerateStrict(limit)
 }
 
 // Check reports whether any candidate signal exists under the current
@@ -365,12 +362,16 @@ func (r *Reconstructor) FirstParallel(workers int) (core.Signal, sat.Status, err
 // BruteForce solves SR by linear algebra: Gaussian elimination yields
 // the solution coset (particular solution + nullspace span), whose
 // points with at most k ones on the free columns are walked and
-// filtered by |x| = k — the brute oracle's coset walk without
+// filtered by |x| = k — the brute route's coset walk without
 // constraints. Cost is Σ_{j≤k} C(nullity, j) points, so it returns
 // ErrUnsupported past BruteMaxVisits of them. It is the validation
 // baseline for the SAT path.
 func BruteForce(enc *encoding.Encoding, entry core.LogEntry, limit int) ([]core.Signal, error) {
-	sigs, _, err := NewBruteOracle(enc).Enumerate(context.Background(), entry, nil, limit)
+	_, ech, err := measure(enc, entry, nil)
+	if err != nil {
+		return nil, err
+	}
+	sigs, _, err := walkCoset(context.Background(), ech, entry.K, nil, limit, nil)
 	return sigs, err
 }
 

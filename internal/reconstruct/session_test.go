@@ -265,7 +265,7 @@ func TestSessionOracleRetiresOvergrownSession(t *testing.T) {
 	enc := mustEnc(t, m, 9, 4)
 	reg := obs.NewRegistry()
 	o := NewSessionOracle(enc, SessionOptions{MaxK: 3, Obs: reg})
-	brute := NewBruteOracle(enc)
+	brute := forcedTo(t, enc, RouteBrute)
 	r := rand.New(rand.NewSource(53))
 	ctx := context.Background()
 	counter := func(name string) int64 { return reg.Snapshot().Counters[name] }
@@ -332,7 +332,7 @@ func TestSessionOracleConcurrentPool(t *testing.T) {
 	enc := mustEnc(t, m, 11, 4)
 	reg := obs.NewRegistry()
 	o := NewSessionOracle(enc, SessionOptions{Obs: reg})
-	ref := NewSATOracle(enc, Options{})
+	ref := forcedTo(t, enc, RouteSAT)
 	r := rand.New(rand.NewSource(59))
 	ctx := context.Background()
 	entries := make([]core.LogEntry, perG)
@@ -420,7 +420,7 @@ func TestSessionWidenWhileCloning(t *testing.T) {
 	enc := mustEnc(t, m, 11, 4)
 	reg := obs.NewRegistry()
 	o := NewSessionOracle(enc, SessionOptions{Obs: reg})
-	ref := NewSATOracle(enc, Options{})
+	ref := forcedTo(t, enc, RouteSAT)
 	r := rand.New(rand.NewSource(67))
 	ctx := context.Background()
 	type query struct {
@@ -450,10 +450,7 @@ func TestSessionWidenWhileCloning(t *testing.T) {
 	}
 	wide, narrow := queries(20, 19, 20), queries(1, 4, 16, 3, 16)
 
-	pooled, release, err := o.acquire(wide[0].entry, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pooled, release := o.acquire()
 	errc := make(chan error, 1)
 	go func() {
 		for _, q := range wide {

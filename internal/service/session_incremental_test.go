@@ -80,7 +80,11 @@ func TestIncrementalSessionServesLargeK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := reconstruct.NewSATOracle(enc, reconstruct.Options{}).Enumerate(context.Background(), core.Log(enc, truth), nil, 0)
+	ref, err := reconstruct.NewDispatcher(enc, reconstruct.DispatchOptions{Force: reconstruct.RouteSAT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := ref.Enumerate(context.Background(), core.Log(enc, truth), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

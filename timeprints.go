@@ -70,13 +70,9 @@ type (
 	// Options bounds a reconstruction's solver effort (MaxConflicts)
 	// and names its metrics registry (Obs).
 	Options = reconstruct.Options
-	// Oracle is the one-method interface over every reconstruction
-	// backend (serial and parallel SAT, algebraic decode, GF(2) brute
-	// force, the incremental session, and the dispatcher): Enumerate
-	// the candidate signals of one log entry.
-	Oracle = reconstruct.Oracle
-	// Dispatcher routes each request to the cheapest sound backend
-	// using instance features (m, k, rank, nullity).
+	// Dispatcher routes each request to the cheapest sound engine
+	// using instance features (m, k, rank, nullity) read off one GF(2)
+	// elimination, and calls that engine directly.
 	Dispatcher = reconstruct.Dispatcher
 	// DispatchOptions tunes the dispatcher's cost model.
 	DispatchOptions = reconstruct.DispatchOptions
@@ -195,16 +191,16 @@ func BruteForce(enc *Encoding, entry LogEntry, limit int) ([]Signal, error) {
 }
 
 // NewDispatcher builds a cost-model router over all reconstruction
-// backends. Force (DispatchOptions.Force) pins a single backend;
+// engines. Force (DispatchOptions.Force) pins a single engine;
 // "auto" or empty enables feature-based routing.
 func NewDispatcher(enc *Encoding, opts DispatchOptions) (*Dispatcher, error) {
 	return reconstruct.NewDispatcher(enc, opts)
 }
 
-// ErrUnsupported reports that an oracle cannot express a request
-// (algebraic decode beyond k=4, a brute-force walk past 2^28 points).
-// Only a forced backend meets it; the dispatcher then falls back to
-// serial SAT.
+// ErrUnsupported reports that an engine cannot express a request
+// (algebraic decode beyond k=4, or k >= 3 past m = 46,340; a
+// brute-force walk past 2^28 points). BruteForce returns it; a forced
+// dispatcher route meets it too, and then falls back to serial SAT.
 var ErrUnsupported = reconstruct.ErrUnsupported
 
 // NewStore creates an empty timeprint database for one traced signal.
