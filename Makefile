@@ -89,8 +89,9 @@ dispatch-check:
 	$(GO) test -race -count=1 -run 'Dispatch|Route|Oracle|Classify|Strict|Session|Incremental|Brute|Walk|Decode' ./internal/reconstruct/ ./internal/service/ ./internal/gf2/ ./internal/decode/
 
 # gauss-check is the in-search Gauss CI job: vet and the XOR/Gauss test
-# surface under the race detector, including the 4-way differential
-# parity hammer, plus the production mode: every session runs the
+# surface under the race detector, including the 3-way differential
+# parity hammer (plain XOR watches, in-search Gauss, gf2 elimination),
+# plus the production mode: every session runs the
 # propagator, so the root TestSessionWarmPinnedSearch pins its search
 # (its first 16 queries under -race).
 gauss-check:

@@ -454,13 +454,14 @@ func BenchmarkSessionQueries(b *testing.B) {
 // k = 3, 4, 8, queried through a fresh session with NO suspicion
 // window, the regime where 256-wide parity rows only propagate once a
 // single literal is left unless the reduced GF(2) matrix stays live
-// across decision levels, as every session's does (rebuilt from the
-// RREF basis at each solve and restart). The planted entries are
+// across decision levels, as every session's does (re-reduced from
+// the parity rows at each solve and restart). The planted entries are
 // deterministic, so the summed conflict count is a stable
 // machine-independent effort metric that BENCH.json (make bench-check)
 // pins next to the wall clock; gprops and gconfl report the
-// propagator's implications and conflicts. The level-0-only comparison
-// lives in internal/sat's 4-way parity hammer. (A burst-entry variant
+// propagator's implications and conflicts. The comparison against the
+// plain solver's clause-watched XORs lives in internal/sat's parity
+// hammer. (A burst-entry variant
 // of this workload is heavy-tail-dominated: per-query conflicts span
 // 300-74k on identical configurations, so a 16-query mean says little.)
 func BenchmarkSessionQueriesGauss(b *testing.B) {

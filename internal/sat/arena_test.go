@@ -174,12 +174,12 @@ func TestCloneDeterministicWithGuards(t *testing.T) {
 // forensicSession builds, with the solver API alone, the shape a
 // warm reconstruction session gives the m=128 paper encoding: one
 // uncut parity row per timeprint bit folded with a selector variable,
-// a "at least j of m" ladder over the signal variables, and level-0
+// a "at least j of m" ladder over the signal variables, and in-search
 // Gauss. It returns the solver, the selectors and the ladder outputs.
 func forensicSession(t *testing.T, enc *encoding.Encoding, maxK int) (*Solver, []int, []int) {
 	m, b := enc.M(), enc.B()
 	s := New(m)
-	s.EnableGauss = true
+	s.EnableGaussInSearch = true
 	ts := enc.Timestamps()
 	sels := make([]int, b)
 	for j := range sels {
@@ -264,7 +264,7 @@ func forensicQuery(t *testing.T, s *Solver, enc *encoding.Encoding, r *rand.Rand
 // query, until reduceDB and DropGuard have freed enough for at least
 // one relocation to have run.
 func TestArenaInvariantsWarmSession(t *testing.T) {
-	const m, queries = 128, 12
+	const m, queries = 128, 36
 	enc, err := encoding.Incremental(m, 16, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -200,10 +200,6 @@ type xorClause struct {
 	// idx is the row's index in Solver.xors, which an XOR reason
 	// stores in place of a pointer.
 	idx uint32
-	// dead marks a row discarded by a Gaussian-elimination harvest:
-	// the reduced system replaced it wholesale, and any watch-list
-	// entry still pointing here must be dropped, never propagated.
-	dead bool
 }
 
 // propagateXor handles the assignment of watched variable v in x. It
@@ -217,12 +213,6 @@ type xorClause struct {
 //
 // keep reports whether the clause must stay in v's watch list.
 func (s *Solver) propagateXor(x *xorClause, v int32) (conflict bool, implied lit, imply bool, keep bool) {
-	if x.dead {
-		// Entry for a row discarded by an elimination harvest: purge it
-		// so the dead row neither propagates nor stays pinned in memory
-		// across a long-lived session.
-		return false, 0, false, false
-	}
 	var wi int
 	switch {
 	case x.vars[x.w[0]] == v:

@@ -5,14 +5,19 @@ import (
 	"slices"
 )
 
-// In-search XOR Gaussian elimination, the second half of the
-// CryptoMiniSat design (Soos et al., SAT 2009; Han & Jiang, "When
+// In-search XOR Gaussian elimination, in the spirit of CryptoMiniSat's
+// Gauss-Jordan component (Soos et al., SAT 2009; Han & Jiang, "When
 // Boolean Satisfiability Meets Gaussian Elimination in a Simplex Way",
-// CAV 2012): where gauss.go row-reduces the parity system once at
-// level 0, this file keeps the reduced matrix LIVE across decision
-// levels. Rows are dense []uint64 bitsets over the same deterministic
-// column layout, each row watches two of its columns, and every
-// assignment of a watched column updates the row's state:
+// CAV 2012): instead of leaving the b parity rows of A·x = TP as
+// independent watch-propagated constraints, the solver lays them out
+// as a GF(2) matrix at level 0, row-reduces it with the level-0
+// assignments folded in, and keeps the reduced matrix LIVE across
+// decision levels. Reduction exposes what watch propagation cannot
+// see — inconsistent rows (0 = 1), forced variables (unit rows) and
+// shorter equivalent rows — before the search starts. Rows are dense
+// []uint64 bitsets over a deterministic column layout, each row
+// watches two of its columns, and every assignment of a watched column
+// updates the row's state:
 //
 //   - a replacement unassigned column moves the watch,
 //   - exactly one unassigned column left implies its value — extracted
@@ -45,22 +50,20 @@ import (
 //   - Reasons are materialized EAGERLY (Solver.gaussReasons): a lazy
 //     reason could read a row that a later elimination has already
 //     combined away from the implication it must justify.
-//   - Rows start as the level-0 RREF basis, but folding in level-0
-//     assignments the last re-reduction has not seen can collapse two
-//     rows onto the same support, so a combination CAN cancel a row to
-//     empty mid-search: rhs=0 is inert, rhs=1 is a level-0 refutation
-//     (see gaussFixRow).
+//   - Every build leaves linearly independent rows, and row
+//     combination keeps them so, so no row cancels to empty
+//     mid-search; gaussFixRow still fails closed if one does.
 
-// gaussMatrix is the live in-search state. It is rebuilt at level 0
-// whenever the XOR row set changes (tracked by Solver.xorGen) and
-// carried across queries — SolveAssuming retraction leaves it valid —
-// and deep-copied by Clone so portfolio workers and warm service
-// sessions inherit the reduced system without re-eliminating.
+// gaussWords is the bitset row width in 64-bit words for n columns.
+func gaussWords(n int) int { return (n + 63) / 64 }
+
+// gaussMatrix is the live in-search state. It is rebuilt at level 0 at
+// every solve boundary and restart, stays valid across SolveAssuming
+// retraction, and is deep-copied by Clone so portfolio workers and
+// warm service sessions inherit the reduced system.
 type gaussMatrix struct {
-	// gen is the Solver.xorGen value the matrix was built from;
-	// nAbsorbed the len(Solver.xors) prefix it absorbed (rows appended
-	// later stay clause-watched until the next rebuild).
-	gen       uint64
+	// nAbsorbed is the len(Solver.xors) prefix the matrix absorbed:
+	// rows appended later stay clause-watched until the next rebuild.
 	nAbsorbed int
 
 	cols  []int32 // column -> variable
@@ -138,7 +141,6 @@ func (g *gaussMatrix) unassign(v int32) {
 // state or rebuild buffer is shared.
 func (g *gaussMatrix) clone() *gaussMatrix {
 	n := &gaussMatrix{
-		gen:       g.gen,
 		nAbsorbed: g.nAbsorbed,
 		cols:      append([]int32(nil), g.cols...),
 		colOf:     append([]int32(nil), g.colOf...),
@@ -182,21 +184,23 @@ func (g *gaussMatrix) compact() {
 	g.nEntries = 2 * len(g.rows)
 }
 
-// gaussInSearchInit rebuilds the in-search matrix from the level-0
-// reduced XOR rows, absorbing them out of the clause-watch scheme. It
-// returns false when folding level-0 assignments refutes the system.
+// gaussInSearchInit rebuilds the in-search matrix from s.xors,
+// absorbing the rows out of the clause-watch scheme, then enqueues and
+// propagates the unit rows the reduction found. It returns false when
+// the rows refute the formula under the level-0 assignments.
 //
-// The rebuild is unconditional at every solve boundary, and
-// deliberately so: in-search row combination monotonically densifies
-// the matrix (the XOR of two half-dense rows stays half-dense) and
-// displaces pivots, and a session answers thousands of queries against
-// one solver — carrying the previous search's combined rows forward
-// would ratchet scan cost up query over query. Rebuilding from the
-// RREF basis in s.xors resets density AND restores pivot uniqueness
-// (each row's responsible column appears in no other row) for the cost
-// of one pass over the rows, orders of magnitude below a single
-// query's propagation work. What is worth keeping across queries —
-// learned clauses, activities, phases — lives outside the matrix.
+// The rebuild is unconditional at every solve boundary and restart,
+// and deliberately so: in-search row combination monotonically
+// densifies the matrix (the XOR of two half-dense rows stays
+// half-dense) and displaces pivots, and a session answers thousands of
+// queries against one solver — carrying the previous search's combined
+// rows forward would ratchet scan cost up query over query.
+// Re-reducing from s.xors resets density AND restores pivot uniqueness
+// (each row's responsible column appears in no other row), and folds
+// in every level-0 assignment made since the last build, for a cost
+// orders of magnitude below a single query's propagation work. What is
+// worth keeping across queries — learned clauses, activities, phases —
+// lives outside the matrix.
 func (s *Solver) gaussInSearchInit() bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: gaussInSearchInit above level 0")
@@ -207,13 +211,8 @@ func (s *Solver) gaussInSearchInit() bool {
 	if s.gmat == nil {
 		return true
 	}
+	// Unit rows hold distinct pivot columns, all unassigned.
 	for _, u := range s.gmat.units {
-		switch s.valueLit(u) {
-		case valTrue:
-			continue
-		case valFalse:
-			return false
-		}
 		s.Stats.GaussUnits++
 		s.uncheckedEnqueue(u, reason{})
 	}
@@ -221,8 +220,10 @@ func (s *Solver) gaussInSearchInit() bool {
 }
 
 // gaussBuild lays the matrix out from s.xors under the level-0
-// assignments, collecting the rows left with one column in units, and
-// propagates nothing. It returns false when a row reads 0 = 1.
+// assignments and reduces it in place to reduced row-echelon form,
+// lowest column first. Rows left with one column go to units, rows
+// left empty are dropped, and nothing is propagated. It returns false
+// when a row reads 0 = 1. s.xors itself is never rewritten.
 //
 // It allocates nothing once the solver has built a matrix: it reuses
 // the previous matrix's column maps, column masks, row slab, watch
@@ -240,9 +241,9 @@ func (s *Solver) gaussBuild() bool {
 	s.Stats.GaussMatrixBuilds++
 
 	// Column layout: every variable still unassigned in some row, in
-	// ascending variable order — identical to gaussEliminate's layout,
-	// so clones and rebuilds are deterministic. Rows mark their
-	// variables in colOf; an ascending scan then numbers the marks.
+	// ascending variable order, so clones and rebuilds are
+	// deterministic. Rows mark their variables in colOf; an ascending
+	// scan then numbers the marks.
 	colOf := slices.Grow(g.colOf[:0], s.numVars)[:s.numVars]
 	clear(colOf)
 	for _, x := range s.xors {
@@ -261,7 +262,6 @@ func (s *Solver) gaussBuild() bool {
 	}
 	words := gaussWords(len(cols))
 
-	g.gen = s.xorGen
 	g.nAbsorbed = len(s.xors)
 	g.cols = cols
 	g.colOf = colOf
@@ -282,13 +282,9 @@ func (s *Solver) gaussBuild() bool {
 	// Rows hold slices of the slab; clearing the whole backing array
 	// keeps rows dropped since the last build from pinning an old slab.
 	clear(g.rows[:cap(g.rows)])
-	g.rows = g.rows[:0]
-	g.units = g.units[:0]
-	for _, x := range s.xors {
-		i := len(g.rows) * words
-		row := gaussRow{bits: g.slab[i : i+words : i+words], rhs: x.rhs}
-		n := 0
-		var first [2]int32
+	rows := g.rows[:0]
+	for i, x := range s.xors {
+		row := gaussRow{bits: g.slab[i*words : (i+1)*words : (i+1)*words], rhs: x.rhs}
 		for _, v := range x.vars {
 			switch s.assigns[v] {
 			case valTrue:
@@ -298,26 +294,64 @@ func (s *Solver) gaussBuild() bool {
 			default:
 				c := colOf[v] - 1
 				row.bits[c>>6] |= 1 << (uint(c) & 63)
-				if n < 2 {
-					first[n] = c
+			}
+		}
+		rows = append(rows, row)
+	}
+
+	// Gauss-Jordan to reduced row-echelon form, lowest column first.
+	// Full RREF (eliminating above the pivot too) keeps every row as
+	// short as the span allows and each pivot in exactly one row.
+	rank := 0
+	for c := 0; c < len(cols) && rank < len(rows); c++ {
+		w, b := c>>6, uint64(1)<<(uint(c)&63)
+		sel := rank
+		for sel < len(rows) && rows[sel].bits[w]&b == 0 {
+			sel++
+		}
+		if sel == len(rows) {
+			continue
+		}
+		rows[rank], rows[sel] = rows[sel], rows[rank]
+		p := rows[rank]
+		for i := range rows {
+			if i != rank && rows[i].bits[w]&b != 0 {
+				for k, pw := range p.bits {
+					rows[i].bits[k] ^= pw
 				}
+				rows[i].rhs = rows[i].rhs != p.rhs
+			}
+		}
+		rank++
+	}
+	// Rows past the rank are empty: 0 = rhs.
+	for _, r := range rows[rank:] {
+		if r.rhs {
+			return false // 0 = 1 under level-0 assignments
+		}
+	}
+
+	// Each reduced row watches its pivot, the responsible slot, and its
+	// next column; a row with no next column is a unit.
+	g.units = g.units[:0]
+	kept := rows[:0]
+	for _, r := range rows[:rank] {
+		var first [2]int32
+		n := 0
+		for w, word := range r.bits {
+			for ; word != 0 && n < 2; word &= word - 1 {
+				first[n] = int32(w<<6 + bits.TrailingZeros64(word))
 				n++
 			}
 		}
-		switch n {
-		case 0:
-			if row.rhs {
-				return false // 0 = 1 under level-0 assignments
-			}
-		case 1:
-			g.units = append(g.units, mkLit(cols[first[0]], !row.rhs))
-			clear(row.bits) // the next row reuses this slot
-		default:
-			row.wc = first
-			row.resp = 0
-			g.rows = append(g.rows, row)
+		if n == 1 {
+			g.units = append(g.units, mkLit(cols[first[0]], !r.rhs))
+			continue
 		}
+		r.wc, r.resp = first, 0
+		kept = append(kept, r)
 	}
+	g.rows = kept
 	g.watch = slices.Grow(g.watch[:0], len(cols))[:len(cols)]
 	for c := range g.watch {
 		g.watch[c] = g.watch[c][:0]
@@ -331,9 +365,9 @@ func (s *Solver) gaussBuild() bool {
 	s.gmat = g
 
 	// The matrix owns the absorbed rows now; their clause watches go.
-	// s.xors stays canonical — Clone and the next level-0 harvest read
-	// it — but propagation for these rows runs through the matrix. The
-	// lists hold pointers, so they are cleared before they are reused.
+	// s.xors stays canonical — Clone and the next build read it — but
+	// propagation for these rows runs through the matrix. The lists
+	// hold pointers, so they are cleared before they are reused.
 	for v, ws := range s.xorWatches {
 		clear(ws[:cap(ws)])
 		s.xorWatches[v] = ws[:0]
@@ -521,17 +555,14 @@ func (s *Solver) gaussFixRow(ri int) *conflictInfo {
 		}
 	}
 	if !any {
-		// The row cancelled to empty: its partner was a duplicate. The
-		// build starts from a linearly independent basis, but level-0
-		// assignments folded in SINCE the last level-0 re-reduction can
-		// collapse two distinct rows onto the same support (the
-		// gaussRetrigger hysteresis makes that window real). An empty
-		// row with rhs=1 says 0=1 under the level-0 trail — a
-		// refutation of the formula itself, reported as an empty
-		// conflict clause, which the search loop resolves at level 0.
-		// With rhs=0 the row is trivially satisfied forever; its watch
-		// entries go inert (gaussUpdateRow falls through to a parity
-		// check that always passes) until the next rebuild drops it.
+		// The row cancelled to empty. Every build leaves linearly
+		// independent rows and combination keeps them so, so this does
+		// not happen; the branch fails closed if it ever does. An
+		// empty row with rhs=1 says 0=1 — a refutation of the formula
+		// itself, reported as an empty conflict clause, which the
+		// search loop resolves at level 0. With rhs=0 the row is
+		// trivially satisfied; its watch entries go inert until the
+		// next rebuild drops it.
 		if r.rhs {
 			s.Stats.GaussInSearchConflicts++
 			return s.conflict(nil)

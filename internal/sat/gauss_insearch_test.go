@@ -11,9 +11,10 @@ import (
 	"repro/internal/obs"
 )
 
-// TestGaussInSearchHiddenUnit mirrors TestGaussDerivesHiddenUnit with
-// the in-search propagator: the level-0 pass still runs underneath it,
-// and the live matrix must be built.
+// TestGaussInSearchHiddenUnit checks that the build's reduction finds
+// a forced variable watch propagation alone cannot see: x1^x2 = 1 and
+// x1^x2^x3 = 1 sum to x3 = 0, but each row keeps two unassigned
+// watches so neither propagates on its own.
 func TestGaussInSearchHiddenUnit(t *testing.T) {
 	s := New(3)
 	mustAddXor(t, s, []int{1, 2}, true)
@@ -25,11 +26,43 @@ func TestGaussInSearchHiddenUnit(t *testing.T) {
 	if s.Value(3) {
 		t.Fatalf("x3 should be forced false by elimination")
 	}
-	if s.Stats.GaussRuns == 0 {
-		t.Fatalf("level-0 elimination never ran")
-	}
 	if s.Stats.GaussMatrixBuilds == 0 {
 		t.Fatalf("in-search matrix never built")
+	}
+	if s.Stats.GaussUnits == 0 {
+		t.Fatalf("elimination derived no units")
+	}
+}
+
+func TestGaussDetectsInconsistency(t *testing.T) {
+	s := New(2)
+	mustAddXor(t, s, []int{1, 2}, false)
+	mustAddXor(t, s, []int{1, 2}, true)
+	s.EnableGaussInSearch = true
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("status %v, want Unsat", st)
+	}
+	if st := s.Solve(); st != Unsat {
+		t.Fatalf("Unsat not sticky: %v", st)
+	}
+}
+
+// TestGaussCloneAfterElimination checks a clone taken after a solve
+// carries the reduced system faithfully.
+func TestGaussCloneAfterElimination(t *testing.T) {
+	s := New(3)
+	mustAddXor(t, s, []int{1, 2}, true)
+	mustAddXor(t, s, []int{1, 2, 3}, true)
+	s.EnableGaussInSearch = true
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("status %v", st)
+	}
+	c := s.Clone()
+	if st := c.SolveAssuming([]int{3}); st != Unsat {
+		t.Fatalf("clone lost reduced row x3=0: %v", st)
+	}
+	if st := c.SolveAssuming([]int{-3}); st != Sat {
+		t.Fatalf("clone over-constrained: %v", st)
 	}
 }
 
@@ -39,21 +72,7 @@ func TestGaussInSearchHiddenUnit(t *testing.T) {
 // through the matrix, so a solved system with surviving wide rows must
 // register in-search activity.
 func TestGaussInSearchPropagatesMidSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	s := New(16)
-	s.EnableGaussInSearch = true
-	for i := 0; i < 10; i++ {
-		var vars []int
-		for v := 1; v <= 16; v++ {
-			if rng.Intn(2) == 0 {
-				vars = append(vars, v)
-			}
-		}
-		if len(vars) < 2 {
-			vars = []int{1, 2}
-		}
-		mustAddXor(t, s, vars, rng.Intn(2) == 0)
-	}
+	s := randomXorSolver(t, rand.New(rand.NewSource(42)), 16)
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("status %v", st)
 	}
@@ -64,21 +83,75 @@ func TestGaussInSearchPropagatesMidSearch(t *testing.T) {
 }
 
 // TestGaussInSearchModelCountEquivalence compares projected model
-// counts three ways — plain watches, level-0 Gauss, in-search Gauss —
-// over random XOR systems mixed with CNF clauses. Model enumeration
-// stresses retraction: every blocking clause restarts the search
-// against the same live matrix.
+// counts of the plain solver and in-search Gauss over random XOR
+// systems mixed with CNF clauses. Model enumeration stresses
+// retraction: every blocking clause restarts the search against the
+// same live matrix.
 func TestGaussInSearchModelCountEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for round := 0; round < 30; round++ {
-		n := 5 + rng.Intn(5)
-		rows := 1 + rng.Intn(n)
-		type xr struct {
-			vars []int
-			rhs  bool
+	for _, seed := range []int64{11, 13} {
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 30; round++ {
+			n := 5 + rng.Intn(5)
+			rows := 1 + rng.Intn(n)
+			type xr struct {
+				vars []int
+				rhs  bool
+			}
+			var xrs []xr
+			for i := 0; i < rows; i++ {
+				var vars []int
+				for v := 1; v <= n; v++ {
+					if rng.Intn(2) == 0 {
+						vars = append(vars, v)
+					}
+				}
+				if len(vars) == 0 {
+					vars = []int{1 + rng.Intn(n)}
+				}
+				xrs = append(xrs, xr{vars, rng.Intn(2) == 0})
+			}
+			var cls [][]int
+			for i := 0; i < 2; i++ {
+				a := 1 + rng.Intn(n)
+				b := 1 + rng.Intn(n)
+				cls = append(cls, []int{a, -b})
+			}
+			proj := make([]int, n)
+			for i := range proj {
+				proj[i] = i + 1
+			}
+			var counts [2]int
+			for mode := range counts {
+				s := New(n)
+				s.EnableGaussInSearch = mode == 1
+				for _, x := range xrs {
+					mustAddXor(t, s, x.vars, x.rhs)
+				}
+				for _, c := range cls {
+					mustAdd(t, s, c...)
+				}
+				nM, ok, err := s.CountModels(proj, 0)
+				if err != nil || !ok {
+					t.Fatalf("seed %d round %d mode %d: ok=%v err=%v", seed, round, mode, ok, err)
+				}
+				counts[mode] = nM
+			}
+			if counts[0] != counts[1] {
+				t.Fatalf("seed %d round %d: plain %d, insearch %d", seed, round, counts[0], counts[1])
+			}
 		}
-		var xrs []xr
-		for i := 0; i < rows; i++ {
+	}
+}
+
+// TestGaussAssumingEquivalence runs assumption queries against the
+// same XOR system on the plain solver and with in-search Gauss.
+func TestGaussAssumingEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 20; round++ {
+		n := 6 + rng.Intn(4)
+		var sys [][]int
+		var rhs []bool
+		for i := 0; i < n-2; i++ {
 			var vars []int
 			for v := 1; v <= n; v++ {
 				if rng.Intn(2) == 0 {
@@ -86,47 +159,33 @@ func TestGaussInSearchModelCountEquivalence(t *testing.T) {
 				}
 			}
 			if len(vars) == 0 {
-				vars = []int{1 + rng.Intn(n)}
+				continue
 			}
-			xrs = append(xrs, xr{vars, rng.Intn(2) == 0})
+			sys = append(sys, vars)
+			rhs = append(rhs, rng.Intn(2) == 0)
 		}
-		var cls [][]int
-		for i := 0; i < 2; i++ {
-			a := 1 + rng.Intn(n)
-			b := 1 + rng.Intn(n)
-			cls = append(cls, []int{a, -b})
+		plain, gauss := New(n), New(n)
+		gauss.EnableGaussInSearch = true
+		for i, vars := range sys {
+			mustAddXor(t, plain, vars, rhs[i])
+			mustAddXor(t, gauss, vars, rhs[i])
 		}
-		build := func(mode int) *Solver {
-			s := New(n)
-			switch mode {
-			case 1:
-				s.EnableGauss = true
-			case 2:
-				s.EnableGaussInSearch = true
+		for q := 0; q < 10; q++ {
+			var assumps []int
+			for v := 1; v <= n; v++ {
+				if rng.Intn(3) == 0 {
+					if rng.Intn(2) == 0 {
+						assumps = append(assumps, v)
+					} else {
+						assumps = append(assumps, -v)
+					}
+				}
 			}
-			for _, x := range xrs {
-				mustAddXor(t, s, x.vars, x.rhs)
+			a := plain.SolveAssuming(assumps)
+			b := gauss.SolveAssuming(assumps)
+			if a != b {
+				t.Fatalf("round %d query %d (%v): plain %v, gauss %v", round, q, assumps, a, b)
 			}
-			for _, c := range cls {
-				mustAdd(t, s, c...)
-			}
-			return s
-		}
-		proj := make([]int, n)
-		for i := range proj {
-			proj[i] = i + 1
-		}
-		var counts [3]int
-		for mode := 0; mode < 3; mode++ {
-			nM, ok, err := build(mode).CountModels(proj, 0)
-			if err != nil || !ok {
-				t.Fatalf("round %d mode %d: ok=%v err=%v", round, mode, ok, err)
-			}
-			counts[mode] = nM
-		}
-		if counts[0] != counts[1] || counts[0] != counts[2] {
-			t.Fatalf("round %d: plain %d, gauss0 %d, insearch %d",
-				round, counts[0], counts[1], counts[2])
 		}
 	}
 }
@@ -221,33 +280,41 @@ func TestGaussInSearchCloneWarm(t *testing.T) {
 	}
 }
 
+// randomXorSolver returns an in-search Gauss solver over n variables
+// with ten random parity rows of two or more variables each.
+func randomXorSolver(t *testing.T, rng *rand.Rand, n int) *Solver {
+	t.Helper()
+	s := New(n)
+	s.EnableGaussInSearch = true
+	for i := 0; i < 10; i++ {
+		var vars []int
+		for v := 1; v <= n; v++ {
+			if rng.Intn(2) == 0 {
+				vars = append(vars, v)
+			}
+		}
+		if len(vars) < 2 {
+			vars = []int{1, 2}
+		}
+		mustAddXor(t, s, vars, rng.Intn(2) == 0)
+	}
+	return s
+}
+
 // TestGaussRebuildReusesStorage checks the in-search matrix rebuild
 // that runs at every solve boundary and restart. Built over the
 // storage of a matrix the search has combined rows in, and again after
 // each of a run of unpropagated level-0 assignments (which turn rows
-// into units or drop them), it must hold exactly the rows a direct
-// reading of the XOR system gives, and column masks that match the
-// assignment; once built, a rebuild, masks included, must allocate
-// nothing.
+// into units or drop them), it must hold exactly the reduced
+// row-echelon form of the XOR system under the assignment, and column
+// masks that match the assignment; once built, a rebuild, masks
+// included, must allocate nothing.
 func TestGaussRebuildReusesStorage(t *testing.T) {
 	const n = 16
 	var props, units int64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := New(n)
-		s.EnableGaussInSearch = true
-		for i := 0; i < 10; i++ {
-			var vars []int
-			for v := 1; v <= n; v++ {
-				if rng.Intn(2) == 0 {
-					vars = append(vars, v)
-				}
-			}
-			if len(vars) < 2 {
-				vars = []int{1, 2}
-			}
-			mustAddXor(t, s, vars, rng.Intn(2) == 0)
-		}
+		s := randomXorSolver(t, rng, n)
 		if s.Solve() != Sat {
 			continue
 		}
@@ -258,11 +325,11 @@ func TestGaussRebuildReusesStorage(t *testing.T) {
 			model[v] = s.Value(v)
 		}
 		for _, v := range rng.Perm(n) {
-			cols, rows := gaussLayout(s)
+			want := gaussEchelon(t, s)
 			if !s.gaussBuild() {
 				t.Fatalf("seed %d: rebuild refuted a satisfiable system", seed)
 			}
-			checkGaussRebuild(t, s, cols, rows)
+			checkGaussRebuild(t, s, want)
 			checkGaussMasks(t, s, "rebuild")
 			if !s.gaussInSearchInit() {
 				t.Fatalf("seed %d: rebuild propagation refuted a satisfiable system", seed)
@@ -284,55 +351,126 @@ func TestGaussRebuildReusesStorage(t *testing.T) {
 	}
 }
 
-// gaussLayout reads the matrix a rebuild must produce straight from
-// s.xors under the current level-0 assignments: ascending columns over
-// the unassigned variables, and one row per XOR with two or more of
-// them, watching its first two columns.
-func gaussLayout(s *Solver) (cols []int32, rows []gaussRow) {
+// TestGaussSolveReducesUnderNewUnits checks that a solve re-reduces
+// the rows under level-0 units added since the last solve, however few
+// they are: after each batch of up to three units, fixing pivots of
+// the current matrix to model values, the next solve's build must be
+// the reduced row-echelon form of the rows under the new trail. The
+// query's assumption is false at level 0, so the solve returns right
+// after the build and the matrix is left as the build made it.
+func TestGaussSolveReducesUnderNewUnits(t *testing.T) {
+	const n = 16
+	var checked int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomXorSolver(t, rng, n)
+		mustAdd(t, s, 1)
+		if s.Solve() != Sat {
+			continue
+		}
+		model := s.Model()
+		for round := 0; len(s.gmat.rows) > 0; round++ {
+			for i, r := range s.gmat.rows {
+				if i == 3 {
+					break
+				}
+				v := int(s.gmat.cols[r.wc[r.resp]]) + 1
+				if model[v] {
+					mustAdd(t, s, v)
+				} else {
+					mustAdd(t, s, -v)
+				}
+			}
+			want := gaussEchelon(t, s)
+			if st := s.SolveAssuming([]int{-1}); st != Unsat {
+				t.Fatalf("seed %d round %d: %v under a refuted assumption", seed, round, st)
+			}
+			checkGaussRebuild(t, s, want)
+			checked++
+		}
+	}
+	if checked < 20 {
+		t.Fatalf("corpus too weak: %d builds checked", checked)
+	}
+}
+
+// gaussEchelonForm is the matrix a build must produce: its columns,
+// its rows with two or more columns and its unit rows.
+type gaussEchelonForm struct {
+	cols  []int32
+	rows  []gaussRow
+	units []lit
+}
+
+// gaussEchelon reads the matrix a build must produce from s.xors under
+// the current level-0 assignments, with gf2's elimination as the
+// reference: ascending columns over the unassigned variables, and the
+// reduced row-echelon form of the rows over them in pivot order. A
+// reduced row with one column is a unit; every other row watches its
+// first two columns.
+func gaussEchelon(t *testing.T, s *Solver) gaussEchelonForm {
+	t.Helper()
+	var want gaussEchelonForm
 	for v := int32(0); v < int32(s.numVars); v++ {
 		for _, x := range s.xors {
 			if slices.Contains(x.vars, v) && s.assigns[v] == valUnassigned {
-				cols = append(cols, v)
+				want.cols = append(want.cols, v)
 				break
 			}
 		}
 	}
-	for _, x := range s.xors {
-		r := gaussRow{bits: make([]uint64, gaussWords(len(cols))), rhs: x.rhs}
-		var set []int32
+	a := gf2.NewMatrix(len(s.xors), len(want.cols))
+	y := bitvec.New(len(s.xors))
+	for i, x := range s.xors {
+		rhs := x.rhs
 		for _, v := range x.vars {
 			switch s.assigns[v] {
 			case valTrue:
-				r.rhs = !r.rhs
+				rhs = !rhs
 			case valUnassigned:
-				c, _ := slices.BinarySearch(cols, v)
-				r.bits[c>>6] |= 1 << (uint(c) & 63)
-				set = append(set, int32(c))
+				c, _ := slices.BinarySearch(want.cols, v)
+				a.Set(i, c, true)
 			}
 		}
-		if len(set) >= 2 {
-			r.wc = [2]int32{set[0], set[1]}
-			rows = append(rows, r)
-		}
+		y.Set(i, rhs)
 	}
-	return cols, rows
+	e := a.Eliminate(y)
+	if !e.Consistent {
+		t.Fatal("reference elimination refutes the rows")
+	}
+	for i, er := range e.Rows {
+		ones := er.Ones()
+		if len(ones) == 1 {
+			want.units = append(want.units, mkLit(want.cols[ones[0]], !e.RHS[i]))
+			continue
+		}
+		r := gaussRow{bits: make([]uint64, gaussWords(len(want.cols))), rhs: e.RHS[i], wc: [2]int32{int32(ones[0]), int32(ones[1])}}
+		for _, c := range ones {
+			r.bits[c>>6] |= 1 << (uint(c) & 63)
+		}
+		want.rows = append(want.rows, r)
+	}
+	return want
 }
 
-// checkGaussRebuild compares the rebuilt matrix with the layout
-// gaussLayout read before the rebuild.
-func checkGaussRebuild(t *testing.T, s *Solver, cols []int32, rows []gaussRow) {
+// checkGaussRebuild compares the rebuilt matrix with the echelon form
+// gaussEchelon read before the rebuild.
+func checkGaussRebuild(t *testing.T, s *Solver, want gaussEchelonForm) {
 	t.Helper()
 	g := s.gmat
-	if !slices.Equal(g.cols, cols) {
-		t.Fatalf("columns %v, want %v", g.cols, cols)
+	if !slices.Equal(g.cols, want.cols) {
+		t.Fatalf("columns %v, want %v", g.cols, want.cols)
 	}
-	if len(g.rows) != len(rows) || g.nEntries != 2*len(rows) {
-		t.Fatalf("%d rows and %d watch entries, want %d rows", len(g.rows), g.nEntries, len(rows))
+	if !slices.Equal(g.units, want.units) {
+		t.Fatalf("units %v, want %v", g.units, want.units)
 	}
-	for ri, want := range rows {
+	if len(g.rows) != len(want.rows) || g.nEntries != 2*len(want.rows) {
+		t.Fatalf("%d rows and %d watch entries, want %d rows", len(g.rows), g.nEntries, len(want.rows))
+	}
+	for ri, w := range want.rows {
 		r := g.rows[ri]
-		if !slices.Equal(r.bits, want.bits) || r.rhs != want.rhs || r.wc != want.wc || r.resp != 0 {
-			t.Fatalf("row %d: %+v, want %+v", ri, r, want)
+		if !slices.Equal(r.bits, w.bits) || r.rhs != w.rhs || r.wc != w.wc || r.resp != 0 {
+			t.Fatalf("row %d: %+v, want %+v", ri, r, w)
 		}
 		if !slices.Contains(g.watch[r.wc[0]], int32(ri)) || !slices.Contains(g.watch[r.wc[1]], int32(ri)) {
 			t.Fatalf("row %d missing from its watch lists", ri)
@@ -345,99 +483,101 @@ func checkGaussRebuild(t *testing.T, s *Solver, cols []int32, rows []gaussRow) {
 	}
 }
 
-// TestGaussReductionNotSkippedAfterAdd is the regression test for the
-// staleness bug: the old check compared row COUNTS, which a harvest
-// plus a later AddXorClause can leave unchanged while the row set
-// differs. The generation counter must force a re-reduction after any
-// AddXorClause, and still skip when nothing changed.
+// TestGaussReductionNotSkippedAfterAdd checks that a row added by
+// AddXorClause after a solve stays clause-watched until the next
+// solve, whose build reduces it with the absorbed rows: x1^x2 = 1 and
+// x1^x2^x3^x4 = 1 give x3^x4 = 0, so an added x2^x3^x4 = 0 forces
+// x2 = 0 and x1 = 1, and a later x3^x4 = 1 refutes the system.
 func TestGaussReductionNotSkippedAfterAdd(t *testing.T) {
-	s := New(3)
-	s.EnableGauss = true
+	s := New(4)
+	s.EnableGaussInSearch = true
 	mustAddXor(t, s, []int{1, 2}, true)
-	mustAddXor(t, s, []int{1, 2, 3}, true)
+	mustAddXor(t, s, []int{1, 2, 3, 4}, true)
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("status %v", st)
 	}
-	runs := s.Stats.GaussRuns
-	if runs == 0 {
-		t.Fatalf("elimination never ran")
+	if s.Stats.GaussUnits != 0 {
+		t.Fatalf("%d units from rows that force none", s.Stats.GaussUnits)
+	}
+	mustAddXor(t, s, []int{2, 3, 4}, false)
+	if ws := s.xorWatches[1]; len(ws) != 1 || ws[0] != s.xors[2] {
+		t.Fatalf("added row not clause-watched before the next solve: %v", ws)
 	}
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("re-solve status %v", st)
 	}
-	if s.Stats.GaussRuns != runs {
-		t.Fatalf("unchanged system was re-reduced (%d -> %d runs)", runs, s.Stats.GaussRuns)
+	if s.gmat.nAbsorbed != len(s.xors) {
+		t.Fatalf("build absorbed %d of %d rows", s.gmat.nAbsorbed, len(s.xors))
 	}
-	// The harvest left one reduced row, matching the count the old
-	// length check recorded; the new row contradicts it and must not be
-	// silently skipped.
-	mustAddXor(t, s, []int{1, 2}, false)
+	if s.Stats.GaussUnits != 2 || s.level[0] != 0 || s.level[1] != 0 || !s.Value(1) || s.Value(2) {
+		t.Fatalf("added row missing from the build: %d units, x1=%v x2=%v", s.Stats.GaussUnits, s.Value(1), s.Value(2))
+	}
+	mustAddXor(t, s, []int{3, 4}, true)
 	if st := s.Solve(); st != Unsat {
 		t.Fatalf("contradicting row ignored: %v", st)
-	}
-	if s.Stats.GaussRuns <= runs {
-		t.Fatalf("changed system skipped re-reduction (%d runs)", s.Stats.GaussRuns)
 	}
 }
 
 // TestGaussRunsZeroWithoutXorRows is the regression test for the
-// counter bug: a solver with no parity rows must report zero Gauss
-// runs, both in Stats and in the published obs snapshot.
+// counter bug: a solver with no parity rows must report zero matrix
+// builds and Gauss units, both in Stats and in the published obs
+// snapshot.
 func TestGaussRunsZeroWithoutXorRows(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(4)
-	s.EnableGauss = true
+	s.EnableGaussInSearch = true
 	s.Obs = reg
 	mustAdd(t, s, 1, 2)
 	mustAdd(t, s, -1, 3)
 	if st := s.Solve(); st != Sat {
 		t.Fatalf("status %v", st)
 	}
-	if s.Stats.GaussRuns != 0 {
-		t.Fatalf("GaussRuns = %d with no parity rows", s.Stats.GaussRuns)
+	if s.Stats.GaussMatrixBuilds != 0 || s.Stats.GaussUnits != 0 {
+		t.Fatalf("%d matrix builds and %d units with no parity rows", s.Stats.GaussMatrixBuilds, s.Stats.GaussUnits)
 	}
-	if got := reg.Snapshot().Counters[MetricGaussRuns]; got != 0 {
-		t.Fatalf("%s = %d with no parity rows", MetricGaussRuns, got)
+	for _, name := range []string{MetricGaussMatrixBuilds, MetricGaussUnits} {
+		if got := reg.Snapshot().Counters[name]; got != 0 {
+			t.Fatalf("%s = %d with no parity rows", name, got)
+		}
 	}
 }
 
 // TestXorWatchHygieneAcrossReuse is the regression test for stale
 // watch entries: across many AddXorClause/Solve cycles on one solver,
-// no watch list may hold a dead (harvest-discarded) row, and the total
-// entry count must stay proportional to the live row set rather than
-// the session's age.
+// the plain solver's clause-watch entries must stay proportional to
+// the row set rather than the solver's age, and with in-search Gauss
+// every row is absorbed into the matrix, leaving no clause watch at
+// all after a solve.
 func TestXorWatchHygieneAcrossReuse(t *testing.T) {
-	s := New(24)
-	s.EnableGauss = true
-	rng := rand.New(rand.NewSource(7))
-	for cycle := 0; cycle < 60; cycle++ {
-		var vars []int
-		for v := 1; v <= 24; v++ {
-			if rng.Intn(3) == 0 {
-				vars = append(vars, v)
-			}
-		}
-		if len(vars) < 2 {
-			vars = []int{1, 2}
-		}
-		mustAddXor(t, s, vars, rng.Intn(2) == 0)
-		if st := s.Solve(); st == Unsat {
-			break // random rows eventually refute; hygiene up to here is what matters
-		}
-		total, dead := 0, 0
-		for _, ws := range s.xorWatches {
-			for _, x := range ws {
-				total++
-				if x.dead {
-					dead++
+	for _, inSearch := range []bool{false, true} {
+		s := New(24)
+		s.EnableGaussInSearch = inSearch
+		rng := rand.New(rand.NewSource(7))
+		for cycle := 0; cycle < 60; cycle++ {
+			var vars []int
+			for v := 1; v <= 24; v++ {
+				if rng.Intn(3) == 0 {
+					vars = append(vars, v)
 				}
 			}
-		}
-		if dead != 0 {
-			t.Fatalf("cycle %d: %d watch entries point at dead rows", cycle, dead)
-		}
-		if max := 2*len(s.xors) + 256; total > max {
-			t.Fatalf("cycle %d: %d watch entries for %d rows (cap %d)", cycle, total, len(s.xors), max)
+			if len(vars) < 2 {
+				vars = []int{1, 2}
+			}
+			mustAddXor(t, s, vars, rng.Intn(2) == 0)
+			if st := s.Solve(); st == Unsat {
+				break // random rows eventually refute; hygiene up to here is what matters
+			}
+			total := 0
+			for _, ws := range s.xorWatches {
+				total += len(ws)
+			}
+			limit := 2*len(s.xors) + 256
+			if inSearch {
+				limit = 0
+			}
+			if total > limit {
+				t.Fatalf("in-search %v cycle %d: %d watch entries for %d rows (cap %d)", inSearch, cycle, total, len(s.xors), limit)
+			}
 		}
 	}
 }
@@ -467,14 +607,14 @@ func buildGF2Reference(masks []uint, rhs []bool, n int, assumps []int) (*gf2.Mat
 	return m, y
 }
 
-// TestGaussDifferentialHammer solves seeded random GF(2) systems four
-// ways — plain XOR watches, level-0 Gauss, in-search Gauss, and
-// internal/gf2 elimination — under batches of assumption queries. All
-// four must agree on sat/unsat, and every SAT model must satisfy every
-// parity row and assumption. Run with -race in CI.
+// TestGaussDifferentialHammer solves seeded random GF(2) systems three
+// ways — plain XOR watches, in-search Gauss, and internal/gf2
+// elimination — under batches of assumption queries. All three must
+// agree on sat/unsat, and every SAT model must satisfy every parity
+// row and assumption. Run with -race in CI.
 func TestGaussDifferentialHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1909))
-	names := []string{"plain", "gauss0", "insearch"}
+	names := []string{"plain", "insearch"}
 	for round := 0; round < 40; round++ {
 		n := 6 + rng.Intn(10)
 		rows := 2 + rng.Intn(n)
@@ -488,15 +628,10 @@ func TestGaussDifferentialHammer(t *testing.T) {
 			masks = append(masks, mask)
 			rhs = append(rhs, rng.Intn(2) == 0)
 		}
-		solvers := make([]*Solver, 3)
+		solvers := make([]*Solver, len(names))
 		for mode := range solvers {
 			s := New(n)
-			switch mode {
-			case 1:
-				s.EnableGauss = true
-			case 2:
-				s.EnableGaussInSearch = true
-			}
+			s.EnableGaussInSearch = mode == 1
 			for i, mask := range masks {
 				var vars []int
 				for v := 0; v < n; v++ {
@@ -562,8 +697,8 @@ func TestGaussDifferentialHammer(t *testing.T) {
 	}
 }
 
-// FuzzXorSystem fuzzes random parity systems through the three solver
-// configurations and the gf2 oracle. Each row is two bytes: a variable
+// FuzzXorSystem fuzzes random parity systems through the plain solver,
+// in-search Gauss and the gf2 oracle. Each row is two bytes: a variable
 // bitmask (low 13 bits) and the rhs in the top bit.
 func FuzzXorSystem(f *testing.F) {
 	f.Add([]byte{5, 0b00011, 0x80, 0b00110, 0x00})
@@ -596,14 +731,9 @@ func FuzzXorSystem(f *testing.F) {
 		if m.Eliminate(y).Consistent {
 			want = Sat
 		}
-		for mode := 0; mode < 3; mode++ {
+		for mode := 0; mode < 2; mode++ {
 			s := New(n)
-			switch mode {
-			case 1:
-				s.EnableGauss = true
-			case 2:
-				s.EnableGaussInSearch = true
-			}
+			s.EnableGaussInSearch = mode == 1
 			for i, mask := range masks {
 				var vars []int
 				for v := 0; v < n; v++ {
@@ -673,7 +803,6 @@ func TestGaussColumnMasksTrackTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, tpSel, ladder := forensicSession(t, enc, 16)
-	s.EnableGaussInSearch = true
 	r := rand.New(rand.NewSource(3))
 	if st := s.SolveAssuming(forensicQuery(t, s, enc, r, 4, tpSel, ladder)); st != Sat {
 		t.Fatalf("first query: %v, want Sat", st)
@@ -756,4 +885,11 @@ func TestGaussColumnMasksTrackTrail(t *testing.T) {
 	}
 	checkGaussMasks(t, c, "clone's SolveAssuming retraction")
 	checkGaussMasks(t, s, "original after Clone")
+}
+
+func mustAddXor(t *testing.T, s *Solver, vars []int, rhs bool) {
+	t.Helper()
+	if err := s.AddXorClause(vars, rhs); err != nil {
+		t.Fatal(err)
+	}
 }

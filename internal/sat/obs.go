@@ -24,11 +24,10 @@ const (
 	MetricSolveNS       = "sat.solve.ns"
 	MetricSolveCalls    = "sat.solve.calls"
 	MetricEnumModels    = "sat.enumerate.models"
-	// Incremental-solving metrics: SolveAssuming calls, in-solver XOR
-	// Gaussian eliminations and the level-0 units they derived, and a
-	// gauge of learned clauses retained across calls in a reused solver.
+	// Incremental-solving metrics: SolveAssuming calls, the level-0
+	// units the in-search Gauss matrix builds derived, and a gauge of
+	// learned clauses retained across calls in a reused solver.
 	MetricAssumptionSolves = "sat.solve.assuming"
-	MetricGaussRuns        = "sat.gauss.runs"
 	MetricGaussUnits       = "sat.gauss.units"
 	MetricLearnedRetained  = "sat.learned.retained"
 
@@ -83,7 +82,6 @@ type obsInstruments struct {
 	solveNS      *obs.Histogram
 
 	assumptionSolves *obs.Counter
-	gaussRuns        *obs.Counter
 	gaussUnits       *obs.Counter
 	learnedRetained  *obs.Gauge
 
@@ -117,7 +115,6 @@ func (s *Solver) instruments() *obsInstruments {
 		solveNS:       r.Histogram(MetricSolveNS),
 
 		assumptionSolves: r.Counter(MetricAssumptionSolves),
-		gaussRuns:        r.Counter(MetricGaussRuns),
 		gaussUnits:       r.Counter(MetricGaussUnits),
 		learnedRetained:  r.Gauge(MetricLearnedRetained),
 
@@ -145,7 +142,6 @@ func (s *Solver) flushObs(before Stats, d time.Duration, st Status) {
 	in.learnedLits.Add(after.LearnedLits - before.LearnedLits)
 	in.xorProps.Add(after.XorProps - before.XorProps)
 	in.assumptionSolves.Add(after.AssumptionSolves - before.AssumptionSolves)
-	in.gaussRuns.Add(after.GaussRuns - before.GaussRuns)
 	in.gaussUnits.Add(after.GaussUnits - before.GaussUnits)
 	in.gaussInSearchProps.Add(after.GaussInSearchProps - before.GaussInSearchProps)
 	in.gaussInSearchConflicts.Add(after.GaussInSearchConflicts - before.GaussInSearchConflicts)

@@ -453,12 +453,6 @@ func (s *Solver) solveWith(assumps []lit) Status {
 		s.ok = false
 		return Unsat
 	}
-	if s.EnableGauss || s.EnableGaussInSearch {
-		if !s.gaussEliminate() {
-			s.ok = false
-			return Unsat
-		}
-	}
 	if s.EnableGaussInSearch {
 		if !s.gaussInSearchInit() {
 			s.ok = false
@@ -488,14 +482,14 @@ func (s *Solver) solveWith(assumps []lit) Status {
 		s.Stats.Restarts++
 		s.cancelUntil(0)
 		if s.gmat != nil {
-			// Rebuild the matrix from the RREF basis at every restart:
+			// Re-reduce the matrix from s.xors at every restart:
 			// in-search combination monotonically densifies rows and the
 			// densified rows produce long implication reasons, which
 			// analyze() turns into long, weak learned clauses. Restarts
 			// bound that window — the rebuild resets density and pivot
 			// uniqueness, folds in any level-0 units learned since the
 			// last boundary, and sheds stale watch entries, all for one
-			// pass over the rows (measured on the planted m=512 cells:
+			// reduction of the rows (measured on the planted m=512 cells:
 			// rebuilding at restarts cuts conflicts 2-4x vs carrying the
 			// combined rows across restart boundaries).
 			if !s.gaussInSearchInit() {

@@ -138,19 +138,17 @@ type Stats struct {
 	// learned-clause length is LearnedLits / Learned.
 	LearnedLits int64
 	XorProps    int64
-	// AssumptionSolves counts SolveAssuming calls; GaussRuns counts
-	// in-solver XOR Gaussian eliminations and GaussUnits the level-0
-	// unit assignments those eliminations derived.
+	// AssumptionSolves counts SolveAssuming calls.
 	AssumptionSolves int64
-	GaussRuns        int64
-	GaussUnits       int64
+	// GaussMatrixBuilds counts the level-0 builds of the in-search XOR
+	// Gauss matrix (EnableGaussInSearch), each one row reduction, and
+	// GaussUnits the level-0 unit assignments those reductions derived.
 	// GaussInSearchProps and GaussInSearchConflicts count implications
-	// and conflicts extracted mid-search by the in-search XOR Gauss
-	// propagator (EnableGaussInSearch); GaussMatrixBuilds counts the
-	// level-0 matrix (re)builds that feed it.
+	// and conflicts the matrix extracted mid-search.
+	GaussMatrixBuilds      int64
+	GaussUnits             int64
 	GaussInSearchProps     int64
 	GaussInSearchConflicts int64
-	GaussMatrixBuilds      int64
 }
 
 // Solver is a CDCL SAT solver with XOR clauses. The zero value is not
@@ -220,31 +218,17 @@ type Solver struct {
 	// AddGuardedClause/DropGuard).
 	guarded map[int32][]cref
 
-	// EnableGauss turns on the in-solver XOR Gaussian elimination: at
-	// the start of a solve the XOR rows are row-reduced over GF(2)
-	// (folding in level-0 assignments), and the reduced rows replace
-	// the originals in the watch scheme.
-	//
-	// EnableGaussInSearch additionally keeps the reduced matrix LIVE
-	// across decision levels (see gauss_insearch.go): dense bitset rows
-	// with two watched columns each, updated on every assignment, with
-	// implications and conflicts extracted mid-search. It implies the
-	// level-0 pass (the RREF basis seeds the matrix pivots).
-	EnableGauss         bool
+	// EnableGaussInSearch hands the XOR rows to the in-search Gauss
+	// matrix (see gauss_insearch.go): at every solve boundary and
+	// restart the rows are row-reduced over GF(2) with the level-0
+	// assignments folded in, and the reduced matrix stays LIVE across
+	// decision levels — dense bitset rows with two watched columns
+	// each, updated on every assignment, with implications and
+	// conflicts extracted mid-search. Off, the rows are clause-watched.
 	EnableGaussInSearch bool
-	// xorGen is bumped every time the XOR row set changes (AddXorClause
-	// appending a row, or an elimination harvest swapping the set);
-	// gaussGen/gaussTrail remember what the last elimination saw so it
-	// only reruns when the rows or the level-0 trail changed materially.
-	// Comparing generations instead of row COUNTS closes the staleness
-	// hole where a harvest plus a later AddXorClause left len(xors)
-	// unchanged while the row set differed.
-	xorGen     uint64
-	gaussGen   uint64
-	gaussTrail int
 	// gmat is the in-search Gauss matrix, nil until the first solve
-	// with EnableGaussInSearch set (and after that rebuilt whenever
-	// xorGen moves past the generation it was built from).
+	// with EnableGaussInSearch set and rebuilt at every solve boundary
+	// and restart after that.
 	gmat *gaussMatrix
 
 	ok bool // false once a top-level conflict is found
@@ -496,7 +480,6 @@ func (s *Solver) AddXorClause(vars []int, rhs bool) error {
 	x := &xorClause{vars: vs, rhs: rhs, idx: uint32(len(s.xors))}
 	x.w[0], x.w[1] = 0, 1
 	s.xors = append(s.xors, x)
-	s.xorGen++
 	s.xorWatches[vs[0]] = append(s.xorWatches[vs[0]], x)
 	s.xorWatches[vs[1]] = append(s.xorWatches[vs[1]], x)
 	return nil
@@ -774,11 +757,7 @@ func (s *Solver) Clone() *Solver {
 		}
 	}
 	n.model = append([]int8(nil), s.model...)
-	n.EnableGauss = s.EnableGauss
 	n.EnableGaussInSearch = s.EnableGaussInSearch
-	n.xorGen = s.xorGen
-	n.gaussGen = s.gaussGen
-	n.gaussTrail = s.gaussTrail
 
 	// Rows absorbed into the in-search matrix are not clause-watched in
 	// the original, and must not be in the clone either — the cloned

@@ -122,10 +122,10 @@ func (sp EncodingSpec) build() (*encoding.Encoding, error) {
 }
 
 // session is the per-(m, b, encoding, ClockHz/Epoch) state shared by
-// requests: the lazily built encoding plus the cost-model dispatcher
-// that owns the per-backend state (decoder pair index, incremental
-// warm solver). The sync.Onces make concurrent first requests build
-// each exactly once.
+// requests: the cost-model dispatcher, built lazily with the encoding
+// underneath it, that owns the per-backend state (decoder pair index,
+// incremental warm solver). The sync.Once makes concurrent first
+// requests build it exactly once.
 type session struct {
 	spec EncodingSpec
 	// key is spec.key(), rendered once: every entry's cache key starts
@@ -133,23 +133,8 @@ type session struct {
 	key  string
 	obs  *obs.Registry
 	once sync.Once
-	enc  *encoding.Encoding
+	disp *reconstruct.Dispatcher
 	err  error
-
-	dispOnce sync.Once
-	disp     *reconstruct.Dispatcher
-	dispErr  error
-}
-
-func (s *session) encoding() (*encoding.Encoding, error) {
-	s.once.Do(func() {
-		// The build counter is the amortization witness the batch API
-		// and tprload assert on: a batch of N jobs (or a stream of N
-		// frames) on one spec must move it by exactly 1.
-		s.obs.Counter(MetricEncodingBuilds).Inc()
-		s.enc, s.err = s.spec.build()
-	})
-	return s.enc, s.err
 }
 
 // dispatcher returns the session's oracle router, building it (and the
@@ -157,15 +142,19 @@ func (s *session) encoding() (*encoding.Encoding, error) {
 // request on the session, so the warm incremental solver and the
 // decoder's pair index amortize across the session's lifetime.
 func (s *session) dispatcher(opts reconstruct.DispatchOptions) (*reconstruct.Dispatcher, error) {
-	s.dispOnce.Do(func() {
-		enc, err := s.encoding()
+	s.once.Do(func() {
+		// The build counter is the amortization witness the batch API
+		// and tprload assert on: a batch of N jobs (or a stream of N
+		// frames) on one spec must move it by exactly 1.
+		s.obs.Counter(MetricEncodingBuilds).Inc()
+		enc, err := s.spec.build()
 		if err != nil {
-			s.dispErr = err
+			s.err = err
 			return
 		}
-		s.disp, s.dispErr = reconstruct.NewDispatcher(enc, opts)
+		s.disp, s.err = reconstruct.NewDispatcher(enc, opts)
 	})
-	return s.disp, s.dispErr
+	return s.disp, s.err
 }
 
 // sessionTable is a bounded LRU of sessions keyed by the canonical
